@@ -28,7 +28,7 @@ from .complexes import (
     type_coboundary,
     type_space_basis,
 )
-from .linalg import Echelon, RowReducer, SparseMatrix
+from .linalg import Echelon, RowReducer, SparseMatrix, kernel_basis, verify_kernel
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,12 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
         for n in range(max_degree + 1):
             kernel = echelons[n].kernel_basis()
             if verify:
-                zero = (0,) * mats[n].nrows
-                for vec in kernel:
-                    assert mats[n].matvec(vec) == zero
+                verify_kernel(mats[n], kernel)
             found = _representatives(kernel, mats[n - 1] if n else None,
                                      space_dims[n])
-            assert len(found) == dims[n], \
-                f"representative count mismatch in degree {n}"
+            if len(found) != dims[n]:
+                raise ArithmeticError(
+                    f"representative count mismatch in degree {n}")
             reps[n] = found
     return CohomologyReport(theory=theory, max_degree=max_degree,
                             space_dims=space_dims, ranks=ranks, dims=dims,
@@ -123,16 +122,14 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
 def center_of_lie(alg: AlgebraSpec) -> list[tuple]:
     """Basis of {a : {x, a} = 0 for all x} — degree-0 cocycles of the
     bracket acting on the algebra itself."""
-    mat = differential(alg, regular_module(alg), "ce", 0)
-    return Echelon(mat).kernel_basis()
+    return kernel_basis(differential(alg, regular_module(alg), "ce", 0))
 
 
 def poisson_derivations(alg: AlgebraSpec) -> list[tuple]:
     """Basis of the maps A -> A that are simultaneously multiplication
     derivations and bracket derivations: the degree-1 poisson cocycles of the
     regular module."""
-    mat = differential(alg, regular_module(alg), "poisson", 1)
-    return Echelon(mat).kernel_basis()
+    return kernel_basis(differential(alg, regular_module(alg), "poisson", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +278,7 @@ def equivariant_hom(source_action, target_action) -> list[tuple]:
                     if src[k][c]:
                         mat.add_to(row, r * nv + k, -src[k][c])
                 row += 1
-    return Echelon(mat).kernel_basis()
+    return kernel_basis(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,14 @@ def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
     row never contains an earlier pivot's column — which is exactly what the
     reverse-order back-substitution in :meth:`Echelon.kernel_basis` relies on.
 
+    Retiring a pivot changes only rows that hold its column, and fill-in
+    stays inside the pivot row's support, so only the column counts of the
+    pivot's own connected component (of the bipartite row/column graph)
+    move.  Hence running this on the rows of one component retires exactly
+    the pivots, in exactly the order, that a run over all rows retires from
+    that component; :class:`Echelon` relies on this to eliminate component by
+    component.
+
     Returns ``(pivots, leftovers)`` where pivots is a list of
     ``(pivot_col, row_dict)`` in retirement order and leftovers are the
     nonzero rows that could not be pivoted (support inside ``skip_col`` only).
@@ -291,22 +299,69 @@ def _normalize_exact_vec(vec: dict[int, Scalar], ncols: int) -> tuple:
         ints = {c: v // g for c, v in ints.items()}
     if ints and ints[min(ints)] < 0:
         ints = {c: -v for c, v in ints.items()}
-    return tuple(ints.get(c, 0) for c in range(ncols))
+    dense = [0] * ncols
+    for c, v in ints.items():
+        dense[c] = v
+    return tuple(dense)
+
+
+def _components(rows: dict[int, dict[int, int]]) -> list[dict[int, dict[int, int]]]:
+    """Split nonzero rows into the connected components of the bipartite
+    row/column graph of their nonzero pattern, by union-find over the columns
+    in O(nnz).  Components come in order of their lowest row index, and each
+    keeps its rows in increasing row order."""
+    parent: dict[int, int] = {}
+
+    def find(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    for row in rows.values():
+        it = iter(row)
+        first = next(it)
+        parent.setdefault(first, first)
+        ra = find(first)
+        for c in it:
+            rb = find(parent.setdefault(c, c))
+            if rb != ra:
+                parent[rb] = ra
+    blocks: dict[int, dict[int, dict[int, int]]] = {}
+    for rid in sorted(rows):
+        row = rows[rid]
+        blocks.setdefault(find(next(iter(row))), {})[rid] = row
+    return list(blocks.values())
 
 
 class Echelon:
     """Outcome of eliminating a matrix: rank, pivot positions, and the frozen
-    pivot rows needed to back-substitute kernel vectors."""
+    pivot rows needed to back-substitute kernel vectors.
+
+    The matrix is split into the connected components of its nonzero pattern
+    (Pothen & Fan's block decomposition) and each component is eliminated on
+    its own, in order of its lowest row index.  The rank, the free columns
+    and every kernel vector are the same as from one elimination over all
+    rows: by the argument in :func:`_eliminate` each component retires the
+    same pivots in the same order either way, only their interleaving
+    differs, and back-substitution for a free column never leaves that
+    column's component.  Eliminating per component saves the pivot search
+    over other components' columns, which makes the whole run quadratic in
+    the largest component instead of in the matrix.
+    """
 
     def __init__(self, matrix: SparseMatrix):
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        self._pivots, _ = _eliminate(_integer_rows(matrix))
-        self.pivot_cols = tuple(c for c, _ in self._pivots)
+        self._blocks = [_eliminate(rows)[0]
+                        for rows in _components(_integer_rows(matrix))]
+        self.pivot_cols = tuple(c for pivots in self._blocks for c, _ in pivots)
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self.pivot_cols)
 
     @property
     def free_cols(self) -> tuple[int, ...]:
@@ -316,14 +371,21 @@ class Echelon:
     def kernel_basis(self) -> list[tuple]:
         """One normalized integer kernel vector per free column.
 
-        Pivot rows are processed in reverse retirement order; by the pivot
-        rule each row contains no earlier pivot columns, so every column it
-        touches is already assigned when its own pivot gets solved.
+        Each free column is back-substituted through the pivot rows of its
+        own component only, in reverse retirement order; by the pivot rule
+        each row contains no earlier pivot columns, so every column it
+        touches is already assigned when its own pivot gets solved.  A column
+        with no entries gives its unit vector.
         """
+        block_of: dict[int, list] = {}
+        for pivots in self._blocks:
+            for _, row in pivots:
+                for c in row:
+                    block_of[c] = pivots
         basis = []
         for free in self.free_cols:
             assign: dict[int, Scalar] = {free: 1}
-            for pivot_col, row in reversed(self._pivots):
+            for pivot_col, row in reversed(block_of.get(free, ())):
                 s = 0
                 for c, v in row.items():
                     if c != pivot_col:
@@ -340,17 +402,30 @@ def rank(matrix: SparseMatrix) -> int:
     return Echelon(matrix).rank
 
 
+def verify_kernel(matrix: SparseMatrix, basis: Sequence[Sequence]) -> None:
+    """Raise ArithmeticError unless ``matrix`` kills every vector of
+    ``basis``.  One exact product with the basis as the columns of a sparse
+    matrix checks every row of every vector; scaling the matrix to integers
+    first keeps the same kernel and avoids Fraction arithmetic."""
+    if any(len(vec) != matrix.ncols for vec in basis):
+        raise ValueError("vector length does not match column count")
+    cols = SparseMatrix(matrix.ncols, len(basis))
+    cols.entries = {(c, j): v for j, vec in enumerate(basis)
+                    for c, v in enumerate(vec) if v}
+    if not matrix.scaled_integer_copy().matmul(cols).is_zero:
+        raise ArithmeticError("kernel vector failed verification")
+
+
 def kernel_basis(matrix: SparseMatrix, verify: bool = True) -> list[tuple]:
     """Basis of the right kernel {v : Mv = 0}, one vector per free column.
 
     Every returned vector is checked against the original matrix; a failure
-    here would mean the elimination itself is broken, so it is an assert.
+    here would mean the elimination itself is broken, so it raises
+    ArithmeticError in every interpreter mode.
     """
     basis = Echelon(matrix).kernel_basis()
     if verify:
-        zero = (0,) * matrix.nrows
-        for vec in basis:
-            assert matrix.matvec(vec) == zero, "kernel vector failed verification"
+        verify_kernel(matrix, basis)
     return basis
 
 
@@ -388,7 +463,8 @@ def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
         assign[pivot_col] = Fraction(-s, row[pivot_col]) if s else 0
 
     solution = tuple(_as_exact(Fraction(assign.get(c, 0))) for c in range(matrix.ncols))
-    assert matrix.matvec(solution) == tuple(rhs), "solve result failed verification"
+    if matrix.matvec(solution) != tuple(rhs):
+        raise ArithmeticError("solve result failed verification")
     return solution
 
 
@@ -420,7 +496,8 @@ class RowReducer:
         vd: dict[int, Scalar] = {}
         scale = 1
         for c, v in items:
-            v = _as_exact(v)
+            if type(v) is not int:
+                v = _as_exact(v)
             if v:
                 vd[c] = v
                 if isinstance(v, Fraction):

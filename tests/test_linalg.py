@@ -1,15 +1,26 @@
 """Exact sparse elimination against a dense Fraction oracle."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poiscoh
+from poiscoh.algebra import builtin, regular_module
+from poiscoh.complexes import differential
 from poiscoh.linalg import (
     Echelon,
     RowReducer,
     SparseMatrix,
+    _eliminate,
+    _integer_rows,
+    _normalize_exact_vec,
     kernel_basis,
     rank,
     solve,
@@ -190,6 +201,89 @@ def test_kernel_of_zero_matrix_is_identity_basis():
 
 
 # ---------------------------------------------------------------------------
+# elimination per connected component
+
+
+def single_elimination_kernel(mat):
+    """Kernel basis from one elimination over all rows, back-substituting
+    every free column through every pivot: the reference the per-component
+    split must reproduce exactly."""
+    pivots, _ = _eliminate(_integer_rows(mat))
+    taken = {c for c, _ in pivots}
+    basis = []
+    for free in (c for c in range(mat.ncols) if c not in taken):
+        assign = {free: 1}
+        for pivot_col, row in reversed(pivots):
+            s = sum(v * assign.get(c, 0) for c, v in row.items() if c != pivot_col)
+            if s:
+                assign[pivot_col] = Fraction(-s, row[pivot_col])
+        basis.append(_normalize_exact_vec(assign, mat.ncols))
+    return basis
+
+
+@st.composite
+def shuffled_block_diagonal(draw):
+    """Random rational blocks placed on the diagonal, plus empty columns,
+    with rows and columns shuffled so no component is contiguous."""
+    blocks = draw(st.lists(sparse_matrices(max_rows=4, max_cols=4),
+                           min_size=1, max_size=4))
+    empty = draw(st.integers(0, 3))
+    nrows = sum(b.nrows for b in blocks)
+    ncols = sum(b.ncols for b in blocks) + empty
+    row_perm = draw(st.permutations(range(nrows)))
+    col_perm = draw(st.permutations(range(ncols)))
+    mat = SparseMatrix(nrows, ncols)
+    r0 = c0 = 0
+    for b in blocks:
+        for (r, c), v in b.entries.items():
+            mat[row_perm[r0 + r], col_perm[c0 + c]] = v
+        r0 += b.nrows
+        c0 += b.ncols
+    return mat
+
+
+@settings(max_examples=80, deadline=None)
+@given(shuffled_block_diagonal())
+def test_component_split_matches_oracle_and_single_elimination(mat):
+    dense = mat.to_dense()
+    assert rank(mat) == oracles.dense_rank(dense)
+    basis = kernel_basis(mat)
+    expected = oracles.dense_kernel(dense, mat.ncols)
+    assert len(basis) == len(expected)
+    assert oracles.dense_rank([list(v) for v in basis] + expected) == len(expected)
+    assert Echelon(mat).kernel_basis() == single_elimination_kernel(mat)
+
+
+@pytest.mark.parametrize("name", ["m2", "sl2std"])
+def test_component_split_matches_single_elimination_on_differentials(name):
+    alg = builtin(name)
+    mat = differential(alg, regular_module(alg), "poisson", 3)
+    ech = Echelon(mat)
+    reference = single_elimination_kernel(mat)
+    assert ech.rank == mat.ncols - len(reference)
+    assert ech.kernel_basis() == reference
+
+
+def test_wrong_kernel_basis_raises_under_optimize():
+    """The kernel check is an explicit raise, so it holds under ``-O``."""
+    script = textwrap.dedent("""
+        from poiscoh import linalg
+        linalg.Echelon.kernel_basis = lambda self: [(1,) * self.ncols]
+        try:
+            linalg.kernel_basis(linalg.SparseMatrix.from_dense([[1, 0], [0, 1]]))
+        except ArithmeticError:
+            raise SystemExit(0)
+        raise SystemExit(3)
+    """)
+    src = str(Path(poiscoh.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
 # incremental reduction
 
 
@@ -210,3 +304,13 @@ def test_row_reducer_add_reports_novelty():
     assert red.add([0, Fraction(1, 2), 0])
     assert not red.add([2, 3, 0])
     assert red.rank == 2
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 0.0])
+def test_row_reducer_rejects_non_exact_entries(bad):
+    red = RowReducer(2)
+    with pytest.raises(TypeError):
+        red.add([bad, 1])
+    with pytest.raises(TypeError):
+        red.add({0: 1, 1: bad})
+    assert red.rank == 0
