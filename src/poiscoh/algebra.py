@@ -528,7 +528,8 @@ def _build_sl2std() -> AlgebraSpec:
     ]
     alg = AlgebraSpec.build(4, mult, one, bracket, basis=("1", "e", "f", "h"))
     report = validate_algebra(alg)
-    assert report.ok, report.summary()
+    if not report.ok:
+        raise StructuralError(report.summary())
     return alg
 
 
@@ -550,7 +551,8 @@ def _build_nil3() -> AlgebraSpec:
     bracket = [[zero, zero, zero], [zero, zero, x], [zero, tuple(-c for c in x), zero]]
     alg = AlgebraSpec.build(3, mult, one, bracket, basis=("1", "x", "y"))
     report = validate_algebra(alg)
-    assert report.ok, report.summary()
+    if not report.ok:
+        raise StructuralError(report.summary())
     return alg
 
 

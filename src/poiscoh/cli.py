@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -37,9 +37,9 @@ from .cohomology import cohomology_dims, lp_cohomology
 from .complexes import differential
 from .deformation import (
     extension_algebra,
-    lift_step,
+    is_poisson_3cocycle,
+    lift_until,
     m2_table3_series,
-    obstruction_is_closed,
     obstruction_tables,
     quantization_obstruction_check,
     series_from_file_dict,
@@ -58,8 +58,6 @@ THEORY_ALIASES = {
     "ce": "ce",
     "lie": "ce",
 }
-
-WORKERS_ENV = "POISCOH_WORKERS"
 
 
 class CliError(Exception):
@@ -84,26 +82,28 @@ def _series_source(text: str) -> str:
         f"{text!r}: expected file:PATH, table3[:s], or table3-repaired[:s]")
 
 
-def _load_json(path: str) -> dict:
+@contextmanager
+def _reading(path: str):
+    """Report an unreadable or malformed file at ``path`` as :class:`CliError`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        yield
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_json(path: str) -> dict:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _resolve_algebra(src: str) -> AlgebraSpec:
     kind, _, rest = src.partition(":")
     if kind == "builtin":
         return builtin(rest)
-    try:
+    with _reading(rest):
         return load_algebra(rest)
-    except OSError as exc:
-        raise CliError(f"cannot read {rest}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{rest} is not valid JSON: {exc}") from exc
 
 
 def _resolve_module(src: str, alg: AlgebraSpec) -> ModuleSpec:
@@ -112,12 +112,8 @@ def _resolve_module(src: str, alg: AlgebraSpec) -> ModuleSpec:
     kind, _, rest = src.partition(":")
     if kind == "builtin":
         raise CliError("modules have no builtin registry; use 'regular' or file:PATH")
-    try:
+    with _reading(rest):
         return load_module(rest, alg)
-    except OSError as exc:
-        raise CliError(f"cannot read {rest}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{rest} is not valid JSON: {exc}") from exc
 
 
 def _resolve_series(src: str):
@@ -130,20 +126,6 @@ def _resolve_series(src: str):
     if name == "table3-repaired":
         return m2_table3_series(s, repaired=True)
     raise CliError(f"unknown series source {src!r}")
-
-
-def _check_workers_env() -> None:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliError(f"{WORKERS_ENV} must be >= 1, got {value}")
-    # The exact-arithmetic engine runs single-threaded; any cap >= 1 is
-    # accepted and behaves identically.
 
 
 def _json_default(obj):
@@ -305,14 +287,7 @@ def cmd_deform_lift(args) -> int:
     if target <= series.order:
         raise CliError(f"series already has order {series.order}; "
                        f"target must exceed it")
-    obstructed_at = None
-    current = series
-    while current.order < target:
-        lifted = lift_step(current)
-        if lifted is None:
-            obstructed_at = current.order + 1
-            break
-        current = lifted
+    current, obstructed_at = lift_until(series, target)
     payload = {
         "start_order": series.order,
         "target_order": target,
@@ -346,7 +321,7 @@ def cmd_obstruction(args) -> int:
         "associativity_rhs": sparse(f1),
         "leibniz_rhs": sparse(f2),
         "jacobi_rhs": sparse(f3),
-        "closed": obstruction_is_closed(series, order),
+        "closed": is_poisson_3cocycle(series.algebra, f1, f2, f3),
     }
     _emit(args, payload)
     return 0
@@ -466,10 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poiscoh",
         description="Exact cohomology and deformation computations for "
                     "finite-dimensional Poisson algebras given by rational "
-                    "structure constants.",
-        epilog=f"The {WORKERS_ENV} environment variable caps worker "
-               "parallelism; the exact-arithmetic engine currently runs "
-               "single-threaded, so any value >= 1 behaves identically.")
+                    "structure constants.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="verb", required=True)
@@ -563,7 +535,6 @@ def main(argv=None) -> int:
     if args.verb == "dump" and args.what != "series" and not args.algebra:
         parser.error("dump: --algebra is required unless --what series")
     try:
-        _check_workers_env()
         return args.func(args)
     except (StructuralError, AxiomError, CliError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

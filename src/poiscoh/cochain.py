@@ -223,8 +223,3 @@ class Cochain:
             return (0,) * self.space.mod_dim
         base = self.space.index(i, j, tuple(tens), sorted_wedge, 0)
         return tuple(sign * v for v in self.coeffs[base:base + self.space.mod_dim])
-
-    def nonzero_cells(self):
-        for flat, v in enumerate(self.coeffs):
-            if v:
-                yield self.space.unindex(flat), v

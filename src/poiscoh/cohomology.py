@@ -58,6 +58,12 @@ class CohomologyReport:
         return out
 
 
+def _rank_nullity(space_dims, ranks) -> tuple[int, ...]:
+    """dim H^n = dim C^n - rank d^n - rank d^(n-1), for every n."""
+    return tuple(dim - ranks[n] - (ranks[n - 1] if n else 0)
+                 for n, dim in enumerate(space_dims))
+
+
 def _image_columns(matrix: SparseMatrix) -> list[dict]:
     cols: dict[int, dict[int, object]] = {}
     for (r, c), v in matrix.entries.items():
@@ -97,10 +103,7 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     )
     echelons = [Echelon(m) for m in mats]
     ranks = tuple(e.rank for e in echelons)
-    dims = tuple(
-        space_dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
-        for n in range(max_degree + 1)
-    )
+    dims = _rank_nullity(space_dims, ranks)
     reps = None
     if representatives:
         reps = {}
@@ -138,7 +141,7 @@ def poisson_derivations(alg: AlgebraSpec) -> list[tuple]:
 
 def _restricted_ranks(bases: list[list[tuple]], matrices: list[SparseMatrix],
                       next_constraints: list[SparseMatrix | None]) -> list[int]:
-    """Ranks of full-space maps restricted to given subspace bases, asserting
+    """Ranks of full-space maps restricted to given subspace bases, checking
     that each image vector satisfies the next degree's defining constraints."""
     ranks = []
     for n, basis in enumerate(bases):
@@ -148,8 +151,9 @@ def _restricted_ranks(bases: list[list[tuple]], matrices: list[SparseMatrix],
             cons = next_constraints[n]
             if cons is not None and not cons.is_zero:
                 zero = (0,) * cons.nrows
-                assert cons.matvec(img) == zero, \
-                    "subcomplex is not closed under its differential"
+                if cons.matvec(img) != zero:
+                    raise ArithmeticError(
+                        "subcomplex is not closed under its differential")
             reducer.add(img)
         ranks.append(reducer.rank)
     return ranks
@@ -166,10 +170,7 @@ def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:
                    for n in range(max_degree + 1)]
     ranks = _restricted_ranks(bases, matrices, constraints)
     space_dims = tuple(len(b) for b in bases)
-    dims = tuple(
-        space_dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
-        for n in range(max_degree + 1)
-    )
+    dims = _rank_nullity(space_dims, ranks)
     return CohomologyReport(theory="lp", max_degree=max_degree,
                             space_dims=space_dims, ranks=tuple(ranks), dims=dims)
 
@@ -191,10 +192,7 @@ def type_cohomology(alg: AlgebraSpec, mod: ModuleSpec | None = None,
             constraints.append(delta_H(alg, mod, n + 1, 0))
     ranks = _restricted_ranks(bases, matrices, constraints)
     space_dims = tuple(len(b) for b in bases)
-    dims = tuple(
-        space_dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
-        for n in range(max_degree + 1)
-    )
+    dims = _rank_nullity(space_dims, ranks)
     return CohomologyReport(theory=f"type-{which}", max_degree=max_degree,
                             space_dims=space_dims, ranks=tuple(ranks), dims=dims)
 

@@ -195,13 +195,20 @@ def _paste(out: SparseMatrix, block: SparseMatrix, row_off: int, col_off: int,
         out.add_to(r + row_off, c + col_off, v if sign == 1 else -v)
 
 
-def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int) -> SparseMatrix:
+def _twist(i: int) -> int:
+    return -1 if i % 2 else 1
+
+
+def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int,
+                 _horizontal_sign=_twist) -> SparseMatrix:
     """The assembled total differential C^degree -> C^(degree+1) of a theory.
 
     Which elementary blocks contribute is read off the block layouts
     themselves; the only theory-specific rule is that the corner map belongs
     to the poisson assembly alone (the quasi layout contains the same target
-    block but its differential is purely bicomplex).
+    block but its differential is purely bicomplex).  ``_horizontal_sign``
+    maps the tensor width i to the sign on ``delta_H`` out of it; rules
+    other than the default exist only so tests can show they break d o d = 0.
     """
     if theory in ("poisson", "omega") and mod.flavor != "poisson":
         raise StructuralError(f"the {theory} theory needs a poisson-flavored module")
@@ -214,7 +221,7 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int) ->
         col_off = src.block_offsets[i, j]
         if (i, j + 1) in tgt.block_offsets:
             _paste(out, delta_H(alg, mod, i, j),
-                   tgt.block_offsets[i, j + 1], col_off, -1 if i % 2 else 1)
+                   tgt.block_offsets[i, j + 1], col_off, _horizontal_sign(i))
         if (i + 1, j) in tgt.block_offsets:
             _paste(out, delta_V(alg, mod, i, j),
                    tgt.block_offsets[i + 1, j], col_off, 1)
@@ -224,26 +231,7 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int) ->
     return out
 
 
-def _assemble_with_horizontal_sign(alg, mod, theory, degree, sign_of_row) -> SparseMatrix:
-    """Assembly with an arbitrary horizontal sign rule; exists so tests can
-    show the naive (all +1) assembly is not a complex."""
-    src = CochainSpace.build(theory, degree, alg.dim, mod.dim)
-    tgt = CochainSpace.build(theory, degree + 1, alg.dim, mod.dim)
-    out = SparseMatrix(tgt.dim, src.dim)
-    for i, j in src.blocks:
-        if src.block_size(i, j) == 0:
-            continue
-        col_off = src.block_offsets[i, j]
-        if (i, j + 1) in tgt.block_offsets:
-            _paste(out, delta_H(alg, mod, i, j),
-                   tgt.block_offsets[i, j + 1], col_off, sign_of_row(i))
-        if (i + 1, j) in tgt.block_offsets:
-            _paste(out, delta_V(alg, mod, i, j),
-                   tgt.block_offsets[i + 1, j], col_off, 1)
-        if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
-            _paste(out, delta_v(alg, mod, j),
-                   tgt.block_offsets[2, j - 1], col_off, 1)
-    return out
+_assemble_with_horizontal_sign = differential
 
 
 def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,

@@ -35,8 +35,9 @@ def _zero_table(d: int, m: int | None = None) -> tuple:
     return tuple(tuple((0,) * m for _ in range(d)) for _ in range(d))
 
 
-def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
-    acc = [0] * out_dim
+def _add_pairs(acc: list, pairs, u, v, sign: int = 1) -> None:
+    """``acc += sign * P(u, v)`` in place, for the bilinear map P whose sparse
+    structure constants are ``pairs``."""
     for i, ui in enumerate(u):
         if not ui:
             continue
@@ -45,7 +46,12 @@ def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
             if not vj:
                 continue
             for k, c in row[j]:
-                acc[k] += ui * vj * c
+                acc[k] += sign * ui * vj * c
+
+
+def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
+    acc = [0] * out_dim
+    _add_pairs(acc, pairs, u, v)
     return tuple(acc)
 
 
@@ -96,9 +102,6 @@ class DeformationSeries:
     @property
     def order(self) -> int:
         return len(self.mult_terms) - 1
-
-    def mult_pairs(self, n: int):
-        return _pairs(self.mult_terms[n]) if n <= self.order else None
 
     def mult_term(self, n: int) -> tuple:
         return self.mult_terms[n] if n <= self.order else _zero_table(self.algebra.dim)
@@ -226,6 +229,43 @@ class DeformationCheck:
         }
 
 
+def _order_residuals(series: DeformationSeries, n: int, inner: bool) -> tuple:
+    """Order-n residual tables (F1, F2, F3) of associativity, Leibniz and
+    Jacobi at basis triples ``[a][b][c]``, summed over splittings p + q = n:
+
+        F1 = m_p(m_q(a, b), c) - m_p(a, m_q(b, c))
+        F2 = l_p(m_q(a, b), c) - m_p(a, l_q(b, c)) - m_p(l_q(a, c), b)
+        F3 = l_p(l_q(a, b), c) + l_p(l_q(b, c), a) + l_p(l_q(c, a), b)
+
+    With ``inner`` the splittings p = 0 and q = 0 are dropped, which leaves
+    the part built from terms 1..n-1 alone: the order-n obstruction.
+    """
+    alg = series.algebra
+    d = alg.dim
+    pad = (_zero_table(d),) * (n + 1 - len(series.mult_terms))
+    mult = series.mult_terms[:n + 1] + pad
+    bracket = series.bracket_terms[:n + 1] + pad
+    basis = [alg.basis_vector(i) for i in range(d)]
+    f1, f2, f3 = ([[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+                  for _ in range(3))
+    for p in range(1, n) if inner else range(n + 1):
+        mp, lp = _pairs(mult[p]), _pairs(bracket[p])
+        mq, lq = mult[n - p], bracket[n - p]
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    r1, r2, r3 = f1[a][b][c], f2[a][b][c], f3[a][b][c]
+                    _add_pairs(r1, mp, mq[a][b], basis[c])
+                    _add_pairs(r1, mp, basis[a], mq[b][c], -1)
+                    _add_pairs(r2, lp, mq[a][b], basis[c])
+                    _add_pairs(r2, mp, basis[a], lq[b][c], -1)
+                    _add_pairs(r2, mp, lq[a][c], basis[b], -1)
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        _add_pairs(r3, lp, lq[x][y], basis[z])
+    return tuple([[[tuple(vec) for vec in row] for row in plane] for plane in f]
+                 for f in (f1, f2, f3))
+
+
 def verify_deformation(series: DeformationSeries, max_order: int | None = None,
                        sample_limit: int = 3) -> DeformationCheck:
     """Expand the three Poisson-algebra axioms over the truncated series and
@@ -241,17 +281,8 @@ def verify_deformation(series: DeformationSeries, max_order: int | None = None,
     d = alg.dim
     if max_order is None:
         max_order = series.order
-    mp = [_pairs(series.mult_term(n)) for n in range(max_order + 1)]
-    lp = [_pairs(series.bracket_term(n)) for n in range(max_order + 1)]
     basis = [alg.basis_vector(i) for i in range(d)]
     zero = (0,) * d
-
-    def m_of(n, u, v):
-        return _apply_pairs(mp[n], u, v, d)
-
-    def l_of(n, u, v):
-        return _apply_pairs(lp[n], u, v, d)
-
     failures: list[ResidualRecord] = []
     unital = True
 
@@ -262,53 +293,22 @@ def verify_deformation(series: DeformationSeries, max_order: int | None = None,
                 samples=tuple(violations[:sample_limit])))
 
     for n in range(max_order + 1):
-        assoc, leib, jac, skew = [], [], [], []
-        for a in range(d):
-            for b in range(d):
-                vec = tuple(x + y for x, y in zip(
-                    series.bracket_term(n)[a][b], series.bracket_term(n)[b][a]))
-                if n <= series.order and vec != zero and b >= a:
-                    skew.append(((a, b), vec))
-                for c in range(d):
-                    r_assoc = [0] * d
-                    r_leib = [0] * d
-                    r_jac = [0] * d
-                    for p in range(n + 1):
-                        q = n - p
-                        ab_q = series.mult_term(q)[a][b]
-                        bc_q = series.mult_term(q)[b][c]
-                        for k, v in enumerate(m_of(p, ab_q, basis[c])):
-                            r_assoc[k] += v
-                        for k, v in enumerate(m_of(p, basis[a], bc_q)):
-                            r_assoc[k] -= v
-                        for k, v in enumerate(l_of(p, ab_q, basis[c])):
-                            r_leib[k] += v
-                        lbc_q = series.bracket_term(q)[b][c]
-                        lac_q = series.bracket_term(q)[a][c]
-                        for k, v in enumerate(m_of(p, basis[a], lbc_q)):
-                            r_leib[k] -= v
-                        for k, v in enumerate(m_of(p, lac_q, basis[b])):
-                            r_leib[k] -= v
-                        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                            lxy_q = series.bracket_term(q)[x][y]
-                            for k, v in enumerate(l_of(p, lxy_q, basis[z])):
-                                r_jac[k] += v
-                    if any(r_assoc):
-                        assoc.append(((a, b, c), tuple(r_assoc)))
-                    if any(r_leib):
-                        leib.append(((a, b, c), tuple(r_leib)))
-                    if any(r_jac):
-                        jac.append(((a, b, c), tuple(r_jac)))
-        record("associativity", n, assoc)
-        record("leibniz", n, leib)
-        record("jacobi", n, jac)
-        record("antisymmetry", n, skew)
-        if n >= 1 and n <= series.order:
-            for a in range(d):
-                if (m_of(n, alg.unit, basis[a]) != zero
-                        or m_of(n, basis[a], alg.unit) != zero):
-                    unital = False
-                    break
+        tables = _order_residuals(series, n, inner=False)
+        for axiom, table in zip(("associativity", "leibniz", "jacobi"), tables):
+            record(axiom, n, [((a, b, c), vec) for a, plane in enumerate(table)
+                              for b, row in enumerate(plane)
+                              for c, vec in enumerate(row) if any(vec)])
+        if n > series.order:
+            continue
+        lt = series.bracket_terms[n]
+        skew = [((a, b), tuple(x + y for x, y in zip(lt[a][b], lt[b][a])))
+                for a in range(d) for b in range(a, d)]
+        record("antisymmetry", n, [(idx, vec) for idx, vec in skew if vec != zero])
+        if n >= 1 and unital:
+            mp = _pairs(series.mult_terms[n])
+            unital = all(_apply_pairs(mp, alg.unit, basis[a], d) == zero
+                         and _apply_pairs(mp, basis[a], alg.unit, d) == zero
+                         for a in range(d))
 
     return DeformationCheck(ok=not failures, unital=unital,
                             max_order=max_order, failures=tuple(failures))
@@ -394,48 +394,7 @@ def obstruction_tables(series: DeformationSeries, order: int | None = None, *,
             raise StructuralError(
                 f"the series is not a deformation through order {n - 1}; "
                 "obstructions are undefined")
-    alg = series.algebra
-    d = alg.dim
-    mp = {k: _pairs(series.mult_term(k)) for k in range(1, n)}
-    lp = {k: _pairs(series.bracket_term(k)) for k in range(1, n)}
-    basis = [alg.basis_vector(i) for i in range(d)]
-
-    def table3():
-        return [[[(0,) * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-
-    f1, f2, f3 = table3(), table3(), table3()
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                acc1 = [0] * d
-                acc2 = [0] * d
-                acc3 = [0] * d
-                for p in range(1, n):
-                    q = n - p
-                    if q < 1 or q >= n:
-                        continue
-                    ab_q = series.mult_term(q)[a][b]
-                    bc_q = series.mult_term(q)[b][c]
-                    for k, v in enumerate(_apply_pairs(mp[p], ab_q, basis[c], d)):
-                        acc1[k] += v
-                    for k, v in enumerate(_apply_pairs(mp[p], basis[a], bc_q, d)):
-                        acc1[k] -= v
-                    for k, v in enumerate(_apply_pairs(lp[p], ab_q, basis[c], d)):
-                        acc2[k] += v
-                    lbc_q = series.bracket_term(q)[b][c]
-                    lac_q = series.bracket_term(q)[a][c]
-                    for k, v in enumerate(_apply_pairs(mp[p], basis[a], lbc_q, d)):
-                        acc2[k] -= v
-                    for k, v in enumerate(_apply_pairs(mp[p], lac_q, basis[b], d)):
-                        acc2[k] -= v
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        lxy_q = series.bracket_term(q)[x][y]
-                        for k, v in enumerate(_apply_pairs(lp[p], lxy_q, basis[z], d)):
-                            acc3[k] += v
-                f1[a][b][c] = tuple(acc1)
-                f2[a][b][c] = tuple(acc2)
-                f3[a][b][c] = tuple(acc3)
-    return f1, f2, f3
+    return _order_residuals(series, n, inner=True)
 
 
 def encode_obstruction(alg: AlgebraSpec, f1, f2, f3) -> tuple:
@@ -477,13 +436,40 @@ def lift_step(series: DeformationSeries, *, validate: bool = True):
     return series.extended(m_n, l_n)
 
 
+def lift_until(series: DeformationSeries, target: int) -> tuple:
+    """Lift order by order until ``target``.  Returns the last series reached
+    and the order whose linear problem had no solution (None once ``target``
+    is reached).
+
+    The input is validated once, by the first :func:`lift_step`.  Lifting
+    never changes lower orders, so checking each new order on its own keeps
+    the whole series verified; a surviving residual raises
+    :class:`ArithmeticError`.
+    """
+    validate = True
+    while series.order < target:
+        lifted = lift_step(series, validate=validate)
+        if lifted is None:
+            return series, series.order + 1
+        n = lifted.order
+        if any(any(vec) for table in _order_residuals(lifted, n, inner=False)
+               for plane in table for row in plane for vec in row):
+            raise ArithmeticError(f"lifted series fails the axioms at order {n}")
+        series, validate = lifted, False
+    return series, None
+
+
+def is_poisson_3cocycle(alg: AlgebraSpec, f1, f2, f3) -> bool:
+    """Whether obstruction tables encode a cocycle of the assembled degree-3
+    differential of the regular module."""
+    mat = differential(alg, regular_module(alg), "poisson", 3)
+    return not any(mat.matvec(encode_obstruction(alg, f1, f2, f3)))
+
+
 def obstruction_is_closed(series: DeformationSeries, order: int | None = None) -> bool:
     """The degree-3 encoding of the obstruction must always be a cocycle for
     a valid partial; this evaluates that statement."""
-    alg = series.algebra
-    vec = obstruction_cochain(series, order)
-    mat = differential(alg, regular_module(alg), "poisson", 3)
-    return not any(mat.matvec(vec))
+    return is_poisson_3cocycle(series.algebra, *obstruction_tables(series, order))
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +498,13 @@ def quantization_obstruction_check(alg: AlgebraSpec, max_order: int = 3) -> dict
     differently; this check follows the canonical one.)
     """
     m1, l1 = quantization_first_order(alg)
-    assert is_poisson_2cocycle(alg, m1, l1), \
-        "the semiclassical direction must be a cocycle"
+    if not is_poisson_2cocycle(alg, m1, l1):
+        raise ArithmeticError("the semiclassical direction must be a cocycle")
     series = DeformationSeries.build(alg, (alg.mult, m1), (alg.bracket, l1))
-    orders = []
-    while series.order < max_order:
-        n = series.order + 1
-        lifted = lift_step(series, validate=False)
-        if lifted is None:
-            return {"ok": False, "order_reached": series.order,
-                    "obstructed_at": n, "orders_solved": orders}
-        orders.append(n)
-        series = lifted
-    check = verify_deformation(series)
-    assert check.ok, "lifted series failed re-verification"
-    return {"ok": True, "order_reached": series.order,
-            "obstructed_at": None, "orders_solved": orders}
+    lifted, obstructed_at = lift_until(series, max_order)
+    return {"ok": obstructed_at is None, "order_reached": lifted.order,
+            "obstructed_at": obstructed_at,
+            "orders_solved": list(range(2, lifted.order + 1))}
 
 
 # ---------------------------------------------------------------------------

@@ -141,16 +141,16 @@ class SparseMatrix:
             raise ValueError("inner dimensions do not match")
         out = SparseMatrix(self.nrows, other.ncols)
         brows = other.row_dicts()
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (r, c), v in self.entries.items():
-            brow = brows.get(c)
-            if not brow:
-                continue
-            for k, w in brow.items():
-                acc[r, k] = acc.get((r, k), 0) + v * w
-        for key, v in acc.items():
-            if v:
-                out.entries[key] = _as_exact(v)
+        for r, arow in self.row_dicts().items():
+            acc: dict[int, Scalar] = {}
+            for c, v in arow.items():
+                brow = brows.get(c)
+                if brow:
+                    for k, w in brow.items():
+                        acc[k] = acc.get(k, 0) + v * w
+            for k, v in acc.items():
+                if v:
+                    out.entries[r, k] = _as_exact(v)
         return out
 
     def scaled_integer_copy(self) -> "SparseMatrix":

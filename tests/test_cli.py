@@ -366,21 +366,6 @@ def test_cost_warning_goes_to_stderr_only():
     assert payload["dims"][:2] == [1, 0]
 
 
-def test_workers_env_is_validated():
-    import os
-    env = dict(os.environ)
-    env["POISCOH_WORKERS"] = "4"
-    proc = spawn("examples", env=env)
-    assert proc.returncode == 0
-    baseline = spawn("examples").stdout
-    assert proc.stdout == baseline
-    for bad in ("0", "-2", "many"):
-        env["POISCOH_WORKERS"] = bad
-        proc = spawn("examples", env=env)
-        assert proc.returncode == 1
-        assert b"POISCOH_WORKERS" in proc.stderr
-
-
 def test_output_flag_matches_stdout_bytes(tmp_path):
     path = tmp_path / "report.json"
     to_stdout = spawn("cohomology", "--algebra", "builtin:m2",

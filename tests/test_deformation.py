@@ -2,11 +2,17 @@
 lifting, square-zero extensions, and the 2x2 matrix algebra families."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import poiscoh
 from poiscoh.algebra import (
     AxiomError,
     StructuralError,
@@ -375,6 +381,25 @@ def test_semiclassical_series_lift_to_order_three(name):
 def test_quantization_needs_a_commutative_base():
     with pytest.raises(StructuralError):
         quantization_first_order(builtin("ut2"))
+
+
+def test_non_cocycle_start_raises_under_optimize():
+    """The start-cocycle check is an explicit raise, so it holds under ``-O``."""
+    script = textwrap.dedent("""
+        from poiscoh import builtin, deformation
+        deformation.is_poisson_2cocycle = lambda *args: False
+        try:
+            deformation.quantization_obstruction_check(builtin("nil3"))
+        except ArithmeticError:
+            raise SystemExit(0)
+        raise SystemExit(3)
+    """)
+    src = str(Path(poiscoh.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 @pytest.mark.parametrize("name", ("nil3", "sl2std"))

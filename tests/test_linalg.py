@@ -113,6 +113,17 @@ def test_matmul_matches_dense(data):
             assert prod[r, c] == expect
 
 
+def test_matmul_stores_nothing_when_every_sum_cancels():
+    """Like d o d: every column of b lies in the kernel of a, so every entry
+    of the product has nonzero partial sums and a zero total."""
+    a = SparseMatrix.from_dense([[1, 2, 1], [Fraction(1, 2), 0, Fraction(-1, 2)]])
+    b = SparseMatrix.from_dense([[2, Fraction(-1, 3)], [-2, Fraction(1, 3)],
+                                 [2, Fraction(-1, 3)]])
+    prod = a.matmul(b)
+    assert (prod.nrows, prod.ncols) == (2, 2)
+    assert prod.entries == {} and prod.is_zero
+
+
 def test_dump_text_format():
     mat = SparseMatrix.from_dense([[Fraction(1, 2), 0], [0, -2]])
     lines = mat.dump_text().splitlines()
