@@ -592,7 +592,7 @@ def _triples_to_table(triples, d: int, m: int, what: str):
             i, j, k, value = entry
         except (TypeError, ValueError) as exc:
             raise StructuralError(f"{what}: entries must be [i, j, k, value]") from exc
-        if not (isinstance(i, int) and isinstance(j, int) and isinstance(k, int)):
+        if not (type(i) is int and type(j) is int and type(k) is int):  # no bools
             raise StructuralError(f"{what}: indices must be integers, got {entry!r}")
         if not (0 <= i < d and 0 <= j < d and 0 <= k < m):
             raise StructuralError(f"{what}: index out of range in {entry!r}")

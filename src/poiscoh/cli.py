@@ -22,6 +22,7 @@ from .algebra import (
     BUILTINS,
     ModuleSpec,
     StructuralError,
+    _triples_to_table,
     algebra_to_dict,
     builtin,
     load_algebra,
@@ -330,21 +331,14 @@ def cmd_obstruction(args) -> int:
 def cmd_extend(args) -> int:
     alg = _resolve_algebra(args.algebra)
     mod = _resolve_module(args.module, alg)
-    d, m = alg.dim, mod.dim
-    f1 = [[[0] * m for _ in range(d)] for _ in range(d)]
-    f0 = [[[0] * m for _ in range(d)] for _ in range(d)]
+    data = {}
     if args.cocycle:
         data = _load_json(args.cocycle[5:] if args.cocycle.startswith("file:")
                           else args.cocycle)
-        for key, table in (("f1", f1), ("f0", f0)):
-            for entry in data.get(key, []):
-                try:
-                    i, j, p, value = entry
-                except (TypeError, ValueError) as exc:
-                    raise CliError(f"{key}: entries must be [i, j, p, value]") from exc
-                if not (0 <= i < d and 0 <= j < d and 0 <= p < m):
-                    raise CliError(f"{key}: index out of range in {entry!r}")
-                table[i][j][p] += ratio(value)
+        if not isinstance(data, dict):
+            raise CliError("cocycle file must contain a JSON object")
+    f1, f0 = (_triples_to_table(data.get(key, []), alg.dim, mod.dim, key)
+              for key in ("f1", "f0"))
     ext = extension_algebra(alg, mod, f1, f0)
     payload = {
         "dim": ext.dim,

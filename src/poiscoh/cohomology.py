@@ -86,17 +86,17 @@ def _representatives(kernel: list[tuple], image_matrix: SparseMatrix | None,
 
 def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
                     theory: str = "poisson", max_degree: int = 4,
-                    representatives: bool = False,
-                    verify: bool = True) -> CohomologyReport:
+                    representatives: bool = False) -> CohomologyReport:
     """Cohomology dimensions of one theory up to ``max_degree`` inclusive.
 
-    ``mod`` defaults to the algebra acting on itself.  With ``verify`` the
-    assembled differentials are composed pairwise and checked to vanish
-    before any rank is trusted.
+    ``mod`` defaults to the algebra acting on itself.  The assembled
+    differentials are composed pairwise and checked to vanish before any
+    rank is trusted, and each kernel basis that representatives are picked
+    from is checked against its differential.
     """
     if mod is None:
         mod = regular_module(alg)
-    mats = build_complex(alg, mod, theory, max_degree, verify=verify)
+    mats = build_complex(alg, mod, theory, max_degree)
     space_dims = tuple(
         CochainSpace.build(theory, n, alg.dim, mod.dim).dim
         for n in range(max_degree + 1)
@@ -109,8 +109,7 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
         reps = {}
         for n in range(max_degree + 1):
             kernel = echelons[n].kernel_basis()
-            if verify:
-                verify_kernel(mats[n], kernel)
+            verify_kernel(mats[n], kernel)
             found = _representatives(kernel, mats[n - 1] if n else None,
                                      space_dims[n])
             if len(found) != dims[n]:

@@ -20,6 +20,7 @@ from .algebra import (
     StructuralError,
     _freeze_table,
     _pairs,
+    _triples_to_table,
     builtin,
     ratio,
     regular_module,
@@ -145,25 +146,15 @@ def deformation_from_dict(alg: AlgebraSpec, data: dict) -> DeformationSeries:
     for orders >= 1 (order 0 always comes from the algebra itself)."""
     if not isinstance(data, dict):
         raise StructuralError("deformation file must contain a JSON object")
-    d = alg.dim
 
-    def tables(key):
-        out = [getattr(alg, "mult" if key == "mult_terms" else "bracket")]
-        for entry_list in data.get(key, []):
-            table = [[[0] * d for _ in range(d)] for _ in range(d)]
-            for entry in entry_list:
-                try:
-                    i, j, k, value = entry
-                except (TypeError, ValueError) as exc:
-                    raise StructuralError(
-                        f"{key}: entries must be [i, j, k, value]") from exc
-                if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-                    raise StructuralError(f"{key}: index out of range in {entry!r}")
-                table[i][j][k] += ratio(value)
-            out.append(table)
-        return out
+    def tables(key, order0):
+        terms = data.get(key, [])
+        if not isinstance(terms, list):
+            raise StructuralError(f"{key} must be a list of entry lists")
+        return [order0] + [_triples_to_table(t, alg.dim, alg.dim, key) for t in terms]
 
-    return DeformationSeries.build(alg, tables("mult_terms"), tables("bracket_terms"))
+    return DeformationSeries.build(alg, tables("mult_terms", alg.mult),
+                                   tables("bracket_terms", alg.bracket))
 
 
 def series_to_file_dict(series: DeformationSeries) -> dict:
@@ -188,6 +179,8 @@ def series_from_file_dict(data: dict) -> DeformationSeries:
 
 # ---------------------------------------------------------------------------
 # Order-by-order axiom verification
+
+SAMPLE_LIMIT = 3  # residual samples kept per failing axiom and order
 
 
 @dataclass(frozen=True)
@@ -266,8 +259,8 @@ def _order_residuals(series: DeformationSeries, n: int, inner: bool) -> tuple:
                  for f in (f1, f2, f3))
 
 
-def verify_deformation(series: DeformationSeries, max_order: int | None = None,
-                       sample_limit: int = 3) -> DeformationCheck:
+def verify_deformation(series: DeformationSeries,
+                       max_order: int | None = None) -> DeformationCheck:
     """Expand the three Poisson-algebra axioms over the truncated series and
     collect every order where a residual survives.
 
@@ -290,7 +283,7 @@ def verify_deformation(series: DeformationSeries, max_order: int | None = None,
         if violations:
             failures.append(ResidualRecord(
                 axiom=axiom, order=order, count=len(violations),
-                samples=tuple(violations[:sample_limit])))
+                samples=tuple(violations[:SAMPLE_LIMIT])))
 
     for n in range(max_order + 1):
         tables = _order_residuals(series, n, inner=False)
@@ -515,17 +508,16 @@ def _module_basis_names(mod: ModuleSpec) -> tuple:
     return tuple(f"u{p}" for p in range(mod.dim))
 
 
-def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0, *,
-                      validate: bool = True) -> AlgebraSpec:
+def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> AlgebraSpec:
     """The square-zero extension of the algebra by a poisson module, twisted
     by a degree-2 cochain: f1 feeds tensor pairs, f0 feeds wedge pairs.
 
     Products:  (a, x)(a', x') = (aa', a.x' + x.a' + f1(a, a'))
     Brackets:  {(a, x), (a', x')} = ({a, a'}, {a, x'} - {a', x} + f0(a, a'))
 
-    With ``validate`` the result must satisfy all Poisson axioms (which is
-    exactly the degree-2 cocycle condition on (f1, f0), plus normalization of
-    f1 against the unit); violations raise :class:`AxiomError`.
+    The result must satisfy all Poisson axioms (which is exactly the degree-2
+    cocycle condition on (f1, f0), plus normalization of f1 against the
+    unit); violations raise :class:`AxiomError`.
     """
     d, m = alg.dim, mod.dim
     f1 = _freeze_table(f1, d, m, "f1")
@@ -559,12 +551,11 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0, *,
     ext = AlgebraSpec.build(
         n, mult, pad(alg.unit, zero_m), bracket,
         basis=alg.basis + _module_basis_names(mod))
-    if validate:
-        report = validate_algebra(ext)
-        if not report.ok:
-            raise AxiomError(
-                "extension by a non-cocycle (or non-normalized) pair: "
-                + report.summary(), report)
+    report = validate_algebra(ext)
+    if not report.ok:
+        raise AxiomError(
+            "extension by a non-cocycle (or non-normalized) pair: "
+            + report.summary(), report)
     return ext
 
 

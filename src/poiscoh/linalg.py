@@ -156,10 +156,7 @@ class SparseMatrix:
     def scaled_integer_copy(self) -> "SparseMatrix":
         """The matrix multiplied by the lcm of all denominators: same rank,
         same kernel, integer entries (faster to compose and eliminate)."""
-        scale = 1
-        for v in self.entries.values():
-            if isinstance(v, Fraction):
-                scale = lcm(scale, v.denominator)
+        scale = _denominator_lcm(self.entries.values())
         if scale == 1:
             return self.copy()
         m = SparseMatrix(self.nrows, self.ncols)
@@ -180,6 +177,14 @@ class SparseMatrix:
 # Fraction-free elimination
 
 
+def _denominator_lcm(values) -> int:
+    scale = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            scale = lcm(scale, v.denominator)
+    return scale
+
+
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     """Divide an integer row by the gcd of its entries (in place)."""
     g = 0
@@ -193,18 +198,33 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _int_row(row: dict[int, Scalar]) -> dict[int, int]:
+    """The row scaled to integers by the lcm of its denominators, without
+    zeros, and divided by the gcd of its entries."""
+    scale = _denominator_lcm(row.values())
+    return _normalize_int_row({c: int(v * scale) for c, v in row.items() if v})
+
+
 def _integer_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
     """Rows of the matrix scaled to integers and gcd-reduced, keyed by the
     original row index."""
-    out: dict[int, dict[int, int]] = {}
-    for rid, row in matrix.row_dicts().items():
-        scale = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                scale = lcm(scale, v.denominator)
-        int_row = {c: int(v * scale) for c, v in row.items()}
-        out[rid] = _normalize_int_row(int_row)
-    return out
+    return {rid: _int_row(row) for rid, row in matrix.row_dicts().items()}
+
+
+def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
+    """A new gcd-reduced integer row: ``row`` cross-multiplied against the
+    pivot row ``piv`` so that its entry in ``col`` cancels."""
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    ma, mb = a // g, b // g
+    new = {c: ma * v for c, v in row.items()}
+    for c, pv in piv.items():
+        nv = new.get(c, 0) - mb * pv
+        if nv:
+            new[c] = nv
+        else:
+            new.pop(c, None)
+    return _normalize_int_row(new)
 
 
 def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
@@ -214,15 +234,16 @@ def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
     rows, lowest column index on ties; within that column, the shortest row,
     lowest row index on ties.  Rows retired as pivots are frozen, so a pivot
     row never contains an earlier pivot's column — which is exactly what the
-    reverse-order back-substitution in :meth:`Echelon.kernel_basis` relies on.
+    reverse-order :func:`_back_substitute` relies on.
 
     Retiring a pivot changes only rows that hold its column, and fill-in
     stays inside the pivot row's support, so only the column counts of the
-    pivot's own connected component (of the bipartite row/column graph)
-    move.  Hence running this on the rows of one component retires exactly
-    the pivots, in exactly the order, that a run over all rows retires from
-    that component; :class:`Echelon` relies on this to eliminate component by
-    component.
+    pivot's own connected component (of the bipartite row/column graph, the
+    barred ``skip_col`` left out) move.  A row's length counts its
+    ``skip_col`` entry, but that entry is local to the row.  Hence running
+    this on the rows of one component retires exactly the pivots, in exactly
+    the order, that a run over all rows retires from that component;
+    :func:`_eliminate_components` relies on this.
 
     Returns ``(pivots, leftovers)`` where pivots is a list of
     ``(pivot_col, row_dict)`` in retirement order and leftovers are the
@@ -249,20 +270,9 @@ def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
                 del col_rows[c]
         pivots.append((pivot_col, piv))
 
-        a = piv[pivot_col]
         for rid in sorted(col_rows.get(pivot_col, ())):
             row = rows[rid]
-            b = row[pivot_col]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            new = {c: ma * v for c, v in row.items()}
-            for c, pv in piv.items():
-                nv = new.get(c, 0) - mb * pv
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
-            _normalize_int_row(new)
+            new = _cancel(row, piv, pivot_col)
             for c in row:
                 if c != skip_col and c != pivot_col and c not in new:
                     holders = col_rows[c]
@@ -282,33 +292,40 @@ def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
     return pivots, leftovers
 
 
+def _back_substitute(pivots, assign: dict[int, Scalar]) -> dict[int, Scalar]:
+    """Solve each pivot column from its row, in reverse retirement order, and
+    record it in ``assign`` (columns not in ``assign`` are zero).  By the
+    pivot rule a row contains no earlier pivot column, so every column it
+    touches is already assigned when its own pivot gets solved."""
+    for pivot_col, row in reversed(pivots):
+        s = 0
+        for c, v in row.items():
+            if c != pivot_col:
+                x = assign.get(c)
+                if x:
+                    s += v * x
+        if s:
+            assign[pivot_col] = Fraction(-s, row[pivot_col])
+    return assign
+
+
 def _normalize_exact_vec(vec: dict[int, Scalar], ncols: int) -> tuple:
     """Clear denominators, gcd-reduce, make the first nonzero entry positive,
     and expand to a dense tuple of ints."""
-    scale = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            scale = lcm(scale, v.denominator)
-    ints = {c: int(v * scale) for c, v in vec.items() if v}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    if ints and ints[min(ints)] < 0:
-        ints = {c: -v for c, v in ints.items()}
+    ints = _int_row(vec)
+    sign = -1 if ints and ints[min(ints)] < 0 else 1
     dense = [0] * ncols
     for c, v in ints.items():
-        dense[c] = v
+        dense[c] = sign * v
     return tuple(dense)
 
 
-def _components(rows: dict[int, dict[int, int]]) -> list[dict[int, dict[int, int]]]:
+def _components(rows: dict[int, dict[int, int]],
+                skip_col: int | None = None) -> list[dict[int, dict[int, int]]]:
     """Split nonzero rows into the connected components of the bipartite
     row/column graph of their nonzero pattern, by union-find over the columns
-    in O(nnz).  Components come in order of their lowest row index, and each
+    in O(nnz).  ``skip_col`` joins nothing, so every row must hold some other
+    column.  Components come in order of their lowest row index, and each
     keeps its rows in increasing row order."""
     parent: dict[int, int] = {}
 
@@ -321,19 +338,28 @@ def _components(rows: dict[int, dict[int, int]]) -> list[dict[int, dict[int, int
         return root
 
     for row in rows.values():
-        it = iter(row)
-        first = next(it)
-        parent.setdefault(first, first)
-        ra = find(first)
-        for c in it:
-            rb = find(parent.setdefault(c, c))
-            if rb != ra:
-                parent[rb] = ra
+        ra = None
+        for c in row:
+            if c != skip_col:
+                rb = find(parent.setdefault(c, c))
+                if ra is None:
+                    ra = rb
+                elif rb != ra:
+                    parent[rb] = ra
     blocks: dict[int, dict[int, dict[int, int]]] = {}
     for rid in sorted(rows):
         row = rows[rid]
-        blocks.setdefault(find(next(iter(row))), {})[rid] = row
+        anchor = next(c for c in row if c != skip_col)
+        blocks.setdefault(find(anchor), {})[rid] = row
     return list(blocks.values())
+
+
+def _eliminate_components(rows: dict[int, dict[int, int]],
+                          skip_col: int | None = None) -> list[tuple]:
+    """``_eliminate`` run on each connected component of ``rows`` (see
+    :func:`_components`), in order of lowest row index: one
+    ``(pivots, leftovers)`` pair per component."""
+    return [_eliminate(block, skip_col) for block in _components(rows, skip_col)]
 
 
 class Echelon:
@@ -355,8 +381,8 @@ class Echelon:
     def __init__(self, matrix: SparseMatrix):
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        self._blocks = [_eliminate(rows)[0]
-                        for rows in _components(_integer_rows(matrix))]
+        self._blocks = [pivots for pivots, _ in
+                        _eliminate_components(_integer_rows(matrix))]
         self.pivot_cols = tuple(c for pivots in self._blocks for c, _ in pivots)
 
     @property
@@ -369,14 +395,9 @@ class Echelon:
         return tuple(c for c in range(self.ncols) if c not in taken)
 
     def kernel_basis(self) -> list[tuple]:
-        """One normalized integer kernel vector per free column.
-
-        Each free column is back-substituted through the pivot rows of its
-        own component only, in reverse retirement order; by the pivot rule
-        each row contains no earlier pivot columns, so every column it
-        touches is already assigned when its own pivot gets solved.  A column
-        with no entries gives its unit vector.
-        """
+        """One normalized integer kernel vector per free column, each
+        back-substituted through the pivot rows of its own component only.
+        A column with no entries gives its unit vector."""
         block_of: dict[int, list] = {}
         for pivots in self._blocks:
             for _, row in pivots:
@@ -384,16 +405,7 @@ class Echelon:
                     block_of[c] = pivots
         basis = []
         for free in self.free_cols:
-            assign: dict[int, Scalar] = {free: 1}
-            for pivot_col, row in reversed(block_of.get(free, ())):
-                s = 0
-                for c, v in row.items():
-                    if c != pivot_col:
-                        x = assign.get(c)
-                        if x:
-                            s += v * x
-                if s:
-                    assign[pivot_col] = Fraction(-s, row[pivot_col])
+            assign = _back_substitute(block_of.get(free, ()), {free: 1})
             basis.append(_normalize_exact_vec(assign, self.ncols))
         return basis
 
@@ -416,7 +428,7 @@ def verify_kernel(matrix: SparseMatrix, basis: Sequence[Sequence]) -> None:
         raise ArithmeticError("kernel vector failed verification")
 
 
-def kernel_basis(matrix: SparseMatrix, verify: bool = True) -> list[tuple]:
+def kernel_basis(matrix: SparseMatrix) -> list[tuple]:
     """Basis of the right kernel {v : Mv = 0}, one vector per free column.
 
     Every returned vector is checked against the original matrix; a failure
@@ -424,43 +436,37 @@ def kernel_basis(matrix: SparseMatrix, verify: bool = True) -> list[tuple]:
     ArithmeticError in every interpreter mode.
     """
     basis = Echelon(matrix).kernel_basis()
-    if verify:
-        verify_kernel(matrix, basis)
+    verify_kernel(matrix, basis)
     return basis
 
 
 def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
     """One exact solution of ``M x = rhs``, or None when inconsistent.
 
-    Implemented by eliminating the augmented system ``M x - rhs*t = 0`` with
-    the ``t`` column barred from pivoting, then back-substituting at t = 1
-    with all free columns set to zero.
+    Eliminates the augmented system ``M x - rhs*t = 0`` per connected
+    component of ``M``'s rows, with the ``t`` column barred from pivoting
+    and from joining components, then back-substitutes at t = 1 with all
+    free columns set to zero.  By the argument in :func:`_eliminate` this is
+    the solution one elimination over all augmented rows gives.
     """
     if len(rhs) != matrix.nrows:
         raise ValueError("right-hand side length does not match row count")
     sentinel = matrix.ncols
-    augmented = SparseMatrix(matrix.nrows, matrix.ncols + 1, dict(matrix.entries))
+    rows = matrix.row_dicts()
     for r, b in enumerate(rhs):
         b = _as_exact(b)
         if b:
-            augmented[r, sentinel] = -b
+            rows.setdefault(r, {})[sentinel] = -b
     # scaling to integers happens on whole augmented rows, so the rhs column
     # stays in sync with the matrix coefficients
-    rows = _integer_rows(augmented)
-
-    pivots, leftovers = _eliminate(rows, skip_col=sentinel)
-    if any(leftovers):
+    rows = {rid: _int_row(row) for rid, row in rows.items()}
+    if any(len(row) == 1 and sentinel in row for row in rows.values()):
         return None
-
     assign: dict[int, Scalar] = {sentinel: 1}
-    for pivot_col, row in reversed(pivots):
-        s = 0
-        for c, v in row.items():
-            if c != pivot_col:
-                x = assign.get(c)
-                if x:
-                    s += v * x
-        assign[pivot_col] = Fraction(-s, row[pivot_col]) if s else 0
+    for pivots, leftovers in _eliminate_components(rows, sentinel):
+        if leftovers:
+            return None
+        _back_substitute(pivots, assign)
 
     solution = tuple(_as_exact(Fraction(assign.get(c, 0))) for c in range(matrix.ncols))
     if matrix.matvec(solution) != tuple(rhs):
@@ -492,34 +498,19 @@ class RowReducer:
         else:
             if len(vec) != self.ncols:
                 raise ValueError("vector length does not match")
-            items = ((c, v) for c, v in enumerate(vec))
+            items = enumerate(vec)
         vd: dict[int, Scalar] = {}
-        scale = 1
         for c, v in items:
             if type(v) is not int:
                 v = _as_exact(v)
             if v:
                 vd[c] = v
-                if isinstance(v, Fraction):
-                    scale = lcm(scale, v.denominator)
-        return _normalize_int_row({c: int(v * scale) for c, v in vd.items()})
+        return _int_row(vd)
 
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
         for pivot_col in sorted(set(row) & set(self._rows)):
-            if pivot_col not in row:
-                continue
-            piv = self._rows[pivot_col]
-            a, b = piv[pivot_col], row[pivot_col]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            row = {c: ma * v for c, v in row.items()}
-            for c, pv in piv.items():
-                nv = row.get(c, 0) - mb * pv
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            _normalize_int_row(row)
+            if pivot_col in row:
+                row = _cancel(row, self._rows[pivot_col], pivot_col)
         return row
 
     def contains(self, vec) -> bool:
@@ -532,19 +523,8 @@ class RowReducer:
             return False
         pivot_col = min(row)
         # keep the invariant: no stored row may contain the new pivot column
-        for other_col in list(self._rows):
-            other = self._rows[other_col]
+        for other_col, other in self._rows.items():
             if pivot_col in other:
-                a, b = row[pivot_col], other[pivot_col]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                new = {c: ma * v for c, v in other.items()}
-                for c, pv in row.items():
-                    nv = new.get(c, 0) - mb * pv
-                    if nv:
-                        new[c] = nv
-                    else:
-                        new.pop(c, None)
-                self._rows[other_col] = _normalize_int_row(new)
+                self._rows[other_col] = _cancel(other, row, pivot_col)
         self._rows[pivot_col] = row
         return True

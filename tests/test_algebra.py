@@ -213,6 +213,9 @@ def test_algebra_dict_rejects_bad_entries():
     data["mult"] = [[0, 0, 5, "1"]]  # index out of range
     with pytest.raises(StructuralError):
         algebra_from_dict(data)
+    data["mult"] = [[True, 0, 0, "1"]]  # JSON true is not the index 1
+    with pytest.raises(StructuralError, match="integers"):
+        algebra_from_dict(data)
 
 
 def test_algebra_dict_rejects_malformed_shapes():

@@ -252,11 +252,15 @@ def test_extend_accepts_a_sparse_cocycle_file(capsys, tmp_path):
 
 def test_extend_rejects_malformed_cocycle_entries(capsys, tmp_path):
     cocycle = tmp_path / "cocycle.json"
-    cocycle.write_text(json.dumps({"f1": [[9, 0, 0, "1"]]}))
-    code, out, err = run(capsys, "extend", "--algebra", "builtin:trivial2",
-                         "--module", "regular", "--cocycle", f"file:{cocycle}")
-    assert code == 1
-    assert "out of range" in err
+    for content, message in (({"f1": [[9, 0, 0, "1"]]}, "out of range"),
+                             ({"f1": [["x", 0, 0, "1"]]}, "indices must be integers"),
+                             ({"f0": [[1.5, 0, 0, "1"]]}, "indices must be integers"),
+                             ([[0, 0, 0, "1"]], "must contain a JSON object")):
+        cocycle.write_text(json.dumps(content))
+        code, out, err = run(capsys, "extend", "--algebra", "builtin:trivial2",
+                             "--module", "regular", "--cocycle", f"file:{cocycle}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
 
 
 def test_quantize_check_verdicts(capsys):
@@ -350,6 +354,19 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "examples", "--output",
                        str(tmp_path / "no-such-dir" / "out.json"))
     assert code == 1 and "cannot write" in err
+    path = tmp_path / "bad_series.json"
+    for bad_entry, message in ((["x", 0, 0, "1"], "indices must be integers"),
+                               ([1.5, 0, 0, "1"], "indices must be integers"),
+                               (None, "must be a list of entry lists")):
+        series = series_to_file_dict(m2_table3_series(1).truncated(1))
+        if bad_entry is None:
+            series["mult_terms"] = 5
+        else:
+            series["mult_terms"][0].append(bad_entry)
+        path.write_text(json.dumps(series))
+        code, out, err = run(capsys, "deform-check", "--series", f"file:{path}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
 
 
 def test_version_flag():

@@ -232,6 +232,26 @@ def single_elimination_kernel(mat):
     return basis
 
 
+def single_elimination_solve(mat, rhs):
+    """Solution from one elimination over all augmented rows, the rhs column
+    barred from pivoting, then back-substitution at t = 1: the reference the
+    per-component solve must reproduce exactly."""
+    sentinel = mat.ncols
+    augmented = SparseMatrix(mat.nrows, mat.ncols + 1, dict(mat.entries))
+    for r, b in enumerate(rhs):
+        augmented[r, sentinel] = -b
+    pivots, leftovers = _eliminate(_integer_rows(augmented), skip_col=sentinel)
+    if leftovers:
+        return None
+    assign = {sentinel: 1}
+    for pivot_col, row in reversed(pivots):
+        s = sum(v * assign.get(c, 0) for c, v in row.items() if c != pivot_col)
+        if s:
+            assign[pivot_col] = Fraction(-s, row[pivot_col])
+    solution = (Fraction(assign.get(c, 0)) for c in range(mat.ncols))
+    return tuple(v.numerator if v.denominator == 1 else v for v in solution)
+
+
 @st.composite
 def shuffled_block_diagonal(draw):
     """Random rational blocks placed on the diagonal, plus empty columns,
@@ -263,6 +283,27 @@ def test_component_split_matches_oracle_and_single_elimination(mat):
     assert len(basis) == len(expected)
     assert oracles.dense_rank([list(v) for v in basis] + expected) == len(expected)
     assert Echelon(mat).kernel_basis() == single_elimination_kernel(mat)
+
+
+def same_solution(got, expected):
+    """Equal tuples with equal entry types (``3`` is not ``Fraction(3)``)."""
+    return got == expected and list(map(type, got or ())) == list(map(type, expected or ()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shuffled_block_diagonal(), st.data())
+def test_solve_matches_single_elimination(mat, data):
+    x = [data.draw(scalars) for _ in range(mat.ncols)]
+    rhs = mat.matvec(x)
+    assert solve(mat, rhs) is not None
+    assert same_solution(solve(mat, rhs), single_elimination_solve(mat, rhs))
+    noise = [data.draw(scalars) for _ in range(mat.nrows)]
+    assert same_solution(solve(mat, noise), single_elimination_solve(mat, noise))
+    # an extra all-zero row with a nonzero right-hand side entry
+    padded = SparseMatrix(mat.nrows + 1, mat.ncols, dict(mat.entries))
+    bad = rhs + (data.draw(scalars.filter(bool)),)
+    assert solve(padded, bad) is None
+    assert single_elimination_solve(padded, bad) is None
 
 
 @pytest.mark.parametrize("name", ["m2", "sl2std"])
