@@ -37,7 +37,7 @@ from .cochain import CochainSpace
 from .cohomology import cohomology_dims, lp_cohomology
 from .complexes import differential
 from .deformation import (
-    extension_algebra,
+    _validated_extension,
     is_poisson_3cocycle,
     lift_until,
     m2_table3_series,
@@ -339,12 +339,12 @@ def cmd_extend(args) -> int:
             raise CliError("cocycle file must contain a JSON object")
     f1, f0 = (_triples_to_table(data.get(key, []), alg.dim, mod.dim, key)
               for key in ("f1", "f0"))
-    ext = extension_algebra(alg, mod, f1, f0)
+    ext, report = _validated_extension(alg, mod, f1, f0)
     payload = {
         "dim": ext.dim,
         "basis": list(ext.basis),
         "algebra": algebra_to_dict(ext),
-        "validation": _validation_dict(validate_algebra(ext)),
+        "validation": _validation_dict(report),
     }
     _emit(args, payload)
     return 0

@@ -28,7 +28,14 @@ from .complexes import (
     type_coboundary,
     type_space_basis,
 )
-from .linalg import Echelon, RowReducer, SparseMatrix, kernel_basis, verify_kernel
+from .linalg import (
+    Echelon,
+    RowReducer,
+    SparseMatrix,
+    dense_vector,
+    kernel_basis,
+    verify_kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -64,15 +71,18 @@ def _rank_nullity(space_dims, ranks) -> tuple[int, ...]:
                  for n, dim in enumerate(space_dims))
 
 
-def _image_columns(matrix: SparseMatrix) -> list[dict]:
-    cols: dict[int, dict[int, object]] = {}
-    for (r, c), v in matrix.entries.items():
-        cols.setdefault(c, {})[r] = v
+def _image_columns(matrix: SparseMatrix) -> list[dict[int, int]]:
+    """The columns of the numerator matrix: the image columns, each scaled
+    by the same positive denominator."""
+    cols: dict[int, dict[int, int]] = {}
+    for r, row in matrix.numerators.items():
+        for c, v in row.items():
+            cols.setdefault(c, {})[r] = v
     return [cols[c] for c in sorted(cols)]
 
 
-def _representatives(kernel: list[tuple], image_matrix: SparseMatrix | None,
-                     nrows: int) -> list[tuple]:
+def _representatives(kernel: list[dict[int, int]], image_matrix: SparseMatrix | None,
+                     nrows: int) -> list[dict[int, int]]:
     reducer = RowReducer(nrows)
     if image_matrix is not None:
         for col in _image_columns(image_matrix):
@@ -115,7 +125,7 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
             if len(found) != dims[n]:
                 raise ArithmeticError(
                     f"representative count mismatch in degree {n}")
-            reps[n] = found
+            reps[n] = [dense_vector(vec, space_dims[n]) for vec in found]
     return CohomologyReport(theory=theory, max_degree=max_degree,
                             space_dims=space_dims, ranks=ranks, dims=dims,
                             representatives=reps)

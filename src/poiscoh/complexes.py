@@ -19,8 +19,9 @@ twist the unique assembly (up to a global resigning) satisfying d o d = 0;
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
 from .cochain import (
@@ -29,7 +30,7 @@ from .cochain import (
     wedge_normalize,
     wedge_rank,
 )
-from .linalg import SparseMatrix, kernel_basis
+from .linalg import SparseMatrix, denominator_lcm, kernel_basis
 
 SIGN_CONVENTION = "horizontal-(-1)^i"
 
@@ -38,59 +39,90 @@ def _block_dim(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> int:
     return mod.dim * alg.dim ** i * comb(alg.dim, j)
 
 
+def _integer_tables(*tables) -> tuple[int, tuple]:
+    """Structure-constant pair tables (``pairs[a][b] = ((k, c), ...)``)
+    scaled to integers by one common denominator, the lcm of one lcm per
+    table: ``(denominator, scaled tables)``."""
+    scale = lcm(*(denominator_lcm(c for row in table for pairs in row for _, c in pairs)
+                  for table in tables))
+    return scale, tuple(
+        tuple(tuple(tuple((k, int(c * scale)) for k, c in pairs) for pairs in row)
+              for row in table)
+        for table in tables)
+
+
+def _accumulator() -> defaultdict[int, defaultdict[int, int]]:
+    """Numerator rows that take ``num[row][col] += value``."""
+    return defaultdict(lambda: defaultdict(int))
+
+
+def _block(nrows: int, ncols: int, num: dict, scale: int) -> SparseMatrix:
+    """The block ``num / scale`` from accumulated numerators, zeros dropped."""
+    rows = {}
+    for r, acc in num.items():
+        row = {c: v for c, v in acc.items() if v}
+        if row:
+            rows[r] = row
+    return SparseMatrix.from_numerators(nrows, ncols, rows, scale)
+
+
+def _induced_lie_action(d: int, m: int, i: int, lie, bracket) -> list[list[tuple]]:
+    """The Lie action of each basis element x on the induced module
+    Hom(A^(x)i, M), coordinate ``tensor_rank * m + component``, as
+    ``(row, col, coefficient)`` triples: x acts on the values through M and
+    by minus the bracket substitution of x into each tensor factor."""
+    action = []
+    for x in range(d):
+        triples = []
+        for trank, tens in enumerate(itertools.product(range(d), repeat=i)):
+            base = trank * m
+            triples += [(base + q, base + p, c) for p in range(m) for q, c in lie[x][p]]
+            for t_pos, a_t in enumerate(tens):
+                shift = d ** (i - 1 - t_pos) * m  # tensor factor t_pos moves by one
+                triples += [(base + p, base + (k - a_t) * shift + p, -c)
+                            for k, c in bracket[x][a_t] for p in range(m)]
+        action.append(triples)
+    return action
+
+
 @lru_cache(maxsize=None)
 def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     """Horizontal block map (i, j) -> (i, j+1), verbatim (no assembly sign).
 
-    On f : A^(x)i (x) Lambda^j -> M, evaluated at (a_1..a_i, x_1^...^x_{j+1}):
-    alternating sum over slots l of the module Lie action of x_l on
-    f(..., omitted-slot wedge) minus bracket substitutions of x_l into each
-    tensor factor, plus the alternating pair terms feeding {x_p, x_q} back
-    into the wedge.  At i = 0 this is the usual Lie-module coboundary.
+    The Chevalley-Eilenberg coboundary of the Lie algebra with coefficients
+    in the induced module N = Hom(A^(x)i, M) (see
+    :func:`_induced_lie_action`): on f : Lambda^j -> N at x_0^...^x_j,
+    the alternating sum of x_l acting on f(..., omitted x_l, ...), plus the
+    alternating pair terms feeding {x_p, x_q} back into the wedge.  At i = 0
+    this is the usual Lie-module coboundary.  Entries sit at the block's own
+    flat index ``(tensor_rank * comb(d, j) + wedge_rank) * m + component``.
     """
     d, m = alg.dim, mod.dim
-    ncols = _block_dim(alg, mod, i, j)
-    nrows = _block_dim(alg, mod, i, j + 1)
-    out = SparseMatrix(nrows, ncols)
-    if nrows == 0 or ncols == 0:
-        return out
-    cdj = comb(d, j)
-    row_base = 0
-    for tens in itertools.product(range(d), repeat=i):
-        trank = tensor_rank(tens, d)
-        for wedge in itertools.combinations(range(d), j + 1):
-            for l_pos in range(j + 1):
-                sgn = 1 if l_pos % 2 == 0 else -1
-                x = wedge[l_pos]
-                rest = wedge[:l_pos] + wedge[l_pos + 1:]
-                wrank_rest = wedge_rank(rest, d)
-                col_cell = (trank * cdj + wrank_rest) * m
-                for p in range(m):
-                    for q, c in mod.lie_pairs[x][p]:
-                        out.add_to(row_base + q, col_cell + p, sgn * c)
-                for t_pos in range(i):
-                    weight = d ** (i - 1 - t_pos)
-                    a_t = tens[t_pos]
-                    for k, c in alg.bracket_pairs[x][a_t]:
-                        col_cell2 = ((trank + (k - a_t) * weight) * cdj
-                                     + wrank_rest) * m
-                        for p in range(m):
-                            out.add_to(row_base + p, col_cell2 + p, -sgn * c)
-            for p_pos in range(j + 1):
-                for q_pos in range(p_pos + 1, j + 1):
-                    sgn2 = 1 if (p_pos + q_pos) % 2 == 0 else -1
-                    rest2 = tuple(wedge[t] for t in range(j + 1)
-                                  if t != p_pos and t != q_pos)
-                    for k, c in alg.bracket_pairs[wedge[p_pos]][wedge[q_pos]]:
-                        wsgn, word = wedge_normalize((k,) + rest2)
-                        if wsgn == 0:
-                            continue
-                        col_cell3 = (trank * cdj + wedge_rank(word, d)) * m
-                        for p in range(m):
-                            out.add_to(row_base + p, col_cell3 + p,
-                                       sgn2 * wsgn * c)
-            row_base += m
-    return out
+    nrows, ncols = _block_dim(alg, mod, i, j + 1), _block_dim(alg, mod, i, j)
+    scale, (lie, bracket) = _integer_tables(mod.lie_pairs, alg.bracket_pairs)
+    action = _induced_lie_action(d, m, i, lie, bracket) if nrows and ncols else ()
+    # flat index of coordinate n of N at wedge rank 0, in the target / source
+    span = range(d ** i * m)
+    row_at = [(n - n % m) * comb(d, j + 1) + n % m for n in span]
+    col_at = [(n - n % m) * comb(d, j) + n % m for n in span]
+    num = _accumulator()
+    for wrank, wedge in enumerate(itertools.combinations(range(d), j + 1)):
+        row_w = wrank * m
+        for l_pos, x in enumerate(wedge):
+            sgn = -1 if l_pos % 2 else 1
+            col_w = wedge_rank(wedge[:l_pos] + wedge[l_pos + 1:], d) * m
+            for nr, nc, c in action[x]:
+                num[row_at[nr] + row_w][col_at[nc] + col_w] += sgn * c
+        for p_pos, q_pos in itertools.combinations(range(j + 1), 2):
+            sgn = 1 if (p_pos + q_pos) % 2 == 0 else -1
+            rest = tuple(w for t, w in enumerate(wedge) if t != p_pos and t != q_pos)
+            for k, c in bracket[wedge[p_pos]][wedge[q_pos]]:
+                wsgn, word = wedge_normalize((k,) + rest)
+                if wsgn:
+                    col_w = wedge_rank(word, d) * m
+                    for n in span:
+                        num[row_at[n] + row_w][col_at[n] + col_w] += sgn * wsgn * c
+    return _block(nrows, ncols, num, scale)
 
 
 @lru_cache(maxsize=None)
@@ -99,43 +131,48 @@ def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
 
     The Hochschild coboundary in the tensor slots with the wedge slot along
     for the ride: left action of the first argument, alternating inner
-    merges, and a signed right action of the last argument.
+    merges, and a signed right action of the last argument.  For j > 0 the
+    block is one copy of the (i, 0) block per j-wedge, index-remapped.
     """
     d, m = alg.dim, mod.dim
-    ncols = _block_dim(alg, mod, i, j)
-    nrows = _block_dim(alg, mod, i + 1, j)
-    out = SparseMatrix(nrows, ncols)
-    if nrows == 0 or ncols == 0:
-        return out
-    cdj = comb(d, j)
+    if j:
+        return _wedge_copies(delta_V(alg, mod, i, 0), comb(d, j), m)
+    scale, (left, right, mult) = _integer_tables(mod.left_pairs, mod.right_pairs,
+                                                 alg.mult_pairs)
     last_sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
-    row_base = 0
-    for tens in itertools.product(range(d), repeat=i + 1):
-        head_rank = tensor_rank(tens[1:], d)
-        tail_rank = tensor_rank(tens[:-1], d)
-        merged_ranks = []
+    num = _accumulator()
+    for trank, tens in enumerate(itertools.product(range(d), repeat=i + 1)):
+        row = trank * m
+        head = tensor_rank(tens[1:], d) * m
+        tail = tensor_rank(tens[:-1], d) * m
+        for p in range(m):
+            for q, c in left[tens[0]][p]:
+                num[row + q][head + p] += c
+            for q, c in right[tens[-1]][p]:
+                num[row + q][tail + p] += last_sign * c
         for k_pos in range(i):
             sgn = -1 if k_pos % 2 == 0 else 1  # (-1)^(k+1)
-            word = tens[:k_pos] + (0,) + tens[k_pos + 2:]
-            base = tensor_rank(word, d)
+            base = tensor_rank(tens[:k_pos] + (0,) + tens[k_pos + 2:], d)
             weight = d ** (i - 1 - k_pos)
-            merged_ranks.append((sgn, base, weight,
-                                 alg.mult_pairs[tens[k_pos]][tens[k_pos + 1]]))
-        for wrank in range(cdj):
-            for p in range(m):
-                col_head = (head_rank * cdj + wrank) * m + p
-                for q, c in mod.left_pairs[tens[0]][p]:
-                    out.add_to(row_base + q, col_head, c)
-                col_tail = (tail_rank * cdj + wrank) * m + p
-                for q, c in mod.right_pairs[tens[-1]][p]:
-                    out.add_to(row_base + q, col_tail, last_sign * c)
-            for sgn, base, weight, pairs in merged_ranks:
-                for r, c in pairs:
-                    col_cell = ((base + r * weight) * cdj + wrank) * m
-                    for p in range(m):
-                        out.add_to(row_base + p, col_cell + p, sgn * c)
-            row_base += m
-    return out
+            for r, c in mult[tens[k_pos]][tens[k_pos + 1]]:
+                col = (base + r * weight) * m
+                for p in range(m):
+                    num[row + p][col + p] += sgn * c
+    return _block(_block_dim(alg, mod, i + 1, 0), _block_dim(alg, mod, i, 0), num, scale)
+
+
+def _wedge_copies(block: SparseMatrix, copies: int, m: int) -> SparseMatrix:
+    """A map on tensor-word cells with a wedge spectator: one copy of
+    ``block`` per wedge word, at flat index ``(cell * copies + wedge) * m +
+    component`` on both sides."""
+    rows = {}
+    for r, row in block.numerators.items():
+        r0 = (r - r % m) * copies + r % m
+        shifted = [((c - c % m) * copies + c % m, v) for c, v in row.items()]
+        for w in range(0, copies * m, m):
+            rows[r0 + w] = {c0 + w: v for c0, v in shifted}
+    return SparseMatrix.from_numerators(block.nrows * copies, block.ncols * copies, rows,
+                                        block.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -148,35 +185,29 @@ def delta_v(alg: AlgebraSpec, mod: ModuleSpec, j: int) -> SparseMatrix:
     if j < 1:
         raise StructuralError("the corner map needs at least one wedge factor")
     d, m = alg.dim, mod.dim
-    ncols = _block_dim(alg, mod, 0, j)
-    nrows = _block_dim(alg, mod, 2, j - 1)
-    out = SparseMatrix(nrows, ncols)
-    if nrows == 0 or ncols == 0:
-        return out
-    row_base = 0
+    scale, (left, right, mult) = _integer_tables(mod.left_pairs, mod.right_pairs,
+                                                 alg.mult_pairs)
+    num = _accumulator()
+    row = 0
     for a, b in itertools.product(range(d), repeat=2):
         for omega in itertools.combinations(range(d), j - 1):
-            wsgn, word = wedge_normalize((b,) + omega)
-            if wsgn:
-                col_cell = wedge_rank(word, d) * m
-                for p in range(m):
-                    for q, c in mod.left_pairs[a][p]:
-                        out.add_to(row_base + q, col_cell + p, wsgn * c)
-            for r, c in alg.mult_pairs[a][b]:
+            for r, c in mult[a][b]:
                 wsgn, word = wedge_normalize((r,) + omega)
-                if wsgn == 0:
-                    continue
-                col_cell = wedge_rank(word, d) * m
-                for p in range(m):
-                    out.add_to(row_base + p, col_cell + p, -wsgn * c)
-            wsgn, word = wedge_normalize((a,) + omega)
-            if wsgn:
-                col_cell = wedge_rank(word, d) * m
-                for p in range(m):
-                    for q, c in mod.right_pairs[b][p]:
-                        out.add_to(row_base + q, col_cell + p, wsgn * c)
-            row_base += m
-    return out
+                if wsgn:
+                    col = wedge_rank(word, d) * m
+                    for p in range(m):
+                        num[row + p][col + p] -= wsgn * c
+            # the outer terms: a acting on the left of f(b^omega), b on the
+            # right of f(a^omega)
+            for word, action in (((b,) + omega, left[a]), ((a,) + omega, right[b])):
+                wsgn, word = wedge_normalize(word)
+                if wsgn:
+                    col = wedge_rank(word, d) * m
+                    for p in range(m):
+                        for q, c in action[p]:
+                            num[row + q][col + p] += wsgn * c
+            row += m
+    return _block(_block_dim(alg, mod, 2, j - 1), _block_dim(alg, mod, 0, j), num, scale)
 
 
 def hochschild_coboundary(alg: AlgebraSpec, mod: ModuleSpec, n: int) -> SparseMatrix:
@@ -187,12 +218,6 @@ def hochschild_coboundary(alg: AlgebraSpec, mod: ModuleSpec, n: int) -> SparseMa
 def ce_coboundary(alg: AlgebraSpec, mod: ModuleSpec, n: int) -> SparseMatrix:
     """The plain Lie-module coboundary Hom(Lambda^n, M) -> Hom(Lambda^(n+1), M)."""
     return delta_H(alg, mod, 0, n)
-
-
-def _paste(out: SparseMatrix, block: SparseMatrix, row_off: int, col_off: int,
-           sign: int) -> None:
-    for (r, c), v in block.entries.items():
-        out.add_to(r + row_off, c + col_off, v if sign == 1 else -v)
 
 
 def _twist(i: int) -> int:
@@ -209,26 +234,35 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int,
     block but its differential is purely bicomplex).  ``_horizontal_sign``
     maps the tensor width i to the sign on ``delta_H`` out of it; rules
     other than the default exist only so tests can show they break d o d = 0.
+
+    Every entry belongs to exactly one (source block, target block) pair, so
+    each block's numerators, rescaled to the common denominator, are written
+    once at their offsets.
     """
     if theory in ("poisson", "omega") and mod.flavor != "poisson":
         raise StructuralError(f"the {theory} theory needs a poisson-flavored module")
     src = CochainSpace.build(theory, degree, alg.dim, mod.dim)
     tgt = CochainSpace.build(theory, degree + 1, alg.dim, mod.dim)
-    out = SparseMatrix(tgt.dim, src.dim)
+    parts = []  # (block, row offset, column offset, sign)
     for i, j in src.blocks:
         if src.block_size(i, j) == 0:
             continue
         col_off = src.block_offsets[i, j]
         if (i, j + 1) in tgt.block_offsets:
-            _paste(out, delta_H(alg, mod, i, j),
-                   tgt.block_offsets[i, j + 1], col_off, _horizontal_sign(i))
+            parts.append((delta_H(alg, mod, i, j), tgt.block_offsets[i, j + 1], col_off,
+                          _horizontal_sign(i)))
         if (i + 1, j) in tgt.block_offsets:
-            _paste(out, delta_V(alg, mod, i, j),
-                   tgt.block_offsets[i + 1, j], col_off, 1)
+            parts.append((delta_V(alg, mod, i, j), tgt.block_offsets[i + 1, j], col_off, 1))
         if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
-            _paste(out, delta_v(alg, mod, j),
-                   tgt.block_offsets[2, j - 1], col_off, 1)
-    return out
+            parts.append((delta_v(alg, mod, j), tgt.block_offsets[2, j - 1], col_off, 1))
+    den = lcm(*(block.denominator for block, *_ in parts))
+    rows: dict[int, dict[int, int]] = {}
+    for block, row_off, col_off, sign in parts:
+        f = sign * (den // block.denominator)
+        for r, row in block.numerators.items():
+            rows.setdefault(r + row_off, {}).update(
+                {c + col_off: v * f for c, v in row.items()})
+    return SparseMatrix.from_numerators(tgt.dim, src.dim, rows, den)
 
 
 _assemble_with_horizontal_sign = differential
@@ -238,14 +272,12 @@ def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
                   max_degree: int, verify: bool = True) -> list[SparseMatrix]:
     """Differentials d^0 .. d^max_degree of a theory, with d o d checked.
 
-    The composition check runs on integer-rescaled copies, which is much
-    faster and has the same zero set.
+    The compositions multiply integer numerators only.
     """
     mats = [differential(alg, mod, theory, n) for n in range(max_degree + 1)]
     if verify:
-        scaled = [m.scaled_integer_copy() for m in mats]
         for n in range(max_degree):
-            if not scaled[n + 1].matmul(scaled[n]).is_zero:
+            if not mats[n + 1].matmul(mats[n]).is_zero:
                 raise ArithmeticError(
                     f"{theory} assembly is not a complex at degree {n}")
     return mats
@@ -271,28 +303,27 @@ def multiderivation_constraints(alg: AlgebraSpec, n: int) -> SparseMatrix:
     if n == 0:
         return SparseMatrix(0, ncols)
     nrows = d * comb(d, n - 1) * (d * (d + 1) // 2)
-    out = SparseMatrix(nrows, ncols)
-    row_base = 0
+    scale, (mult,) = _integer_tables(alg.mult_pairs)
+    num = _accumulator()
+    row = 0
     for omega in itertools.combinations(range(d), n - 1):
         for i in range(d):
             for j in range(i, d):
-                for r, c in alg.mult_pairs[i][j]:
+                for r, c in mult[i][j]:
                     wsgn, word = wedge_normalize((r,) + omega)
-                    if wsgn == 0:
-                        continue
-                    col_cell = wedge_rank(word, d) * d
-                    for p in range(d):
-                        out.add_to(row_base + p, col_cell + p, wsgn * c)
+                    if wsgn:
+                        col = wedge_rank(word, d) * d
+                        for p in range(d):
+                            num[row + p][col + p] += wsgn * c
                 for single, other in ((j, i), (i, j)):
                     wsgn, word = wedge_normalize((single,) + omega)
-                    if wsgn == 0:
-                        continue
-                    col_cell = wedge_rank(word, d) * d
-                    for p in range(d):
-                        for q, c in alg.mult_pairs[other][p]:
-                            out.add_to(row_base + q, col_cell + p, -wsgn * c)
-                row_base += d
-    return out
+                    if wsgn:
+                        col = wedge_rank(word, d) * d
+                        for p in range(d):
+                            for q, c in mult[other][p]:
+                                num[row + q][col + p] -= wsgn * c
+                row += d
+    return _block(nrows, ncols, num, scale)
 
 
 def lp_space_basis(alg: AlgebraSpec, n: int) -> list[tuple]:

@@ -18,6 +18,7 @@ from .algebra import (
     AxiomError,
     ModuleSpec,
     StructuralError,
+    ValidationReport,
     _freeze_table,
     _pairs,
     _triples_to_table,
@@ -510,6 +511,13 @@ def _module_basis_names(mod: ModuleSpec) -> tuple:
 
 def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> AlgebraSpec:
     """The square-zero extension of the algebra by a poisson module, twisted
+    by a degree-2 cochain; see :func:`_validated_extension`."""
+    return _validated_extension(alg, mod, f1, f0)[0]
+
+
+def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
+                         f0) -> tuple[AlgebraSpec, ValidationReport]:
+    """The square-zero extension of the algebra by a poisson module, twisted
     by a degree-2 cochain: f1 feeds tensor pairs, f0 feeds wedge pairs.
 
     Products:  (a, x)(a', x') = (aa', a.x' + x.a' + f1(a, a'))
@@ -517,7 +525,8 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> AlgebraSpec:
 
     The result must satisfy all Poisson axioms (which is exactly the degree-2
     cocycle condition on (f1, f0), plus normalization of f1 against the
-    unit); violations raise :class:`AxiomError`.
+    unit); violations raise :class:`AxiomError`.  Returns the extension
+    with the (passing) report of its one validation.
     """
     d, m = alg.dim, mod.dim
     f1 = _freeze_table(f1, d, m, "f1")
@@ -556,7 +565,7 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> AlgebraSpec:
         raise AxiomError(
             "extension by a non-cocycle (or non-normalized) pair: "
             + report.summary(), report)
-    return ext
+    return ext, report
 
 
 def coboundary_pair(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:

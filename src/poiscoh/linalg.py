@@ -2,16 +2,19 @@
 
 Everything in the cohomology pipeline reduces to ranks, kernels and linear
 solves of sparse matrices with rational entries.  All arithmetic here is
-exact: rows are scaled to integers once, elimination is fraction-free
-(cross-multiplication followed by gcd reduction), and pivots are chosen by a
-deterministic rule so that repeated runs produce identical output.
+exact.  A matrix stores integer numerators over one denominator, so products
+and eliminations run on integers: elimination starts from the numerator rows,
+is fraction-free (cross-multiplication followed by gcd reduction), and pivots
+are chosen by a deterministic rule so that repeated runs produce identical
+output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 Scalar = int | Fraction
 
@@ -24,26 +27,74 @@ def _as_exact(value) -> Scalar:
     return value
 
 
-def _scalar_str(value: Scalar) -> str:
-    return str(Fraction(value))
+def _ratio(num: int, den: int) -> Scalar:
+    """``num / den`` as an int when it divides, else as a Fraction."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def denominator_lcm(values) -> int:
+    """The smallest positive integer that makes every value an integer."""
+    scale = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            scale = lcm(scale, v.denominator)
+    return scale
 
 
 class SparseMatrix:
-    """Sparse exact matrix, entries keyed by ``(row, col)``; zeros are never
-    stored.  Supports just enough arithmetic for the cohomology pipeline."""
+    """Sparse exact matrix: integer numerators in row dicts ``{row: {col:
+    numerator}}`` over one positive denominator.  Zero numerators and empty
+    rows are never stored, and the denominator is the smallest one that
+    makes every entry an integer, so equal matrices store equal pairs.
+    ``entries``, indexing, ``triples`` and the other accessors show the
+    rational values."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "_rows", "_den")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], Scalar] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+        self._den = 1
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (r, c), v in items:
                 self.add_to(r, c, v)
+
+    @staticmethod
+    def from_numerators(nrows: int, ncols: int, rows: dict[int, dict[int, int]],
+                        den: int = 1) -> "SparseMatrix":
+        """The matrix ``rows / den``, taking over the nonempty row dicts of
+        nonzero integer numerators (indices are not checked) and reducing
+        the pair to canonical form."""
+        m = SparseMatrix(nrows, ncols)
+        m._rows = rows
+        m._den = den
+        m._canonicalize()
+        return m
+
+    def _canonicalize(self) -> None:
+        g = self._den
+        for row in self._rows.values():
+            for v in row.values():
+                if g == 1:
+                    return
+                g = gcd(g, v)
+        if g > 1:
+            self._rescale(1, g)
+
+    def _rescale(self, mul: int, div: int) -> None:
+        """Multiply every numerator and the denominator by ``mul / div``,
+        which keeps every value (``div`` must divide all of them)."""
+        for row in self._rows.values():
+            for c in row:
+                row[c] = row[c] * mul // div
+        self._den = self._den * mul // div
 
     # -- construction and access ------------------------------------------
 
@@ -51,78 +102,93 @@ class SparseMatrix:
     def from_dense(rows: Sequence[Sequence]) -> "SparseMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        m = SparseMatrix(nrows, ncols)
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged dense matrix")
-            for c, v in enumerate(row):
-                m[r, c] = v
-        return m
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged dense matrix")
+        return SparseMatrix(nrows, ncols, [((r, c), v) for r, row in enumerate(rows)
+                                           for c, v in enumerate(row)])
 
     def __setitem__(self, key, value):
+        """Write one exact value, growing the denominator if the value needs
+        it and shrinking it if the old entry was the one that needed it."""
         r, c = key
         self._check_index(r, c)
         value = _as_exact(value)
+        q = value.denominator
+        if self._den % q:
+            self._rescale(q // gcd(self._den, q), 1)
+        row = self._rows.pop(r, {})
+        old = row.pop(c, None)
         if value:
-            self.entries[r, c] = value
-        else:
-            self.entries.pop((r, c), None)
+            row[c] = value.numerator * (self._den // q)
+        if row:
+            self._rows[r] = row
+        if old is not None:
+            self._canonicalize()
 
     def __getitem__(self, key) -> Scalar:
-        self._check_index(*key)
-        return self.entries.get(key, 0)
+        r, c = key
+        self._check_index(r, c)
+        return _ratio(self._rows.get(r, {}).get(c, 0), self._den)
 
     def add_to(self, r: int, c: int, value) -> None:
-        self._check_index(r, c)
-        value = _as_exact(value)
-        if not value:
-            return
-        cur = self.entries.get((r, c), 0) + value
-        if cur:
-            self.entries[r, c] = _as_exact(cur)
-        else:
-            self.entries.pop((r, c), None)
+        self[r, c] = self[r, c] + _as_exact(value)
 
     def _check_index(self, r, c):
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry ({r}, {c}) outside {self.nrows} x {self.ncols}")
 
     @property
+    def entries(self) -> Mapping[tuple[int, int], Scalar]:
+        """Read-only view of the nonzero entries as rationals, keyed by
+        ``(row, col)`` (built on each call)."""
+        return MappingProxyType({(r, c): _ratio(v, self._den)
+                                 for r, row in self._rows.items() for c, v in row.items()})
+
+    @property
+    def numerators(self) -> Mapping[int, dict[int, int]]:
+        """Read-only view of the nonzero numerator rows; the row dicts are
+        the live ones and must not be modified."""
+        return MappingProxyType(self._rows)
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._rows.values()))
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._rows
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
                 and self.nrows == other.nrows
                 and self.ncols == other.ncols
-                and self.entries == other.entries)
+                and self._den == other._den
+                and self._rows == other._rows)
 
     def __repr__(self):
         return f"<SparseMatrix {self.nrows}x{self.ncols}, {self.nnz} nonzero>"
 
-    def copy(self) -> "SparseMatrix":
-        m = SparseMatrix(self.nrows, self.ncols)
-        m.entries = dict(self.entries)
-        return m
-
     def triples(self) -> list[tuple[int, int, Scalar]]:
-        return [(r, c, self.entries[r, c]) for (r, c) in sorted(self.entries)]
+        return [(r, c, _ratio(row[c], self._den))
+                for r, row in sorted(self._rows.items()) for c in sorted(row)]
 
     def to_dense(self) -> list[list[Scalar]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
+        for r, c, v in self.triples():
             out[r][c] = v
         return out
 
     def row_dicts(self) -> dict[int, dict[int, Scalar]]:
-        rows: dict[int, dict[int, Scalar]] = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
-        return rows
+        return {r: {c: _ratio(v, self._den) for c, v in row.items()}
+                for r, row in self._rows.items()}
+
+    def numerator_rows(self) -> dict[int, dict[int, int]]:
+        """The nonzero rows of the numerator matrix, as fresh dicts."""
+        return {r: dict(row) for r, row in self._rows.items()}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -130,59 +196,53 @@ class SparseMatrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
         acc = [0] * self.nrows
-        for (r, c), v in self.entries.items():
-            x = vec[c]
-            if x:
-                acc[r] += v * x
-        return tuple(acc)
+        for r, row in self._rows.items():
+            for c, v in row.items():
+                x = vec[c]
+                if x:
+                    acc[r] += v * x
+        den = self._den
+        if den == 1:
+            return tuple(acc)
+        return tuple(a and (_ratio(a, den) if type(a) is int else a / den) for a in acc)
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
+        """The exact product: numerators multiplied one row at a time,
+        denominators multiplied, then one reduction to canonical form."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
-        out = SparseMatrix(self.nrows, other.ncols)
-        brows = other.row_dicts()
-        for r, arow in self.row_dicts().items():
-            acc: dict[int, Scalar] = {}
+        rows: dict[int, dict[int, int]] = {}
+        brows = other._rows
+        for r, arow in self._rows.items():
+            acc: dict[int, int] = {}
+            get = acc.get
             for c, v in arow.items():
                 brow = brows.get(c)
                 if brow:
                     for k, w in brow.items():
-                        acc[k] = acc.get(k, 0) + v * w
-            for k, v in acc.items():
-                if v:
-                    out.entries[r, k] = _as_exact(v)
-        return out
+                        acc[k] = get(k, 0) + v * w
+            row = {k: v for k, v in acc.items() if v}
+            if row:
+                rows[r] = row
+        return SparseMatrix.from_numerators(self.nrows, other.ncols, rows,
+                                            self._den * other._den)
 
     def scaled_integer_copy(self) -> "SparseMatrix":
-        """The matrix multiplied by the lcm of all denominators: same rank,
-        same kernel, integer entries (faster to compose and eliminate)."""
-        scale = _denominator_lcm(self.entries.values())
-        if scale == 1:
-            return self.copy()
-        m = SparseMatrix(self.nrows, self.ncols)
-        for key, v in self.entries.items():
-            m.entries[key] = int(v * scale)
-        return m
+        """The numerator matrix (this one times its denominator): same rank,
+        same kernel, integer entries."""
+        return SparseMatrix.from_numerators(self.nrows, self.ncols, self.numerator_rows())
 
     def dump_text(self) -> str:
         """Stable text form: header ``nrows ncols nnz`` then one ``r c value``
         line per nonzero, sorted by (row, col)."""
         lines = [f"{self.nrows} {self.ncols} {self.nnz}"]
         for r, c, v in self.triples():
-            lines.append(f"{r} {c} {_scalar_str(v)}")
+            lines.append(f"{r} {c} {v}")
         return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Fraction-free elimination
-
-
-def _denominator_lcm(values) -> int:
-    scale = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            scale = lcm(scale, v.denominator)
-    return scale
 
 
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
@@ -201,14 +261,13 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
 def _int_row(row: dict[int, Scalar]) -> dict[int, int]:
     """The row scaled to integers by the lcm of its denominators, without
     zeros, and divided by the gcd of its entries."""
-    scale = _denominator_lcm(row.values())
+    scale = denominator_lcm(row.values())
     return _normalize_int_row({c: int(v * scale) for c, v in row.items() if v})
 
 
 def _integer_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
-    """Rows of the matrix scaled to integers and gcd-reduced, keyed by the
-    original row index."""
-    return {rid: _int_row(row) for rid, row in matrix.row_dicts().items()}
+    """The numerator rows gcd-reduced, keyed by the original row index."""
+    return {rid: _normalize_int_row(row) for rid, row in matrix.numerator_rows().items()}
 
 
 def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
@@ -309,14 +368,21 @@ def _back_substitute(pivots, assign: dict[int, Scalar]) -> dict[int, Scalar]:
     return assign
 
 
-def _normalize_exact_vec(vec: dict[int, Scalar], ncols: int) -> tuple:
-    """Clear denominators, gcd-reduce, make the first nonzero entry positive,
-    and expand to a dense tuple of ints."""
+def _normalize_exact_vec(vec: dict[int, Scalar]) -> dict[int, int]:
+    """Clear denominators, gcd-reduce and make the entry in the lowest
+    column positive: a sparse integer vector."""
     ints = _int_row(vec)
-    sign = -1 if ints and ints[min(ints)] < 0 else 1
+    if ints and ints[min(ints)] < 0:
+        for c in ints:
+            ints[c] = -ints[c]
+    return ints
+
+
+def dense_vector(vec: dict[int, Scalar], ncols: int) -> tuple:
+    """A sparse ``{col: value}`` vector as a dense tuple of length ncols."""
     dense = [0] * ncols
-    for c, v in ints.items():
-        dense[c] = sign * v
+    for c, v in vec.items():
+        dense[c] = v
     return tuple(dense)
 
 
@@ -394,8 +460,8 @@ class Echelon:
         taken = set(self.pivot_cols)
         return tuple(c for c in range(self.ncols) if c not in taken)
 
-    def kernel_basis(self) -> list[tuple]:
-        """One normalized integer kernel vector per free column, each
+    def kernel_basis(self) -> list[dict[int, int]]:
+        """One normalized sparse integer kernel vector per free column, each
         back-substituted through the pivot rows of its own component only.
         A column with no entries gives its unit vector."""
         block_of: dict[int, list] = {}
@@ -403,33 +469,36 @@ class Echelon:
             for _, row in pivots:
                 for c in row:
                     block_of[c] = pivots
-        basis = []
-        for free in self.free_cols:
-            assign = _back_substitute(block_of.get(free, ()), {free: 1})
-            basis.append(_normalize_exact_vec(assign, self.ncols))
-        return basis
+        return [_normalize_exact_vec(_back_substitute(block_of.get(free, ()), {free: 1}))
+                for free in self.free_cols]
 
 
 def rank(matrix: SparseMatrix) -> int:
     return Echelon(matrix).rank
 
 
-def verify_kernel(matrix: SparseMatrix, basis: Sequence[Sequence]) -> None:
+def verify_kernel(matrix: SparseMatrix, basis: Sequence) -> None:
     """Raise ArithmeticError unless ``matrix`` kills every vector of
-    ``basis``.  One exact product with the basis as the columns of a sparse
-    matrix checks every row of every vector; scaling the matrix to integers
-    first keeps the same kernel and avoids Fraction arithmetic."""
-    if any(len(vec) != matrix.ncols for vec in basis):
-        raise ValueError("vector length does not match column count")
-    cols = SparseMatrix(matrix.ncols, len(basis))
-    cols.entries = {(c, j): v for j, vec in enumerate(basis)
-                    for c, v in enumerate(vec) if v}
-    if not matrix.scaled_integer_copy().matmul(cols).is_zero:
+    ``basis`` (sparse ``{col: value}`` dicts or dense sequences, normally of
+    integers).  One exact product of the numerator matrix with the basis as
+    the columns of a sparse matrix checks every row of every vector."""
+    cols: dict[int, dict[int, Scalar]] = {}
+    for j, vec in enumerate(basis):
+        if not isinstance(vec, dict):
+            if len(vec) != matrix.ncols:
+                raise ValueError("vector length does not match column count")
+            vec = dict(enumerate(vec))
+        for c, v in vec.items():
+            if v:
+                cols.setdefault(c, {})[j] = v
+    kernel = SparseMatrix.from_numerators(matrix.ncols, len(basis), cols)
+    if not matrix.matmul(kernel).is_zero:
         raise ArithmeticError("kernel vector failed verification")
 
 
 def kernel_basis(matrix: SparseMatrix) -> list[tuple]:
-    """Basis of the right kernel {v : Mv = 0}, one vector per free column.
+    """Basis of the right kernel {v : Mv = 0}, one dense vector per free
+    column.
 
     Every returned vector is checked against the original matrix; a failure
     here would mean the elimination itself is broken, so it raises
@@ -437,7 +506,7 @@ def kernel_basis(matrix: SparseMatrix) -> list[tuple]:
     """
     basis = Echelon(matrix).kernel_basis()
     verify_kernel(matrix, basis)
-    return basis
+    return [dense_vector(vec, matrix.ncols) for vec in basis]
 
 
 def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
@@ -452,14 +521,18 @@ def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
     if len(rhs) != matrix.nrows:
         raise ValueError("right-hand side length does not match row count")
     sentinel = matrix.ncols
-    rows = matrix.row_dicts()
+    rows = matrix.numerator_rows()
     for r, b in enumerate(rhs):
-        b = _as_exact(b)
+        # numerators are the matrix times its denominator, so the rhs is too;
+        # a fractional rhs entry scales its whole row to integers
+        b = _as_exact(b) * matrix.denominator
         if b:
-            rows.setdefault(r, {})[sentinel] = -b
-    # scaling to integers happens on whole augmented rows, so the rhs column
-    # stays in sync with the matrix coefficients
-    rows = {rid: _int_row(row) for rid, row in rows.items()}
+            row = rows.setdefault(r, {})
+            if b.denominator > 1:
+                for c in row:
+                    row[c] *= b.denominator
+            row[sentinel] = -b.numerator
+    rows = {rid: _normalize_int_row(row) for rid, row in rows.items()}
     if any(len(row) == 1 and sentinel in row for row in rows.values()):
         return None
     assign: dict[int, Scalar] = {sentinel: 1}
@@ -493,19 +566,11 @@ class RowReducer:
         return len(self._rows)
 
     def _intify(self, vec) -> dict[int, int]:
-        if isinstance(vec, dict):
-            items = vec.items()
-        else:
+        if not isinstance(vec, dict):
             if len(vec) != self.ncols:
                 raise ValueError("vector length does not match")
-            items = enumerate(vec)
-        vd: dict[int, Scalar] = {}
-        for c, v in items:
-            if type(v) is not int:
-                v = _as_exact(v)
-            if v:
-                vd[c] = v
-        return _int_row(vd)
+            vec = dict(enumerate(vec))
+        return _int_row({c: v if type(v) is int else _as_exact(v) for c, v in vec.items()})
 
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
         for pivot_col in sorted(set(row) & set(self._rows)):

@@ -20,6 +20,40 @@ def dense_rows(matrix):
             for r in range(matrix.nrows)]
 
 
+def dict_add(entries, r, c, value):
+    """Add ``value`` at (r, c) of a plain ``dict[(r, c)] -> Fraction``,
+    dropping the key when the sum is zero."""
+    total = entries.get((r, c), Fraction(0)) + Fraction(value)
+    if total:
+        entries[r, c] = total
+    else:
+        entries.pop((r, c), None)
+
+
+def dict_matmul(a, b):
+    """Product of two plain dict matrices, entry by entry."""
+    out = {}
+    for (r, k), v in a.items():
+        for (k2, c), w in b.items():
+            if k == k2:
+                dict_add(out, r, c, v * w)
+    return out
+
+
+def dict_matvec(a, vec, nrows):
+    acc = [Fraction(0)] * nrows
+    for (r, c), v in a.items():
+        acc[r] += v * Fraction(vec[c])
+    return tuple(acc)
+
+
+def dict_dump_text(entries, nrows, ncols):
+    """The ``nrows ncols nnz`` header, then ``r c value`` sorted by position."""
+    lines = [f"{nrows} {ncols} {len(entries)}"]
+    lines += [f"{r} {c} {entries[r, c]}" for r, c in sorted(entries)]
+    return "\n".join(lines) + "\n"
+
+
 def dense_rank(rows):
     rows = [list(map(Fraction, row)) for row in rows]
     if not rows:

@@ -7,6 +7,7 @@ direct three-term evaluation of the corner map), not just against each
 other.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -23,6 +24,7 @@ from poiscoh.algebra import (
     validate_module,
 )
 from poiscoh.cochain import CochainSpace, tensor_rank, wedge_normalize, wedge_rank
+from poiscoh.deformation import transport
 from poiscoh.complexes import (
     SIGN_CONVENTION,
     _assemble_with_horizontal_sign,
@@ -492,3 +494,32 @@ def test_unknown_subcomplex_type():
         type_space_basis(alg, mod, "III", 1)
     with pytest.raises(StructuralError):
         type_coboundary(alg, mod, "III", 1)
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes of differentials with fractional structure constants
+
+
+RESCALED_DUMPS = {
+    ("m2", "poisson", 2): "c94985a5d13ace7faa1ae532788c555d8bad695f50945a41b71d58510d17719b",
+    ("m2", "poisson", 3): "b5e4386de90364c7727b6440ceed422b4a51cb769b8493948a7e918fc3b4345a",
+    ("m2", "omega", 2): "c9b418db6f3e9a66692ca135a6e4ea2107eeebd38293e20bb3e2946b8994830f",
+    ("ut2", "poisson", 2): "c56be4729f25eab1cb23f8848248fc36e9037516e609fd54dc6904e446971b07",
+    ("ut2", "poisson", 3): "5945c192b1cfed37f040e6946ddafc95d077ec15b96286ed9a4106435066103c",
+    ("ut2", "omega", 2): "2c8989e55b0ab47f72968227d892fc23ffdb29a92a59e5b0c25b5b7544b95749",
+}
+
+
+@pytest.mark.parametrize("name,theory,degree", sorted(RESCALED_DUMPS))
+def test_rescaled_differential_dump_is_pinned(name, theory, degree):
+    """The builtin with basis vector i scaled by 2/3 (i even) or -3/2 (i odd)
+    has mostly fractional structure constants, so most entries of its
+    differentials are Fractions; their dump bytes are pinned."""
+    alg = builtin(name)
+    factors = (Fraction(2, 3), Fraction(-3, 2))
+    alg = transport(alg, [[factors[r % 2] if r == c else 0 for c in range(alg.dim)]
+                          for r in range(alg.dim)])
+    mat = differential(alg, regular_module(alg), theory, degree)
+    assert mat.denominator > 1
+    digest = hashlib.sha256(mat.dump_text().encode()).hexdigest()
+    assert digest == RESCALED_DUMPS[name, theory, degree]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,97 @@ def test_dump_text_format():
 
 
 # ---------------------------------------------------------------------------
+# integer numerators over one denominator, against a plain dict reference
+
+
+@st.composite
+def add_sequences(draw, nrows, ncols):
+    """A random sequence of ``add_to`` calls mixing ints and Fractions."""
+    return draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                                   scalars), max_size=20))
+
+
+def built(nrows, ncols, ops):
+    mat, ref = SparseMatrix(nrows, ncols), {}
+    for r, c, v in ops:
+        mat.add_to(r, c, v)
+        oracles.dict_add(ref, r, c, v)
+    return mat, ref
+
+
+def flat_numerators(mat):
+    return {(r, c): v for r, row in mat.numerators.items() for c, v in row.items()}
+
+
+def assert_canonical(mat, ref):
+    """The denominator is the smallest that makes every entry an integer,
+    and the numerators are the entries times it."""
+    den = 1
+    for v in ref.values():
+        den = lcm(den, Fraction(v).denominator)
+    assert mat.denominator == den
+    assert flat_numerators(mat) == {key: int(v * den) for key, v in ref.items()}
+    assert all(type(v) is int and v for v in flat_numerators(mat).values())
+    assert all(mat.numerators.values())  # no empty rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_storage_matches_dict_reference(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, ref_a = built(n, k, data.draw(add_sequences(n, k)))
+    b, ref_b = built(k, m, data.draw(add_sequences(k, m)))
+    for mat, ref, shape in ((a, ref_a, (n, k)), (b, ref_b, (k, m))):
+        assert mat.entries == ref
+        assert_canonical(mat, ref)
+        assert mat.dump_text() == oracles.dict_dump_text(ref, *shape)
+        assert mat == SparseMatrix(*shape, ref)
+        scaled = mat.scaled_integer_copy()
+        assert scaled.denominator == 1
+        assert scaled.entries == {key: v * mat.denominator for key, v in ref.items()}
+    prod = a.matmul(b)
+    ref_prod = oracles.dict_matmul(ref_a, ref_b)
+    assert prod.entries == ref_prod
+    assert_canonical(prod, ref_prod)
+    assert prod == SparseMatrix(n, m, ref_prod)
+    assert prod.dump_text() == oracles.dict_dump_text(ref_prod, n, m)
+    vec = [data.draw(scalars) for _ in range(k)]
+    assert a.matvec(vec) == oracles.dict_matvec(ref_a, vec, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_storage_is_canonical_in_any_insertion_order(data):
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    mat, ref = built(n, k, data.draw(add_sequences(n, k)))
+    items = data.draw(st.permutations(sorted(ref.items())))
+    again = SparseMatrix(n, k)
+    for (r, c), v in items:
+        again[r, c] = v
+    assert again == mat and again.denominator == mat.denominator
+    assert again.dump_text() == mat.dump_text()
+    # cancelling every fractional entry leaves an integer matrix
+    for (r, c), v in items:
+        if Fraction(v).denominator > 1:
+            again.add_to(r, c, -v)
+    assert again.denominator == 1
+    assert again.entries == {key: v for key, v in ref.items() if Fraction(v).denominator == 1}
+
+
+def test_cancelling_the_only_half_restores_denominator_one():
+    mat = SparseMatrix(2, 3)
+    mat[0, 0] = 3
+    mat[1, 2] = Fraction(1, 2)
+    assert (mat.denominator, dict(mat.numerators)) == (2, {0: {0: 6}, 1: {2: 1}})
+    mat.add_to(1, 2, Fraction(-1, 2))
+    assert (mat.denominator, dict(mat.numerators)) == (1, {0: {0: 3}})
+    assert mat == SparseMatrix.from_dense([[3, 0, 0], [0, 0, 0]])
+    mat[1, 1] = Fraction(2, 3)
+    mat[1, 1] = 5  # overwriting the only third also restores it
+    assert (mat.denominator, mat[1, 1]) == (1, 5)
+
+
+# ---------------------------------------------------------------------------
 # rank / kernel / solve vs oracle
 
 
@@ -218,7 +310,8 @@ def test_kernel_of_zero_matrix_is_identity_basis():
 def single_elimination_kernel(mat):
     """Kernel basis from one elimination over all rows, back-substituting
     every free column through every pivot: the reference the per-component
-    split must reproduce exactly."""
+    split must reproduce exactly (sparse normalized integer vectors, as
+    ``Echelon.kernel_basis`` returns them)."""
     pivots, _ = _eliminate(_integer_rows(mat))
     taken = {c for c, _ in pivots}
     basis = []
@@ -228,7 +321,7 @@ def single_elimination_kernel(mat):
             s = sum(v * assign.get(c, 0) for c, v in row.items() if c != pivot_col)
             if s:
                 assign[pivot_col] = Fraction(-s, row[pivot_col])
-        basis.append(_normalize_exact_vec(assign, mat.ncols))
+        basis.append(_normalize_exact_vec(assign))
     return basis
 
 
