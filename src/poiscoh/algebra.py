@@ -65,17 +65,17 @@ def _freeze_vec(vec, n: int, what: str) -> tuple:
     return vec
 
 
-def _freeze_table(table, d: int, m: int, what: str) -> tuple:
-    """Freeze a d x d table of length-m coefficient vectors."""
-    rows = tuple(table)
-    if len(rows) != d:
-        raise StructuralError(f"{what}: expected {d} rows")
+def _freeze_table(table, rows: int, cols: int, width: int, what: str) -> tuple:
+    """Freeze a rows x cols table of length-width coefficient vectors."""
+    table = tuple(table)
+    if len(table) != rows:
+        raise StructuralError(f"{what}: expected {rows} rows")
     out = []
-    for r, row in enumerate(rows):
+    for r, row in enumerate(table):
         row = tuple(row)
-        if len(row) != d:
-            raise StructuralError(f"{what}: row {r} has {len(row)} entries, expected {d}")
-        out.append(tuple(_freeze_vec(v, m, f"{what}[{r}]") for v in row))
+        if len(row) != cols:
+            raise StructuralError(f"{what}: row {r} has {len(row)} entries, expected {cols}")
+        out.append(tuple(_freeze_vec(v, width, f"{what}[{r}]") for v in row))
     return tuple(out)
 
 
@@ -85,6 +85,26 @@ def _pairs(table) -> tuple:
         tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
         for row in table
     )
+
+
+def _add_pairs(acc: list, pairs, u, v, sign: int = 1) -> None:
+    """``acc += sign * P(u, v)`` in place, for the bilinear map P whose sparse
+    structure constants are ``pairs``."""
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        row = pairs[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            for k, c in row[j]:
+                acc[k] += sign * ui * vj * c
+
+
+def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
+    acc = [0] * out_dim
+    _add_pairs(acc, pairs, u, v)
+    return tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -115,8 +135,8 @@ class AlgebraSpec:
             dim=dim,
             basis=basis,
             unit=_freeze_vec(unit, dim, "unit"),
-            mult=_freeze_table(mult, dim, dim, "mult"),
-            bracket=_freeze_table(bracket, dim, dim, "bracket"),
+            mult=_freeze_table(mult, dim, dim, dim, "mult"),
+            bracket=_freeze_table(bracket, dim, dim, dim, "bracket"),
         )
 
     @cached_property
@@ -129,29 +149,11 @@ class AlgebraSpec:
 
     def product(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension of the multiplication table."""
-        acc = [0] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                for k, c in self.mult_pairs[i][j]:
-                    acc[k] += ui * vj * c
-        return tuple(acc)
+        return _apply_pairs(self.mult_pairs, u, v, self.dim)
 
     def bracket_of(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension of the bracket table."""
-        acc = [0] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                for k, c in self.bracket_pairs[i][j]:
-                    acc[k] += ui * vj * c
-        return tuple(acc)
+        return _apply_pairs(self.bracket_pairs, u, v, self.dim)
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -196,24 +198,12 @@ class ModuleSpec:
 
     @staticmethod
     def build(dim, algebra_dim, left, right, lie, flavor="poisson") -> "ModuleSpec":
-        def freeze_action(act, what):
-            act = tuple(act)
-            if len(act) != algebra_dim:
-                raise StructuralError(f"{what}: expected {algebra_dim} action rows")
-            out = []
-            for a, row in enumerate(act):
-                row = tuple(row)
-                if len(row) != dim:
-                    raise StructuralError(f"{what}[{a}]: expected {dim} entries")
-                out.append(tuple(_freeze_vec(v, dim, f"{what}[{a}]") for v in row))
-            return tuple(out)
-
         return ModuleSpec(
             dim=dim,
             algebra_dim=algebra_dim,
-            left=freeze_action(left, "left"),
-            right=freeze_action(right, "right"),
-            lie=freeze_action(lie, "lie"),
+            left=_freeze_table(left, algebra_dim, dim, dim, "left"),
+            right=_freeze_table(right, algebra_dim, dim, dim, "right"),
+            lie=_freeze_table(lie, algebra_dim, dim, dim, "lie"),
             flavor=flavor,
         )
 
@@ -229,27 +219,15 @@ class ModuleSpec:
     def lie_pairs(self):
         return _pairs(self.lie)
 
-    def _act(self, pairs, avec: Sequence, mvec: Sequence) -> tuple:
-        acc = [0] * self.dim
-        for a, ca in enumerate(avec):
-            if not ca:
-                continue
-            for p, cp in enumerate(mvec):
-                if not cp:
-                    continue
-                for q, c in pairs[a][p]:
-                    acc[q] += ca * cp * c
-        return tuple(acc)
-
     def act_left(self, avec, mvec) -> tuple:
-        return self._act(self.left_pairs, avec, mvec)
+        return _apply_pairs(self.left_pairs, avec, mvec, self.dim)
 
     def act_right(self, avec, mvec) -> tuple:
         """Right action ``m . a`` (algebra vector second in the math, first here)."""
-        return self._act(self.right_pairs, avec, mvec)
+        return _apply_pairs(self.right_pairs, avec, mvec, self.dim)
 
     def act_lie(self, avec, mvec) -> tuple:
-        return self._act(self.lie_pairs, avec, mvec)
+        return _apply_pairs(self.lie_pairs, avec, mvec, self.dim)
 
 
 @dataclass(frozen=True)
@@ -424,7 +402,7 @@ def standard_poisson(mult, unit, basis=None) -> AlgebraSpec:
     but the full validator is still run and asserted).
     """
     dim = len(mult)
-    mult_t = _freeze_table(mult, dim, dim, "mult")
+    mult_t = _freeze_table(mult, dim, dim, dim, "mult")
     bracket = [
         [_vsub(mult_t[i][j], mult_t[j][i]) for j in range(dim)]
         for i in range(dim)
@@ -582,11 +560,18 @@ def builtin(name: str) -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 # JSON presentations
 
+_MAX_TABLE_SIZE = 10**6  # coefficients in one table read from a file
 
-def _triples_to_table(triples, d: int, m: int, what: str):
+
+def _triples_to_table(triples, rows: int, cols: int, width: int, what: str):
+    """The rows x cols table of length-width vectors that sparse
+    ``[i, j, k, value]`` entries describe (repeated entries add up)."""
     if not isinstance(triples, (list, tuple)):
         raise StructuralError(f"{what} must be a list of [i, j, k, value] entries")
-    table = [[[0] * m for _ in range(d)] for _ in range(d)]
+    if rows * cols * width > _MAX_TABLE_SIZE:
+        raise StructuralError(f"{what}: a {rows} x {cols} x {width} table exceeds "
+                              f"the limit of {_MAX_TABLE_SIZE} coefficients")
+    table = [[[0] * width for _ in range(cols)] for _ in range(rows)]
     for entry in triples:
         try:
             i, j, k, value = entry
@@ -594,19 +579,21 @@ def _triples_to_table(triples, d: int, m: int, what: str):
             raise StructuralError(f"{what}: entries must be [i, j, k, value]") from exc
         if not (type(i) is int and type(j) is int and type(k) is int):  # no bools
             raise StructuralError(f"{what}: indices must be integers, got {entry!r}")
-        if not (0 <= i < d and 0 <= j < d and 0 <= k < m):
+        if not (0 <= i < rows and 0 <= j < cols and 0 <= k < width):
             raise StructuralError(f"{what}: index out of range in {entry!r}")
         table[i][j][k] += ratio(value)
     return table
 
 
-def _table_to_triples(table) -> list:
+def _table_to_triples(table, index: tuple = ()) -> list:
+    """Sparse ``[i, j, ..., value]`` entries of a nested coefficient table of
+    any depth, in row-major order, with values as reduced strings."""
     out = []
-    for i, row in enumerate(table):
-        for j, vec in enumerate(row):
-            for k, c in enumerate(vec):
-                if c:
-                    out.append([i, j, k, ratio_str(c)])
+    for i, x in enumerate(table):
+        if isinstance(x, (list, tuple)):
+            out.extend(_table_to_triples(x, index + (i,)))
+        elif x:
+            out.append([*index, i, ratio_str(x)])
     return out
 
 
@@ -627,40 +614,31 @@ def algebra_from_dict(data: dict) -> AlgebraSpec:
         if key not in data:
             raise StructuralError(f"algebra object is missing {key!r}")
     d = data["dim"]
-    if not isinstance(d, int) or d <= 0:
+    if type(d) is not int or d <= 0:  # no bools
         raise StructuralError("dim must be a positive integer")
     unit = data["unit"]
-    if not isinstance(unit, (list, tuple)):
+    if not isinstance(unit, (list, tuple)) or len(unit) != d:
         raise StructuralError(f"unit must be a list of {d} coefficients")
     basis = data.get("basis")
-    if basis is not None and (not isinstance(basis, (list, tuple))
-                              or len(basis) != d):
+    if basis is not None and (not isinstance(basis, (list, tuple)) or len(basis) != d
+                              or not all(isinstance(name, str) for name in basis)):
         raise StructuralError(f"basis must be a list of {d} names")
     return AlgebraSpec.build(
         d,
-        _triples_to_table(data["mult"], d, d, "mult"),
+        _triples_to_table(data["mult"], d, d, d, "mult"),
         [ratio(v) for v in unit],
-        _triples_to_table(data["bracket"], d, d, "bracket"),
+        _triples_to_table(data["bracket"], d, d, d, "bracket"),
         basis=basis,
     )
 
 
 def module_to_dict(mod: ModuleSpec) -> dict:
-    def action_triples(act):
-        out = []
-        for a, row in enumerate(act):
-            for p, vec in enumerate(row):
-                for q, c in enumerate(vec):
-                    if c:
-                        out.append([a, p, q, ratio_str(c)])
-        return out
-
     return {
         "dim": mod.dim,
         "algebra_dim": mod.algebra_dim,
-        "left": action_triples(mod.left),
-        "right": action_triples(mod.right),
-        "lie": action_triples(mod.lie),
+        "left": _table_to_triples(mod.left),
+        "right": _table_to_triples(mod.right),
+        "lie": _table_to_triples(mod.lie),
         "flavor": mod.flavor,
     }
 
@@ -672,33 +650,14 @@ def module_from_dict(data: dict, algebra_dim: int) -> ModuleSpec:
         if key not in data:
             raise StructuralError(f"module object is missing {key!r}")
     m = data["dim"]
-    if not isinstance(m, int) or m <= 0:
+    if type(m) is not int or m <= 0:  # no bools
         raise StructuralError("module dim must be a positive integer")
     d = data.get("algebra_dim", algebra_dim)
-    if d != algebra_dim:
+    if type(d) is not int or d != algebra_dim:
         raise StructuralError("module algebra_dim does not match the algebra")
-
-    def action(triples, what):
-        if not isinstance(triples, (list, tuple)):
-            raise StructuralError(f"{what} must be a list of [a, p, q, value] entries")
-        act = [[[0] * m for _ in range(m)] for _ in range(d)]
-        for entry in triples:
-            try:
-                a, p, q, value = entry
-            except (TypeError, ValueError) as exc:
-                raise StructuralError(f"{what}: entries must be [a, p, q, value]") from exc
-            if not (isinstance(a, int) and isinstance(p, int) and isinstance(q, int)):
-                raise StructuralError(f"{what}: indices must be integers, got {entry!r}")
-            if not (0 <= a < d and 0 <= p < m and 0 <= q < m):
-                raise StructuralError(f"{what}: index out of range in {entry!r}")
-            act[a][p][q] += ratio(value)
-        return act
-
     return ModuleSpec.build(
         m, d,
-        action(data["left"], "left"),
-        action(data["right"], "right"),
-        action(data["lie"], "lie"),
+        *(_triples_to_table(data[key], d, m, m, key) for key in ("left", "right", "lie")),
         flavor=data.get("flavor", "poisson"),
     )
 

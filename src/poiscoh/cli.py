@@ -22,6 +22,7 @@ from .algebra import (
     BUILTINS,
     ModuleSpec,
     StructuralError,
+    _table_to_triples,
     _triples_to_table,
     algebra_to_dict,
     builtin,
@@ -304,24 +305,12 @@ def cmd_deform_lift(args) -> int:
 def cmd_obstruction(args) -> int:
     series = _resolve_series(args.series)
     order = args.order if args.order is not None else series.order + 1
-
-    def sparse(table):
-        out = []
-        d = series.algebra.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for p, v in enumerate(table[i][j][k]):
-                        if v:
-                            out.append([i, j, k, p, str(Fraction(v))])
-        return out
-
     f1, f2, f3 = obstruction_tables(series, order)
     payload = {
         "order": order,
-        "associativity_rhs": sparse(f1),
-        "leibniz_rhs": sparse(f2),
-        "jacobi_rhs": sparse(f3),
+        "associativity_rhs": _table_to_triples(f1),
+        "leibniz_rhs": _table_to_triples(f2),
+        "jacobi_rhs": _table_to_triples(f3),
         "closed": is_poisson_3cocycle(series.algebra, f1, f2, f3),
     }
     _emit(args, payload)
@@ -337,7 +326,7 @@ def cmd_extend(args) -> int:
                           else args.cocycle)
         if not isinstance(data, dict):
             raise CliError("cocycle file must contain a JSON object")
-    f1, f0 = (_triples_to_table(data.get(key, []), alg.dim, mod.dim, key)
+    f1, f0 = (_triples_to_table(data.get(key, []), alg.dim, alg.dim, mod.dim, key)
               for key in ("f1", "f0"))
     ext, report = _validated_extension(alg, mod, f1, f0)
     payload = {

@@ -12,6 +12,7 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
@@ -32,6 +33,7 @@ from .linalg import (
     Echelon,
     RowReducer,
     SparseMatrix,
+    _columns,
     dense_vector,
     kernel_basis,
     verify_kernel,
@@ -154,17 +156,11 @@ def _restricted_ranks(bases: list[list[tuple]], matrices: list[SparseMatrix],
     that each image vector satisfies the next degree's defining constraints."""
     ranks = []
     for n, basis in enumerate(bases):
-        reducer = RowReducer(matrices[n].nrows)
-        for vec in basis:
-            img = matrices[n].matvec(vec)
-            cons = next_constraints[n]
-            if cons is not None and not cons.is_zero:
-                zero = (0,) * cons.nrows
-                if cons.matvec(img) != zero:
-                    raise ArithmeticError(
-                        "subcomplex is not closed under its differential")
-            reducer.add(img)
-        ranks.append(reducer.rank)
+        img = matrices[n].matmul(_columns(basis, matrices[n].ncols))
+        cons = next_constraints[n]
+        if cons is not None and not cons.matmul(img).is_zero:
+            raise ArithmeticError("subcomplex is not closed under its differential")
+        ranks.append(Echelon(img).rank)
     return ranks
 
 
@@ -381,8 +377,6 @@ def trivial_bracket_decomposition(alg: AlgebraSpec, max_degree: int = 4) -> dict
     The derivation is in docs/decisions.md.  Returns per-degree rows with an
     ``ok`` flag per degree plus an overall ``ok``; nothing is asserted.
     """
-    from math import comb
-
     if not alg.has_zero_bracket:
         raise StructuralError("the decomposition needs the zero bracket")
     if not alg.is_commutative:

@@ -19,9 +19,14 @@ from .algebra import (
     ModuleSpec,
     StructuralError,
     ValidationReport,
+    _add_pairs,
+    _apply_pairs,
     _freeze_table,
     _pairs,
+    _table_to_triples,
     _triples_to_table,
+    algebra_from_dict,
+    algebra_to_dict,
     builtin,
     ratio,
     regular_module,
@@ -29,32 +34,12 @@ from .algebra import (
 )
 from .cochain import CochainSpace, assemble
 from .complexes import differential
-from .linalg import SparseMatrix, solve
+from .linalg import SparseMatrix, kernel_basis, solve
 
 
 def _zero_table(d: int, m: int | None = None) -> tuple:
     m = d if m is None else m
     return tuple(tuple((0,) * m for _ in range(d)) for _ in range(d))
-
-
-def _add_pairs(acc: list, pairs, u, v, sign: int = 1) -> None:
-    """``acc += sign * P(u, v)`` in place, for the bilinear map P whose sparse
-    structure constants are ``pairs``."""
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = pairs[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            for k, c in row[j]:
-                acc[k] += sign * ui * vj * c
-
-
-def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
-    acc = [0] * out_dim
-    _add_pairs(acc, pairs, u, v)
-    return tuple(acc)
 
 
 def _is_antisymmetric(table) -> bool:
@@ -85,9 +70,9 @@ class DeformationSeries:
     @staticmethod
     def build(alg: AlgebraSpec, mult_terms, bracket_terms) -> "DeformationSeries":
         d = alg.dim
-        mt = tuple(_freeze_table(t, d, d, f"mult_terms[{k}]")
+        mt = tuple(_freeze_table(t, d, d, d, f"mult_terms[{k}]")
                    for k, t in enumerate(mult_terms))
-        bt = tuple(_freeze_table(t, d, d, f"bracket_terms[{k}]")
+        bt = tuple(_freeze_table(t, d, d, d, f"bracket_terms[{k}]")
                    for k, t in enumerate(bracket_terms))
         if not mt or mt[0] != alg.mult:
             raise StructuralError("mult_terms[0] must be the base multiplication")
@@ -126,42 +111,37 @@ class DeformationSeries:
             self.algebra, self.mult_terms[:stop], self.bracket_terms[:stop])
 
     def to_dict(self) -> dict:
-        def sparse(table):
-            out = []
-            for i, row in enumerate(table):
-                for j, vec in enumerate(row):
-                    for k, c in enumerate(vec):
-                        if c:
-                            out.append([i, j, k, str(Fraction(c))])
-            return out
-
         return {
             "order": self.order,
-            "mult_terms": [sparse(t) for t in self.mult_terms[1:]],
-            "bracket_terms": [sparse(t) for t in self.bracket_terms[1:]],
+            "mult_terms": [_table_to_triples(t) for t in self.mult_terms[1:]],
+            "bracket_terms": [_table_to_triples(t) for t in self.bracket_terms[1:]],
         }
 
 
 def deformation_from_dict(alg: AlgebraSpec, data: dict) -> DeformationSeries:
     """Series from a JSON object holding sparse ``[i, j, k, value]`` tables
-    for orders >= 1 (order 0 always comes from the algebra itself)."""
+    for orders >= 1 (order 0 always comes from the algebra itself) and,
+    optionally, the ``order`` they reach."""
     if not isinstance(data, dict):
         raise StructuralError("deformation file must contain a JSON object")
+    d = alg.dim
 
     def tables(key, order0):
         terms = data.get(key, [])
         if not isinstance(terms, list):
             raise StructuralError(f"{key} must be a list of entry lists")
-        return [order0] + [_triples_to_table(t, alg.dim, alg.dim, key) for t in terms]
+        return [order0] + [_triples_to_table(t, d, d, d, key) for t in terms]
 
-    return DeformationSeries.build(alg, tables("mult_terms", alg.mult),
-                                   tables("bracket_terms", alg.bracket))
+    series = DeformationSeries.build(alg, tables("mult_terms", alg.mult),
+                                     tables("bracket_terms", alg.bracket))
+    order = data.get("order", series.order)
+    if type(order) is not int or order != series.order:  # no bools
+        raise StructuralError(f"order must be {series.order}, the number of terms given")
+    return series
 
 
 def series_to_file_dict(series: DeformationSeries) -> dict:
     """Self-contained JSON object: the base algebra plus the series terms."""
-    from .algebra import algebra_to_dict
-
     payload = series.to_dict()
     payload["algebra"] = algebra_to_dict(series.algebra)
     return payload
@@ -170,8 +150,6 @@ def series_to_file_dict(series: DeformationSeries) -> dict:
 def series_from_file_dict(data: dict) -> DeformationSeries:
     """Inverse of :func:`series_to_file_dict`; the algebra travels with the
     terms so a series file needs no companion algebra file."""
-    from .algebra import algebra_from_dict
-
     if not isinstance(data, dict) or "algebra" not in data:
         raise StructuralError("series file must embed its algebra under 'algebra'")
     alg = algebra_from_dict(data["algebra"])
@@ -316,8 +294,8 @@ def encode_pair(alg: AlgebraSpec, m_table, l_table) -> tuple:
     """Flatten a (bilinear, antisymmetric-bilinear) pair into the degree-2
     cochain space of the algebra acting on itself."""
     d = alg.dim
-    m_table = _freeze_table(m_table, d, d, "m_table")
-    l_table = _freeze_table(l_table, d, d, "l_table")
+    m_table = _freeze_table(m_table, d, d, d, "m_table")
+    l_table = _freeze_table(l_table, d, d, d, "l_table")
     if not _is_antisymmetric(l_table):
         raise StructuralError("the wedge part must be antisymmetric")
     space = CochainSpace.build("poisson", 2, d, d)
@@ -360,8 +338,6 @@ def is_poisson_2cocycle(alg: AlgebraSpec, m_table, l_table) -> bool:
 def first_order_deformations(alg: AlgebraSpec) -> list[tuple]:
     """Basis of all first-order directions: the degree-2 cocycles of the
     regular module, decoded back into (m1, l1) table pairs."""
-    from .linalg import kernel_basis
-
     mat = differential(alg, regular_module(alg), "poisson", 2)
     return [decode_pair(alg, vec) for vec in kernel_basis(mat)]
 
@@ -529,8 +505,8 @@ def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
     with the (passing) report of its one validation.
     """
     d, m = alg.dim, mod.dim
-    f1 = _freeze_table(f1, d, m, "f1")
-    f0 = _freeze_table(f0, d, m, "f0")
+    f1 = _freeze_table(f1, d, d, m, "f1")
+    f0 = _freeze_table(f0, d, d, m, "f0")
     if not _is_antisymmetric(f0):
         raise StructuralError("the wedge part f0 must be antisymmetric")
     n = d + m
@@ -639,24 +615,12 @@ def transport(spec: AlgebraSpec, matrix) -> AlgebraSpec:
             raise StructuralError("change of basis is not invertible")
         return sol
 
-    def combine(table, u, v):
-        acc = [0] * n
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                for k, w in enumerate(table[i][j]):
-                    if w:
-                        acc[k] += ci * cj * w
-        return tuple(acc)
+    def new_table(pairs):
+        return [[to_new(_apply_pairs(pairs, cols[i], cols[j], n)) for j in range(n)]
+                for i in range(n)]
 
-    mult = [[to_new(combine(spec.mult, cols[i], cols[j])) for j in range(n)]
-            for i in range(n)]
-    bracket = [[to_new(combine(spec.bracket, cols[i], cols[j])) for j in range(n)]
-               for i in range(n)]
-    return AlgebraSpec.build(n, mult, to_new(spec.unit), bracket, basis=spec.basis)
+    return AlgebraSpec.build(n, new_table(spec.mult_pairs), to_new(spec.unit),
+                             new_table(spec.bracket_pairs), basis=spec.basis)
 
 
 def classical_limit(series: DeformationSeries) -> AlgebraSpec:
@@ -713,7 +677,7 @@ def m2_product_family(nu, lam, mu) -> tuple:
 
 def m2_family_is_associative(nu, lam, mu) -> bool:
     table = m2_product_family(nu, lam, mu)
-    pairs = _pairs(_freeze_table(table, 4, 4, "family"))
+    pairs = _pairs(_freeze_table(table, 4, 4, 4, "family"))
     basis = [tuple(1 if k == i else 0 for k in range(4)) for i in range(4)]
     for a in range(4):
         for b in range(4):

@@ -182,10 +182,6 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def row_dicts(self) -> dict[int, dict[int, Scalar]]:
-        return {r: {c: _ratio(v, self._den) for c, v in row.items()}
-                for r, row in self._rows.items()}
-
     def numerator_rows(self) -> dict[int, dict[int, int]]:
         """The nonzero rows of the numerator matrix, as fresh dicts."""
         return {r: dict(row) for r, row in self._rows.items()}
@@ -477,22 +473,30 @@ def rank(matrix: SparseMatrix) -> int:
     return Echelon(matrix).rank
 
 
-def verify_kernel(matrix: SparseMatrix, basis: Sequence) -> None:
-    """Raise ArithmeticError unless ``matrix`` kills every vector of
-    ``basis`` (sparse ``{col: value}`` dicts or dense sequences, normally of
-    integers).  One exact product of the numerator matrix with the basis as
-    the columns of a sparse matrix checks every row of every vector."""
+def _columns(basis: Sequence, nrows: int) -> SparseMatrix:
+    """The vectors of ``basis`` (sparse ``{row: value}`` dicts or dense
+    sequences of length ``nrows``) as the columns of a sparse matrix."""
     cols: dict[int, dict[int, Scalar]] = {}
     for j, vec in enumerate(basis):
         if not isinstance(vec, dict):
-            if len(vec) != matrix.ncols:
+            if len(vec) != nrows:
                 raise ValueError("vector length does not match column count")
             vec = dict(enumerate(vec))
         for c, v in vec.items():
             if v:
                 cols.setdefault(c, {})[j] = v
-    kernel = SparseMatrix.from_numerators(matrix.ncols, len(basis), cols)
-    if not matrix.matmul(kernel).is_zero:
+    den = denominator_lcm(v for row in cols.values() for v in row.values())
+    if den > 1:
+        cols = {c: {j: int(v * den) for j, v in row.items()} for c, row in cols.items()}
+    return SparseMatrix.from_numerators(nrows, len(basis), cols, den)
+
+
+def verify_kernel(matrix: SparseMatrix, basis: Sequence) -> None:
+    """Raise ArithmeticError unless ``matrix`` kills every vector of
+    ``basis`` (sparse ``{col: value}`` dicts or dense sequences, normally of
+    integers).  One exact product with the basis as the columns of a sparse
+    matrix checks every row of every vector."""
+    if not matrix.matmul(_columns(basis, matrix.ncols)).is_zero:
         raise ArithmeticError("kernel vector failed verification")
 
 

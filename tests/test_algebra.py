@@ -1,5 +1,6 @@
 """Structure-constant containers, axiom validation, builtins, JSON I/O."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,12 @@ from poiscoh.algebra import (
     validate_algebra,
     validate_module,
 )
-from poiscoh.deformation import transport
+from poiscoh.deformation import (
+    m2_table3_series,
+    series_from_file_dict,
+    series_to_file_dict,
+    transport,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,8 @@ def test_algebra_dict_rejects_bad_entries():
 def test_algebra_dict_rejects_malformed_shapes():
     good = algebra_to_dict(builtin("trivial2"))
     for key, bad in [("unit", 0), ("unit", "10"), ("mult", 5),
-                     ("bracket", "x"), ("basis", ["1"]), ("basis", 7)]:
+                     ("bracket", "x"), ("basis", ["1"]), ("basis", 7),
+                     ("dim", True), ("basis", [[1], [2]])]:
         data = dict(good, **{key: bad})
         with pytest.raises(StructuralError, match=key):
             algebra_from_dict(data)
@@ -234,6 +241,12 @@ def test_module_dict_rejects_malformed_shapes():
         module_from_dict(dict(good, left=3), alg.dim)
     with pytest.raises(StructuralError, match="integers"):
         module_from_dict(dict(good, lie=[["a", 0, 0, "1"]]), alg.dim)
+    with pytest.raises(StructuralError, match="integers"):  # JSON true is not 1
+        module_from_dict(dict(good, left=good["left"] + [[True, 0, 0, "1"]]), alg.dim)
+    with pytest.raises(StructuralError, match="dim"):
+        module_from_dict(dict(good, dim=True), alg.dim)
+    with pytest.raises(StructuralError, match="exceeds"):
+        module_from_dict(dict(good, dim=10**18), alg.dim)
 
 
 def test_algebra_dict_values_are_strings():
@@ -269,3 +282,83 @@ def test_change_of_basis_preserves_axioms(data):
     mat = data.draw(unimodular_matrices(alg.dim))
     moved = transport(alg, mat)
     assert validate_algebra(moved).ok
+
+
+# ---------------------------------------------------------------------------
+# file readers under arbitrary JSON
+
+JSON_SCALARS = st.booleans() | st.none() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.one_of(JSON_SCALARS, st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=6))
+
+
+def _has_bool(value) -> bool:
+    if isinstance(value, bool):
+        return True
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return any(_has_bool(v) for v in items)
+    return False
+
+
+@st.composite
+def mutated(draw, valid: dict):
+    """A copy of a valid file object with one field replaced or removed, one
+    entry of one of its lists replaced, or one slot of such an entry
+    replaced by an arbitrary JSON value; or that value instead of the object."""
+    data = copy.deepcopy(valid)
+    holder = data
+    key = draw(st.sampled_from(sorted(holder)))
+    while isinstance(holder[key], dict) and draw(st.booleans()):
+        holder = holder[key]  # into a nested object (the algebra of a series)
+        key = draw(st.sampled_from(sorted(holder)))
+    value = draw(JSON_VALUES)
+    kind = draw(st.sampled_from(["field", "remove", "entry", "slot", "document"]))
+    target = holder[key]
+    if kind == "document":
+        return value
+    if kind == "remove":
+        del holder[key]
+    elif kind == "field" or not isinstance(target, list) or not target:
+        holder[key] = value
+    else:
+        i = draw(st.integers(0, len(target) - 1))
+        entry = target[i]
+        if kind == "entry" or not isinstance(entry, list) or not entry:
+            target[i] = value
+        else:
+            if entry and isinstance(entry[0], list):  # a list of tables
+                entry = entry[draw(st.integers(0, len(entry) - 1))]
+            entry[draw(st.integers(0, len(entry) - 1))] = value
+    return data
+
+
+READERS = {
+    "algebra": (algebra_to_dict(builtin("nil3")), algebra_from_dict),
+    # the ground field, with default basis names: the smallest algebra file
+    "field": ({"dim": 1, "unit": ["1"], "mult": [[0, 0, 0, "1"]], "bracket": []},
+              algebra_from_dict),
+    "module": (module_to_dict(regular_module(builtin("trivial2"))),
+               lambda data: module_from_dict(data, 2)),
+    "series": (series_to_file_dict(m2_table3_series(1, repaired=True).truncated(2)),
+               series_from_file_dict),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_file_readers_accept_only_well_typed_json(name, data):
+    """Whatever JSON a file holds, a reader either raises StructuralError or
+    returns a spec; and it never accepts JSON true/false, which no field of
+    these formats can hold (a bool is not the index 1 or the dimension 1)."""
+    valid, reader = READERS[name]
+    doc = data.draw(mutated(valid))
+    try:
+        reader(doc)
+    except StructuralError:
+        return
+    assert not _has_bool(doc), doc

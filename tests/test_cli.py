@@ -357,14 +357,32 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     path = tmp_path / "bad_series.json"
     for bad_entry, message in ((["x", 0, 0, "1"], "indices must be integers"),
                                ([1.5, 0, 0, "1"], "indices must be integers"),
-                               (None, "must be a list of entry lists")):
+                               (None, "must be a list of entry lists"),
+                               (True, "order must be 1")):
         series = series_to_file_dict(m2_table3_series(1).truncated(1))
         if bad_entry is None:
             series["mult_terms"] = 5
+        elif bad_entry is True:
+            series["order"] = True
         else:
             series["mult_terms"][0].append(bad_entry)
         path.write_text(json.dumps(series))
         code, out, err = run(capsys, "deform-check", "--series", f"file:{path}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+    module = module_to_dict(regular_module(builtin("kxk")))
+    module["left"].append([True, 0, 0, "1"])  # JSON true is not the index 1
+    path = tmp_path / "bad_module.json"
+    path.write_text(json.dumps(module))
+    code, out, err = run(capsys, "validate", "--algebra", "builtin:kxk",
+                         "--module", f"file:{path}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "indices must be integers" in err
+    path = tmp_path / "bad_algebra.json"
+    for key, bad, message in (("dim", True, "dim must be a positive integer"),
+                              ("basis", [[1], [2]], "basis must be a list of 2 names")):
+        path.write_text(json.dumps(dict(algebra_to_dict(builtin("kxk")), **{key: bad})))
+        code, out, err = run(capsys, "validate", "--algebra", f"file:{path}")
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 

@@ -25,6 +25,7 @@ from poiscoh.linalg import (
     kernel_basis,
     rank,
     solve,
+    verify_kernel,
 )
 
 import oracles
@@ -301,6 +302,16 @@ def test_kernel_of_zero_matrix_is_identity_basis():
     basis = kernel_basis(mat)
     assert len(basis) == 4
     assert oracles.dense_rank([list(v) for v in basis]) == 4
+
+
+def test_verify_kernel_takes_fractional_dense_and_sparse_vectors():
+    mat = SparseMatrix.from_dense([[1, Fraction(1, 2), 0], [0, 0, 3]])
+    verify_kernel(mat, [(Fraction(-1, 2), 1, 0), {0: Fraction(1, 3), 1: Fraction(-2, 3)}])
+    verify_kernel(mat, [])
+    with pytest.raises(ArithmeticError):
+        verify_kernel(mat, [(Fraction(1, 2), 1, 0)])
+    with pytest.raises(ValueError):
+        verify_kernel(mat, [(1, 2)])
 
 
 # ---------------------------------------------------------------------------
