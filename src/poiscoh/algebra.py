@@ -8,7 +8,9 @@ is never used anywhere in this package.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,11 +31,17 @@ class AxiomError(ValueError):
         self.report = report
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def ratio(value) -> int | Fraction:
     """Coerce an exact scalar to canonical form (int when integral).
 
-    Accepts int, Fraction and strings like ``"-3/4"``.  Floats are rejected:
-    this package is exact-arithmetic only.
+    Accepts int, Fraction and strings ``"p"`` or ``"p/q"`` of decimal
+    integers, like ``"-3/4"``: the forms :func:`ratio_str` writes.  Floats
+    are rejected (this package is exact-arithmetic only), and so are
+    decimal points and exponents, which can describe huge integers in a
+    few bytes.
     """
     if isinstance(value, bool):
         raise StructuralError(f"not an exact scalar: {value!r}")
@@ -43,9 +51,11 @@ def ratio(value) -> int | Fraction:
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
         try:
-            return ratio(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
+            if _RATIONAL.fullmatch(value):
+                return ratio(Fraction(value))
+        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
             raise StructuralError(f"cannot parse exact scalar {value!r}") from exc
+        raise StructuralError(f"cannot parse exact scalar {value!r}")
     raise StructuralError(f"not an exact scalar: {value!r}")
 
 
@@ -56,6 +66,10 @@ def ratio_str(value) -> str:
 
 def _zero(n: int) -> tuple:
     return (0,) * n
+
+
+def _zero_table(d: int) -> tuple:
+    return tuple(tuple((0,) * d for _ in range(d)) for _ in range(d))
 
 
 def _freeze_vec(vec, n: int, what: str) -> tuple:
@@ -105,6 +119,45 @@ def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
     acc = [0] * out_dim
     _add_pairs(acc, pairs, u, v)
     return tuple(acc)
+
+
+def _order_residuals(mult_terms, bracket_terms, n: int, inner: bool = False) -> tuple:
+    """Order-n residual tables (F1, F2, F3) of associativity, Leibniz and
+    Jacobi at basis triples ``[a][b][c]`` of the series ``m = sum m_p t^p``,
+    ``l = sum l_p t^p`` (tuples of tables, missing terms read as zero),
+    summed over splittings p + q = n:
+
+        F1 = m_p(m_q(a, b), c) - m_p(a, m_q(b, c))
+        F2 = l_p(m_q(a, b), c) - m_p(a, l_q(b, c)) - m_p(l_q(a, c), b)
+        F3 = l_p(l_q(a, b), c) + l_p(l_q(b, c), a) + l_p(l_q(c, a), b)
+
+    At order 0 these are the Poisson axioms of ``(m_0, l_0)`` themselves.
+    With ``inner`` the splittings p = 0 and q = 0 are dropped, which leaves
+    the part built from terms 1..n-1 alone: the order-n obstruction.
+    """
+    d = len(mult_terms[0])
+    pad = (_zero_table(d),) * (n + 1 - len(mult_terms))
+    mult = mult_terms[:n + 1] + pad
+    bracket = bracket_terms[:n + 1] + pad
+    basis = [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]
+    f1, f2, f3 = ([[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+                  for _ in range(3))
+    for p in range(1, n) if inner else range(n + 1):
+        mp, lp = _pairs(mult[p]), _pairs(bracket[p])
+        mq, lq = mult[n - p], bracket[n - p]
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    r1, r2, r3 = f1[a][b][c], f2[a][b][c], f3[a][b][c]
+                    _add_pairs(r1, mp, mq[a][b], basis[c])
+                    _add_pairs(r1, mp, basis[a], mq[b][c], -1)
+                    _add_pairs(r2, lp, mq[a][b], basis[c])
+                    _add_pairs(r2, mp, basis[a], lq[b][c], -1)
+                    _add_pairs(r2, mp, lq[a][c], basis[b], -1)
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        _add_pairs(r3, lp, lq[x][y], basis[z])
+    return tuple([[[tuple(vec) for vec in row] for row in plane] for plane in f]
+                 for f in (f1, f2, f3))
 
 
 @dataclass(frozen=True)
@@ -267,7 +320,8 @@ def validate_algebra(alg: AlgebraSpec) -> ValidationReport:
     """Exhaustively check the Poisson algebra axioms on basis tuples.
 
     Checks: two-sided unit, associativity, bracket antisymmetry, Jacobi,
-    and the Leibniz rule {ab,c} = a{b,c} + {a,c}b.
+    and the Leibniz rule {ab,c} = a{b,c} + {a,c}b.  The last three are the
+    order-0 residuals of :func:`_order_residuals`.
     """
     d = alg.dim
     violations: list[Violation] = []
@@ -288,35 +342,24 @@ def validate_algebra(alg: AlgebraSpec) -> ValidationReport:
             if skew != zero:
                 violations.append(Violation("antisymmetry", (i, j), skew))
 
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                assoc = _vsub(
-                    alg.product(alg.mult[i][j], basis[k]),
-                    alg.product(basis[i], alg.mult[j][k]),
-                )
-                if assoc != zero:
-                    violations.append(Violation("associativity", (i, j, k), assoc))
-                jac = _vadd(
-                    alg.bracket_of(alg.bracket[i][j], basis[k]),
-                    alg.bracket_of(alg.bracket[j][k], basis[i]),
-                    alg.bracket_of(alg.bracket[k][i], basis[j]),
-                )
-                if jac != zero:
-                    violations.append(Violation("jacobi", (i, j, k), jac))
-                # {b_i b_j, b_k} - b_i {b_j, b_k} - {b_i, b_k} b_j
-                lei = _vsub(
-                    _vsub(
-                        alg.bracket_of(alg.mult[i][j], basis[k]),
-                        alg.product(basis[i], alg.bracket[j][k]),
-                    ),
-                    alg.product(alg.bracket[i][k], basis[j]),
-                )
-                if lei != zero:
-                    violations.append(Violation("leibniz", (i, j, k), lei))
+    assoc, leibniz, jacobi = _order_residuals((alg.mult,), (alg.bracket,), 0)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        for axiom, table in (("associativity", assoc), ("jacobi", jacobi),
+                             ("leibniz", leibniz)):
+            if any(table[i][j][k]):
+                violations.append(Violation(axiom, (i, j, k), table[i][j][k]))
 
     checked = ("unit", "antisymmetry", "associativity", "jacobi", "leibniz")
     return ValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
+
+
+def _require_valid(alg: AlgebraSpec, why: str) -> ValidationReport:
+    """The passing validation report of ``alg``; a failing one raises
+    :class:`AxiomError` with ``why`` and the report summary."""
+    report = validate_algebra(alg)
+    if not report.ok:
+        raise AxiomError(f"{why}: {report.summary()}", report)
+    return report
 
 
 def validate_module(alg: AlgebraSpec, mod: ModuleSpec) -> ValidationReport:
@@ -408,22 +451,15 @@ def standard_poisson(mult, unit, basis=None) -> AlgebraSpec:
         for i in range(dim)
     ]
     alg = AlgebraSpec.build(dim, mult_t, unit, bracket, basis)
-    report = validate_algebra(alg)
-    if not report.ok:
-        raise AxiomError("commutator construction needs an associative unital algebra: "
-                         + report.summary(), report)
+    _require_valid(alg, "commutator construction needs an associative unital algebra")
     return alg
 
 
 def trivial_bracket(mult, unit, basis=None) -> AlgebraSpec:
     """Associative algebra equipped with the zero bracket."""
     dim = len(mult)
-    zero_table = [[_zero(dim) for _ in range(dim)] for _ in range(dim)]
-    alg = AlgebraSpec.build(dim, mult, unit, zero_table, basis)
-    report = validate_algebra(alg)
-    if not report.ok:
-        raise AxiomError("zero-bracket construction needs an associative unital algebra: "
-                         + report.summary(), report)
+    alg = AlgebraSpec.build(dim, mult, unit, _zero_table(dim), basis)
+    _require_valid(alg, "zero-bracket construction needs an associative unital algebra")
     return alg
 
 
@@ -505,9 +541,7 @@ def _build_sl2std() -> AlgebraSpec:
         [zero, (0, 2, 0, 0), (0, 0, -2, 0), zero],
     ]
     alg = AlgebraSpec.build(4, mult, one, bracket, basis=("1", "e", "f", "h"))
-    report = validate_algebra(alg)
-    if not report.ok:
-        raise StructuralError(report.summary())
+    _require_valid(alg, "the sl2std table is not a Poisson algebra")
     return alg
 
 
@@ -528,9 +562,7 @@ def _build_nil3() -> AlgebraSpec:
     mult = [[one, x, y], [x, zero, zero], [y, zero, zero]]
     bracket = [[zero, zero, zero], [zero, zero, x], [zero, tuple(-c for c in x), zero]]
     alg = AlgebraSpec.build(3, mult, one, bracket, basis=("1", "x", "y"))
-    report = validate_algebra(alg)
-    if not report.ok:
-        raise StructuralError(report.summary())
+    _require_valid(alg, "the nil3 table is not a Poisson algebra")
     return alg
 
 

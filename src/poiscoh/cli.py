@@ -71,10 +71,25 @@ class CliError(Exception):
 
 
 def _source(text: str) -> str:
-    if text.startswith(("builtin:", "file:")) or text == "regular":
+    if text.startswith(("builtin:", "file:")):
         return text
     raise argparse.ArgumentTypeError(
         f"{text!r}: expected builtin:NAME or file:PATH")
+
+
+def _module_source(text: str) -> str:
+    return text if text == "regular" else _source(text)
+
+
+def _count(text: str) -> int:
+    """A nonnegative integer option value (degrees and orders)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    return value
 
 
 def _series_source(text: str) -> str:
@@ -401,10 +416,10 @@ def _add_common(sub, *, module=False, module_default="regular", degree=False):
     sub.add_argument("--algebra", type=_source, required=True,
                      help="builtin:NAME or file:PATH")
     if module:
-        sub.add_argument("--module", type=_source, default=module_default,
+        sub.add_argument("--module", type=_module_source, default=module_default,
                          help="'regular' (default) or file:PATH")
     if degree:
-        sub.add_argument("--max-degree", type=int, default=4,
+        sub.add_argument("--max-degree", type=_count, default=4,
                          help="top degree to compute (default 4; a warning "
                               "is emitted above 5 for dim >= 4)")
 
@@ -455,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                "a deformation series")
     sub.add_argument("--series", type=_series_source, required=True,
                      help="file:PATH, table3[:s], or table3-repaired[:s]")
-    sub.add_argument("--order", type=int, default=None,
+    sub.add_argument("--order", type=_count, default=None,
                      help="check through this t-order (default: series order)")
     sub.set_defaults(func=cmd_deform_check)
     _add_output(sub)
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("deform-lift", help="extend a partial deformation "
                                               "order by order")
     sub.add_argument("--series", type=_series_source, required=True)
-    sub.add_argument("--target-order", type=int, default=None,
+    sub.add_argument("--target-order", type=_count, default=None,
                      help="lift until this order (default: one step)")
     sub.set_defaults(func=cmd_deform_lift)
     _add_output(sub)
@@ -471,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("obstruction", help="order-n obstruction tables "
                                               "and cocycle check")
     sub.add_argument("--series", type=_series_source, required=True)
-    sub.add_argument("--order", type=int, default=None,
+    sub.add_argument("--order", type=_count, default=None,
                      help="obstruction order (default: series order + 1)")
     sub.set_defaults(func=cmd_obstruction)
     _add_output(sub)
@@ -487,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("quantize-check", help="order-by-order lifting of "
                                                  "the semiclassical series")
     _add_common(sub)
-    sub.add_argument("--max-order", type=int, default=3)
+    sub.add_argument("--max-order", type=_count, default=3)
     sub.set_defaults(func=cmd_quantize_check)
     _add_output(sub)
 
@@ -501,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
                                         "series"), default="algebra")
     sub.add_argument("--algebra", type=_source,
                      help="builtin:NAME or file:PATH (not needed for series)")
-    sub.add_argument("--module", type=_source, default="regular")
+    sub.add_argument("--module", type=_module_source, default="regular")
     sub.add_argument("--series", type=_series_source, default=None)
     sub.add_argument("--theory", choices=sorted(THEORY_ALIASES), default="hp")
-    sub.add_argument("--degree", type=int, default=2,
+    sub.add_argument("--degree", type=_count, default=2,
                      help="differential slice to dump")
     sub.set_defaults(func=cmd_dump)
     _add_output(sub)

@@ -16,7 +16,6 @@ from math import comb
 from typing import Sequence
 
 from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
-from .cochain import CochainSpace
 from .complexes import (
     SIGN_CONVENTION,
     build_complex,
@@ -109,10 +108,7 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     if mod is None:
         mod = regular_module(alg)
     mats = build_complex(alg, mod, theory, max_degree)
-    space_dims = tuple(
-        CochainSpace.build(theory, n, alg.dim, mod.dim).dim
-        for n in range(max_degree + 1)
-    )
+    space_dims = tuple(m.ncols for m in mats)
     echelons = [Echelon(m) for m in mats]
     ranks = tuple(e.rank for e in echelons)
     dims = _rank_nullity(space_dims, ranks)
@@ -266,22 +262,17 @@ def equivariant_hom(source_action, target_action) -> list[tuple]:
         raise StructuralError("actions are over different Lie algebras")
     nv = len(source_action[0]) if source_action else 0
     nw = len(target_action[0]) if target_action else 0
-    rows = len(source_action) * nw * nv
-    mat = SparseMatrix(rows, nw * nv)
+    entries = []
     row = 0
     for x in range(len(source_action)):
         src, tgt = source_action[x], target_action[x]
         for r in range(nw):
             for c in range(nv):
                 # sum_k tgt[r][k] T[k][c] - sum_k T[r][k] src[k][c] = 0
-                for k in range(nw):
-                    if tgt[r][k]:
-                        mat.add_to(row, k * nv + c, tgt[r][k])
-                for k in range(nv):
-                    if src[k][c]:
-                        mat.add_to(row, r * nv + k, -src[k][c])
+                entries += [((row, k * nv + c), tgt[r][k]) for k in range(nw) if tgt[r][k]]
+                entries += [((row, r * nv + k), -src[k][c]) for k in range(nv) if src[k][c]]
                 row += 1
-    return kernel_basis(mat)
+    return kernel_basis(SparseMatrix(row, nw * nv, entries))
 
 
 # ---------------------------------------------------------------------------

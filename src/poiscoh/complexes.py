@@ -265,21 +265,16 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int,
     return SparseMatrix.from_numerators(tgt.dim, src.dim, rows, den)
 
 
-_assemble_with_horizontal_sign = differential
-
-
 def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
-                  max_degree: int, verify: bool = True) -> list[SparseMatrix]:
+                  max_degree: int) -> list[SparseMatrix]:
     """Differentials d^0 .. d^max_degree of a theory, with d o d checked.
 
     The compositions multiply integer numerators only.
     """
     mats = [differential(alg, mod, theory, n) for n in range(max_degree + 1)]
-    if verify:
-        for n in range(max_degree):
-            if not mats[n + 1].matmul(mats[n]).is_zero:
-                raise ArithmeticError(
-                    f"{theory} assembly is not a complex at degree {n}")
+    for n in range(max_degree):
+        if not mats[n + 1].matmul(mats[n]).is_zero:
+            raise ArithmeticError(f"{theory} assembly is not a complex at degree {n}")
     return mats
 
 

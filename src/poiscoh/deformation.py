@@ -15,31 +15,26 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec,
-    AxiomError,
     ModuleSpec,
     StructuralError,
     ValidationReport,
-    _add_pairs,
     _apply_pairs,
     _freeze_table,
+    _order_residuals,
     _pairs,
+    _require_valid,
     _table_to_triples,
     _triples_to_table,
+    _zero_table,
     algebra_from_dict,
     algebra_to_dict,
     builtin,
     ratio,
     regular_module,
-    validate_algebra,
 )
 from .cochain import CochainSpace, assemble
 from .complexes import differential
 from .linalg import SparseMatrix, kernel_basis, solve
-
-
-def _zero_table(d: int, m: int | None = None) -> tuple:
-    m = d if m is None else m
-    return tuple(tuple((0,) * m for _ in range(d)) for _ in range(d))
 
 
 def _is_antisymmetric(table) -> bool:
@@ -162,6 +157,14 @@ def series_from_file_dict(data: dict) -> DeformationSeries:
 SAMPLE_LIMIT = 3  # residual samples kept per failing axiom and order
 
 
+def _nonzero_cells(table) -> list:
+    """``((a, b, c), vec)`` for every nonzero vector of a residual table, in
+    index order."""
+    return [((a, b, c), vec) for a, plane in enumerate(table)
+            for b, row in enumerate(plane)
+            for c, vec in enumerate(row) if any(vec)]
+
+
 @dataclass(frozen=True)
 class ResidualRecord:
     axiom: str
@@ -201,43 +204,6 @@ class DeformationCheck:
         }
 
 
-def _order_residuals(series: DeformationSeries, n: int, inner: bool) -> tuple:
-    """Order-n residual tables (F1, F2, F3) of associativity, Leibniz and
-    Jacobi at basis triples ``[a][b][c]``, summed over splittings p + q = n:
-
-        F1 = m_p(m_q(a, b), c) - m_p(a, m_q(b, c))
-        F2 = l_p(m_q(a, b), c) - m_p(a, l_q(b, c)) - m_p(l_q(a, c), b)
-        F3 = l_p(l_q(a, b), c) + l_p(l_q(b, c), a) + l_p(l_q(c, a), b)
-
-    With ``inner`` the splittings p = 0 and q = 0 are dropped, which leaves
-    the part built from terms 1..n-1 alone: the order-n obstruction.
-    """
-    alg = series.algebra
-    d = alg.dim
-    pad = (_zero_table(d),) * (n + 1 - len(series.mult_terms))
-    mult = series.mult_terms[:n + 1] + pad
-    bracket = series.bracket_terms[:n + 1] + pad
-    basis = [alg.basis_vector(i) for i in range(d)]
-    f1, f2, f3 = ([[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-                  for _ in range(3))
-    for p in range(1, n) if inner else range(n + 1):
-        mp, lp = _pairs(mult[p]), _pairs(bracket[p])
-        mq, lq = mult[n - p], bracket[n - p]
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    r1, r2, r3 = f1[a][b][c], f2[a][b][c], f3[a][b][c]
-                    _add_pairs(r1, mp, mq[a][b], basis[c])
-                    _add_pairs(r1, mp, basis[a], mq[b][c], -1)
-                    _add_pairs(r2, lp, mq[a][b], basis[c])
-                    _add_pairs(r2, mp, basis[a], lq[b][c], -1)
-                    _add_pairs(r2, mp, lq[a][c], basis[b], -1)
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        _add_pairs(r3, lp, lq[x][y], basis[z])
-    return tuple([[[tuple(vec) for vec in row] for row in plane] for plane in f]
-                 for f in (f1, f2, f3))
-
-
 def verify_deformation(series: DeformationSeries,
                        max_order: int | None = None) -> DeformationCheck:
     """Expand the three Poisson-algebra axioms over the truncated series and
@@ -265,11 +231,9 @@ def verify_deformation(series: DeformationSeries,
                 samples=tuple(violations[:SAMPLE_LIMIT])))
 
     for n in range(max_order + 1):
-        tables = _order_residuals(series, n, inner=False)
+        tables = _order_residuals(series.mult_terms, series.bracket_terms, n)
         for axiom, table in zip(("associativity", "leibniz", "jacobi"), tables):
-            record(axiom, n, [((a, b, c), vec) for a, plane in enumerate(table)
-                              for b, row in enumerate(plane)
-                              for c, vec in enumerate(row) if any(vec)])
+            record(axiom, n, _nonzero_cells(table))
         if n > series.order:
             continue
         lt = series.bracket_terms[n]
@@ -364,7 +328,7 @@ def obstruction_tables(series: DeformationSeries, order: int | None = None, *,
             raise StructuralError(
                 f"the series is not a deformation through order {n - 1}; "
                 "obstructions are undefined")
-    return _order_residuals(series, n, inner=True)
+    return _order_residuals(series.mult_terms, series.bracket_terms, n, inner=True)
 
 
 def encode_obstruction(alg: AlgebraSpec, f1, f2, f3) -> tuple:
@@ -422,8 +386,8 @@ def lift_until(series: DeformationSeries, target: int) -> tuple:
         if lifted is None:
             return series, series.order + 1
         n = lifted.order
-        if any(any(vec) for table in _order_residuals(lifted, n, inner=False)
-               for plane in table for row in plane for vec in row):
+        if any(map(_nonzero_cells,
+                   _order_residuals(lifted.mult_terms, lifted.bracket_terms, n))):
             raise ArithmeticError(f"lifted series fails the axioms at order {n}")
         series, validate = lifted, False
     return series, None
@@ -536,12 +500,8 @@ def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
     ext = AlgebraSpec.build(
         n, mult, pad(alg.unit, zero_m), bracket,
         basis=alg.basis + _module_basis_names(mod))
-    report = validate_algebra(ext)
-    if not report.ok:
-        raise AxiomError(
-            "extension by a non-cocycle (or non-normalized) pair: "
-            + report.summary(), report)
-    return ext, report
+    return ext, _require_valid(
+        ext, "extension by a non-cocycle (or non-normalized) pair")
 
 
 def coboundary_pair(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
@@ -635,10 +595,7 @@ def classical_limit(series: DeformationSeries) -> AlgebraSpec:
     bracket = [[tuple(m1[i][j][k] - m1[j][i][k] for k in range(d))
                 for j in range(d)] for i in range(d)]
     out = AlgebraSpec.build(d, alg.mult, alg.unit, bracket, basis=alg.basis)
-    report = validate_algebra(out)
-    if not report.ok:
-        raise AxiomError("first-order term does not induce a Poisson bracket: "
-                         + report.summary(), report)
+    _require_valid(out, "first-order term does not induce a Poisson bracket")
     return out
 
 
@@ -676,18 +633,8 @@ def m2_product_family(nu, lam, mu) -> tuple:
 
 
 def m2_family_is_associative(nu, lam, mu) -> bool:
-    table = m2_product_family(nu, lam, mu)
-    pairs = _pairs(_freeze_table(table, 4, 4, 4, "family"))
-    basis = [tuple(1 if k == i else 0 for k in range(4)) for i in range(4)]
-    for a in range(4):
-        for b in range(4):
-            ab = table[a][b]
-            for c in range(4):
-                bc = table[b][c]
-                if _apply_pairs(pairs, ab, basis[c], 4) != \
-                        _apply_pairs(pairs, basis[a], bc, 4):
-                    return False
-    return True
+    assoc = _order_residuals((m2_product_family(nu, lam, mu),), (_zero_table(4),), 0)[0]
+    return not _nonzero_cells(assoc)
 
 
 def phi_family(alg: AlgebraSpec, nu, lam) -> tuple:

@@ -54,47 +54,46 @@ class SparseMatrix:
 
     __slots__ = ("nrows", "ncols", "_rows", "_den")
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
+    def __init__(self, nrows: int, ncols: int, entries=()):
+        """The matrix with exact ``entries`` (a ``{(row, col): value}``
+        mapping or ``((row, col), value)`` pairs; repeated positions add
+        up), stored in canonical form.  A matrix is never written after it
+        is built."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
+        sums: dict[tuple[int, int], Scalar] = {}
+        for (r, c), v in entries.items() if isinstance(entries, dict) else entries:
+            self._check_index(r, c)
+            sums[r, c] = sums.get((r, c), 0) + _as_exact(v)
+        # the lcm of the reduced denominators is the canonical one
+        self._den = den = denominator_lcm(sums.values())
         self._rows: dict[int, dict[int, int]] = {}
-        self._den = 1
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for (r, c), v in items:
-                self.add_to(r, c, v)
+        for (r, c), v in sums.items():
+            if v:
+                self._rows.setdefault(r, {})[c] = v.numerator * (den // v.denominator)
 
     @staticmethod
     def from_numerators(nrows: int, ncols: int, rows: dict[int, dict[int, int]],
                         den: int = 1) -> "SparseMatrix":
         """The matrix ``rows / den``, taking over the nonempty row dicts of
-        nonzero integer numerators (indices are not checked) and reducing
-        the pair to canonical form."""
+        nonzero integer numerators (indices are not checked) and dividing
+        the pair by its gcd, which is canonical form."""
         m = SparseMatrix(nrows, ncols)
         m._rows = rows
-        m._den = den
-        m._canonicalize()
-        return m
-
-    def _canonicalize(self) -> None:
-        g = self._den
-        for row in self._rows.values():
+        g = den
+        for row in rows.values():
+            if g == 1:
+                break
             for v in row.values():
-                if g == 1:
-                    return
                 g = gcd(g, v)
         if g > 1:
-            self._rescale(1, g)
-
-    def _rescale(self, mul: int, div: int) -> None:
-        """Multiply every numerator and the denominator by ``mul / div``,
-        which keeps every value (``div`` must divide all of them)."""
-        for row in self._rows.values():
-            for c in row:
-                row[c] = row[c] * mul // div
-        self._den = self._den * mul // div
+            for row in rows.values():
+                for c in row:
+                    row[c] //= g
+        m._den = den // g
+        return m
 
     # -- construction and access ------------------------------------------
 
@@ -107,31 +106,10 @@ class SparseMatrix:
         return SparseMatrix(nrows, ncols, [((r, c), v) for r, row in enumerate(rows)
                                            for c, v in enumerate(row)])
 
-    def __setitem__(self, key, value):
-        """Write one exact value, growing the denominator if the value needs
-        it and shrinking it if the old entry was the one that needed it."""
-        r, c = key
-        self._check_index(r, c)
-        value = _as_exact(value)
-        q = value.denominator
-        if self._den % q:
-            self._rescale(q // gcd(self._den, q), 1)
-        row = self._rows.pop(r, {})
-        old = row.pop(c, None)
-        if value:
-            row[c] = value.numerator * (self._den // q)
-        if row:
-            self._rows[r] = row
-        if old is not None:
-            self._canonicalize()
-
     def __getitem__(self, key) -> Scalar:
         r, c = key
         self._check_index(r, c)
         return _ratio(self._rows.get(r, {}).get(c, 0), self._den)
-
-    def add_to(self, r: int, c: int, value) -> None:
-        self[r, c] = self[r, c] + _as_exact(value)
 
     def _check_index(self, r, c):
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):

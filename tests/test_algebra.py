@@ -1,6 +1,7 @@
 """Structure-constant containers, axiom validation, builtins, JSON I/O."""
 
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,8 @@ from poiscoh.deformation import (
     transport,
 )
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # scalars
@@ -51,6 +54,10 @@ def test_ratio_rejects_floats_and_bools():
         ratio(True)
     with pytest.raises(StructuralError):
         ratio("nonsense")
+    # only "p" and "p/q": an exponent can spell a huge integer in a few bytes
+    for text in ("1e4000000", "1.5", "1_000", " 1", "1/0", "3/-4"):
+        with pytest.raises(StructuralError):
+            ratio(text)
 
 
 def test_ratio_str_canonical():
@@ -126,6 +133,44 @@ def test_leibniz_violation_reports_indices():
     for violation in report.violations:
         assert len(violation.indices) == 3
         assert any(violation.residual)
+
+
+small_scalars = st.sampled_from((0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@st.composite
+def small_algebras(draw):
+    """Dim-1..3 presentations: a builtin, or random tables with small
+    rational entries (valid or not) and the first basis vector as unit."""
+    if draw(st.booleans()):
+        return builtin(draw(st.sampled_from(("ut2", "trivial2", "kxk", "nil3"))))
+    d = draw(st.integers(1, 3))
+
+    def table():
+        return [[[draw(small_scalars) for _ in range(d)] for _ in range(d)]
+                for _ in range(d)]
+
+    unit = [1] + [0] * (d - 1)
+    return AlgebraSpec.build(d, table(), unit, table())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_algebras())
+def test_validation_matches_the_direct_axiom_expansion(alg):
+    """The associativity, Jacobi and Leibniz violations, in report order,
+    are the nonzero order-0 residuals of the naive per-triple oracles."""
+    expected = []
+    for a, b, c in itertools.product(range(alg.dim), repeat=3):
+        for axiom, residual in (
+            ("associativity", oracles.associativity_residual([alg.mult], 0, a, b, c)),
+            ("jacobi", oracles.jacobi_residual([alg.bracket], 0, a, b, c)),
+            ("leibniz", oracles.leibniz_residual([alg.mult], [alg.bracket], 0, a, b, c)),
+        ):
+            if any(residual):
+                expected.append((axiom, (a, b, c), tuple(residual)))
+    got = [(v.axiom, v.indices, v.residual) for v in validate_algebra(alg).violations
+           if v.axiom in ("associativity", "jacobi", "leibniz")]
+    assert got == expected
 
 
 def test_standard_poisson_from_commutator():

@@ -1,6 +1,7 @@
 """Command-line surface: verb coverage, exit codes, stream separation,
 file-format roundtrips through the CLI, and byte-level determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -335,6 +336,15 @@ def test_usage_errors_exit_2():
         ["cohomology", "--algebra", "ut2"],         # missing builtin:/file: prefix
         ["examples", "--json", "--table"],          # mutually exclusive
         ["dump", "--what", "differential"],         # needs --algebra
+        ["cohomology", "--algebra", "regular"],     # 'regular' names a module only
+        # counts are nonnegative
+        ["cohomology", "--algebra", "builtin:ut2", "--max-degree", "-1"],
+        ["lp", "--algebra", "builtin:nil3", "--max-degree", "-1"],
+        ["deform-check", "--series", "table3:1", "--order", "-2"],
+        ["deform-lift", "--series", "table3-repaired:1", "--target-order", "-1"],
+        ["obstruction", "--series", "table3-repaired:1", "--order", "-1"],
+        ["quantize-check", "--algebra", "builtin:sl2std", "--max-order", "-3"],
+        ["dump", "--what", "differential", "--algebra", "builtin:m2", "--degree", "-1"],
     ):
         proc = spawn(*argv)
         assert proc.returncode == 2, argv
@@ -380,11 +390,35 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert err.startswith("error:") and "indices must be integers" in err
     path = tmp_path / "bad_algebra.json"
     for key, bad, message in (("dim", True, "dim must be a positive integer"),
-                              ("basis", [[1], [2]], "basis must be a list of 2 names")):
+                              ("basis", [[1], [2]], "basis must be a list of 2 names"),
+                              ("unit", ["1e4000000", "1"], "cannot parse exact scalar")):
         path.write_text(json.dumps(dict(algebra_to_dict(builtin("kxk")), **{key: bad})))
         code, out, err = run(capsys, "validate", "--algebra", f"file:{path}")
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+
+# Unit, antisymmetry, associativity, Jacobi and Leibniz all fail here.
+FAILING_ALGEBRA = {
+    "dim": 3, "unit": ["1", "0", "1"],
+    "mult": [[0, 0, 0, "1"], [0, 1, 1, "2"], [1, 2, 0, "-3/2"], [2, 2, 2, "1"],
+             [1, 1, 2, "1/3"]],
+    "bracket": [[1, 2, 0, "1"], [2, 1, 1, "-1"], [0, 1, 2, "5"]],
+}
+FAILING_ALGEBRA_SHA256 = {
+    "--json": "7dc163322a72381328eba7ce8dd9ce2e7b4ca41cbcc9fb53aa1a85fd25cc4b51",
+    "--table": "971652200a0faca53c9f6a4a9f245a1df9a674db8ac4ce2a3da5d8010db24351",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_ALGEBRA_SHA256))
+def test_validate_report_bytes_are_pinned(capsys, tmp_path, fmt):
+    """Violation order, indices and residual text of a failing algebra."""
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(FAILING_ALGEBRA))
+    code, out, err = run(capsys, "validate", "--algebra", f"file:{path}", fmt)
+    assert code == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_ALGEBRA_SHA256[fmt]
 
 
 def test_version_flag():

@@ -27,7 +27,6 @@ from poiscoh.cochain import CochainSpace, tensor_rank, wedge_normalize, wedge_ra
 from poiscoh.deformation import transport
 from poiscoh.complexes import (
     SIGN_CONVENTION,
-    _assemble_with_horizontal_sign,
     build_complex,
     ce_coboundary,
     delta_H,
@@ -75,7 +74,7 @@ COVERAGE = [
 def test_d_squared_is_zero(name, theory, top):
     alg = builtin(name)
     mod = regular_module(alg)
-    mats = build_complex(alg, mod, theory, top, verify=False)
+    mats = [differential(alg, mod, theory, n) for n in range(top + 1)]
     for n in range(top):
         prod = mats[n + 1].scaled_integer_copy().matmul(mats[n].scaled_integer_copy())
         assert prod.is_zero, f"{name}/{theory} fails d o d = 0 at degree {n}"
@@ -90,7 +89,7 @@ def test_naive_all_plus_assembly_is_not_a_complex():
     alg = builtin("ut2")
     mod = regular_module(alg)
     naive = [
-        _assemble_with_horizontal_sign(alg, mod, "poisson", n, lambda i: 1)
+        differential(alg, mod, "poisson", n, _horizontal_sign=lambda i: 1)
         for n in range(5)
     ]
     broken = any(
@@ -104,8 +103,8 @@ def test_differential_is_the_signed_assembly():
     mod = regular_module(alg)
     for theory in ("poisson", "quasi", "omega"):
         for n in range(3):
-            twisted = _assemble_with_horizontal_sign(
-                alg, mod, theory, n, lambda i: -1 if i % 2 else 1)
+            twisted = differential(alg, mod, theory, n,
+                                   _horizontal_sign=lambda i: -1 if i % 2 else 1)
             assert differential(alg, mod, theory, n).entries == twisted.entries
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import poiscoh
 from poiscoh.algebra import builtin, regular_module
-from poiscoh.complexes import differential
+from poiscoh.complexes import delta_H, differential
 from poiscoh.linalg import (
     Echelon,
     RowReducer,
@@ -41,35 +41,33 @@ scalars = st.one_of(
 def sparse_matrices(draw, max_rows=7, max_cols=7):
     nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(0, max_cols))
-    mat = SparseMatrix(nrows, ncols)
+    entries = []
     if nrows and ncols:
         count = draw(st.integers(0, nrows * ncols))
         for _ in range(count):
             r = draw(st.integers(0, nrows - 1))
             c = draw(st.integers(0, ncols - 1))
-            mat[r, c] = draw(scalars)
-    return mat
+            entries.append(((r, c), draw(scalars)))
+    return SparseMatrix(nrows, ncols, entries)
 
 
 # ---------------------------------------------------------------------------
 # container behaviour
 
 
-def test_setitem_getitem_and_nnz():
-    mat = SparseMatrix(2, 3)
-    mat[0, 1] = Fraction(1, 2)
-    mat[1, 2] = -3
-    mat[0, 1] = 0  # explicit zero removes the entry
-    assert mat.nnz == 1
-    assert mat[0, 1] == 0
+def test_entries_getitem_and_nnz():
+    mat = SparseMatrix(2, 3, {(0, 1): Fraction(1, 2), (1, 2): -3, (1, 0): 0})
+    assert mat.nnz == 2  # an explicit zero is not stored
+    assert mat[0, 1] == Fraction(1, 2)
+    assert mat[1, 0] == 0
     assert mat[1, 2] == -3
 
 
-def test_add_to_accumulates_and_cancels():
-    mat = SparseMatrix(1, 1)
-    mat.add_to(0, 0, Fraction(2, 3))
-    mat.add_to(0, 0, Fraction(-2, 3))
-    assert mat.is_zero
+def test_repeated_entries_accumulate_and_cancel():
+    mat = SparseMatrix(1, 1, [((0, 0), Fraction(2, 3)), ((0, 0), Fraction(-2, 3))])
+    assert mat.is_zero and mat.denominator == 1
+    mat = SparseMatrix(1, 2, [((0, 1), 2), ((0, 0), 1), ((0, 1), Fraction(1, 2))])
+    assert mat.to_dense() == [[1, Fraction(5, 2)]]
 
 
 def test_from_dense_roundtrip():
@@ -79,17 +77,30 @@ def test_from_dense_roundtrip():
 
 
 def test_index_bounds_checked():
-    mat = SparseMatrix(2, 2)
     with pytest.raises(IndexError):
-        mat[2, 0] = 1
+        SparseMatrix(2, 2, [((2, 0), 1)])
     with pytest.raises(IndexError):
-        mat[0, -3]
+        SparseMatrix(2, 2, {(0, -1): 1})
+    with pytest.raises(IndexError):
+        SparseMatrix(2, 2)[0, -3]
 
 
 def test_float_entries_rejected():
-    mat = SparseMatrix(1, 1)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            SparseMatrix(1, 1, [((0, 0), bad)])
+
+
+def test_cached_blocks_reject_item_assignment():
+    """The elementary blocks are cached and shared by every differential
+    built from them, so a matrix cannot be written once it is built."""
+    alg = builtin("ut2")
+    mod = regular_module(alg)
+    before = differential(alg, mod, "poisson", 1).dump_text()
+    block = delta_H(alg, mod, 0, 1)
     with pytest.raises(TypeError):
-        mat[0, 0] = 0.5
+        block[0, 0] = block[0, 0] + 7
+    assert differential(alg, mod, "poisson", 1).dump_text() == before
 
 
 def test_matvec_matches_dense():
@@ -139,17 +150,17 @@ def test_dump_text_format():
 
 @st.composite
 def add_sequences(draw, nrows, ncols):
-    """A random sequence of ``add_to`` calls mixing ints and Fractions."""
+    """Random ``(row, col, value)`` entries, positions repeating, mixing
+    ints and Fractions."""
     return draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
                                    scalars), max_size=20))
 
 
 def built(nrows, ncols, ops):
-    mat, ref = SparseMatrix(nrows, ncols), {}
+    ref = {}
     for r, c, v in ops:
-        mat.add_to(r, c, v)
         oracles.dict_add(ref, r, c, v)
-    return mat, ref
+    return SparseMatrix(nrows, ncols, [((r, c), v) for r, c, v in ops]), ref
 
 
 def flat_numerators(mat):
@@ -198,29 +209,26 @@ def test_storage_is_canonical_in_any_insertion_order(data):
     n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     mat, ref = built(n, k, data.draw(add_sequences(n, k)))
     items = data.draw(st.permutations(sorted(ref.items())))
-    again = SparseMatrix(n, k)
-    for (r, c), v in items:
-        again[r, c] = v
+    again = SparseMatrix(n, k, items)
     assert again == mat and again.denominator == mat.denominator
     assert again.dump_text() == mat.dump_text()
     # cancelling every fractional entry leaves an integer matrix
-    for (r, c), v in items:
-        if Fraction(v).denominator > 1:
-            again.add_to(r, c, -v)
-    assert again.denominator == 1
-    assert again.entries == {key: v for key, v in ref.items() if Fraction(v).denominator == 1}
+    cancelled = SparseMatrix(n, k, items + [(key, -v) for key, v in items
+                                            if Fraction(v).denominator > 1])
+    assert cancelled.denominator == 1
+    assert cancelled.entries == {key: v for key, v in ref.items()
+                                 if Fraction(v).denominator == 1}
 
 
 def test_cancelling_the_only_half_restores_denominator_one():
-    mat = SparseMatrix(2, 3)
-    mat[0, 0] = 3
-    mat[1, 2] = Fraction(1, 2)
+    entries = [((0, 0), 3), ((1, 2), Fraction(1, 2))]
+    mat = SparseMatrix(2, 3, entries)
     assert (mat.denominator, dict(mat.numerators)) == (2, {0: {0: 6}, 1: {2: 1}})
-    mat.add_to(1, 2, Fraction(-1, 2))
+    mat = SparseMatrix(2, 3, entries + [((1, 2), Fraction(-1, 2))])
     assert (mat.denominator, dict(mat.numerators)) == (1, {0: {0: 3}})
     assert mat == SparseMatrix.from_dense([[3, 0, 0], [0, 0, 0]])
-    mat[1, 1] = Fraction(2, 3)
-    mat[1, 1] = 5  # overwriting the only third also restores it
+    # thirds that add up to an integer also leave denominator one
+    mat = SparseMatrix(2, 3, [((1, 1), Fraction(2, 3)), ((1, 1), Fraction(13, 3))])
     assert (mat.denominator, mat[1, 1]) == (1, 5)
 
 
@@ -341,9 +349,8 @@ def single_elimination_solve(mat, rhs):
     barred from pivoting, then back-substitution at t = 1: the reference the
     per-component solve must reproduce exactly."""
     sentinel = mat.ncols
-    augmented = SparseMatrix(mat.nrows, mat.ncols + 1, dict(mat.entries))
-    for r, b in enumerate(rhs):
-        augmented[r, sentinel] = -b
+    augmented = SparseMatrix(mat.nrows, mat.ncols + 1, [
+        *mat.entries.items(), *(((r, sentinel), -b) for r, b in enumerate(rhs))])
     pivots, leftovers = _eliminate(_integer_rows(augmented), skip_col=sentinel)
     if leftovers:
         return None
@@ -367,14 +374,13 @@ def shuffled_block_diagonal(draw):
     ncols = sum(b.ncols for b in blocks) + empty
     row_perm = draw(st.permutations(range(nrows)))
     col_perm = draw(st.permutations(range(ncols)))
-    mat = SparseMatrix(nrows, ncols)
+    entries = []
     r0 = c0 = 0
     for b in blocks:
-        for (r, c), v in b.entries.items():
-            mat[row_perm[r0 + r], col_perm[c0 + c]] = v
+        entries += [((row_perm[r0 + r], col_perm[c0 + c]), v) for (r, c), v in b.entries.items()]
         r0 += b.nrows
         c0 += b.ncols
-    return mat
+    return SparseMatrix(nrows, ncols, entries)
 
 
 @settings(max_examples=80, deadline=None)
