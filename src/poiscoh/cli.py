@@ -62,6 +62,11 @@ THEORY_ALIASES = {
 }
 
 
+# the largest cochain space ``cohomology`` and ``dump --what differential``
+# will build; m2 omega up to degree 4 builds one of 160000 coordinates
+MAX_SPACE_DIM = 10 ** 6
+
+
 class CliError(Exception):
     """Domain-level failure: bad input data, unknown name, broken file."""
 
@@ -93,7 +98,7 @@ def _count(text: str) -> int:
 
 
 def _series_source(text: str) -> str:
-    if text.startswith(("file:", "table3", "table3-repaired")):
+    if text.startswith("file:") or text.partition(":")[0] in ("table3", "table3-repaired"):
         return text
     raise argparse.ArgumentTypeError(
         f"{text!r}: expected file:PATH, table3[:s], or table3-repaired[:s]")
@@ -137,12 +142,8 @@ def _resolve_series(src: str):
     if src.startswith("file:"):
         return series_from_file_dict(_load_json(src[5:]))
     name, _, param = src.partition(":")
-    s = ratio(param) if param else 1
-    if name == "table3":
-        return m2_table3_series(s)
-    if name == "table3-repaired":
-        return m2_table3_series(s, repaired=True)
-    raise CliError(f"unknown series source {src!r}")
+    return m2_table3_series(ratio(param) if param else 1,
+                            repaired=name == "table3-repaired")
 
 
 def _json_default(obj):
@@ -168,11 +169,17 @@ def _emit(args, data, table: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _warn_cost(alg: AlgebraSpec, max_degree: int) -> None:
-    if max_degree > 5 and alg.dim >= 4:
-        print(f"warning: degree {max_degree} over a dim-{alg.dim} algebra "
-              f"builds cochain spaces of order {alg.dim}^{max_degree}; "
-              "expect a long run", file=sys.stderr)
+def _check_size(theory: str, degrees, alg: AlgebraSpec, mod: ModuleSpec) -> None:
+    """Refuse, before any block is built, a run that builds the cochain
+    spaces of ``degrees`` when one has more than ``MAX_SPACE_DIM``
+    coordinates; the first such degree in walk order is named, so an
+    increasing walk stops early however large the top degree."""
+    for n in degrees:
+        size = CochainSpace.build(theory, n, alg.dim, mod.dim).dim
+        if size > MAX_SPACE_DIM:
+            raise CliError(f"the degree-{n} {theory} cochain space has {size} "
+                           f"coordinates, above the limit of {MAX_SPACE_DIM}; "
+                           f"lower the degree")
 
 
 def _validation_dict(report) -> dict:
@@ -267,7 +274,7 @@ def cmd_cohomology(args) -> int:
     alg = _resolve_algebra(args.algebra)
     mod = _resolve_module(args.module, alg)
     theory = THEORY_ALIASES[args.theory]
-    _warn_cost(alg, args.max_degree)
+    _check_size(theory, range(args.max_degree + 2), alg, mod)
     report = cohomology_dims(alg, mod, theory=theory, max_degree=args.max_degree,
                              representatives=args.representatives)
     payload = report.to_dict()
@@ -282,7 +289,6 @@ def cmd_cohomology(args) -> int:
 
 def cmd_lp(args) -> int:
     alg = _resolve_algebra(args.algebra)
-    _warn_cost(alg, args.max_degree)
     report = lp_cohomology(alg, max_degree=args.max_degree)
     payload = report.to_dict()
     _emit(args, payload, _cohomology_table(payload))
@@ -392,6 +398,7 @@ def cmd_dump(args) -> int:
         return 0
     # differential matrix in the exact-linalg dump format
     theory = THEORY_ALIASES[args.theory]
+    _check_size(theory, (args.degree, args.degree + 1), alg, mod)
     mat = differential(alg, mod, theory, args.degree)
     if args.table:
         _emit(args, None, mat.dump_text())
@@ -420,8 +427,7 @@ def _add_common(sub, *, module=False, module_default="regular", degree=False):
                          help="'regular' (default) or file:PATH")
     if degree:
         sub.add_argument("--max-degree", type=_count, default=4,
-                         help="top degree to compute (default 4; a warning "
-                              "is emitted above 5 for dim >= 4)")
+                         help="top degree to compute (default 4)")
 
 
 def _add_output(sub):

@@ -11,22 +11,18 @@ together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Sequence
 
 from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
 from .complexes import (
     SIGN_CONVENTION,
+    _edge_maps,
+    _require_commutative,
     build_complex,
-    delta_v,
-    delta_H,
     differential,
-    lp_coboundary,
     lp_space_basis,
-    multiderivation_constraints,
-    type_coboundary,
-    type_space_basis,
 )
 from .linalg import (
     Echelon,
@@ -146,56 +142,38 @@ def poisson_derivations(alg: AlgebraSpec) -> list[tuple]:
 # Restricted (subcomplex) cohomology
 
 
-def _restricted_ranks(bases: list[list[tuple]], matrices: list[SparseMatrix],
-                      next_constraints: list[SparseMatrix | None]) -> list[int]:
-    """Ranks of full-space maps restricted to given subspace bases, checking
-    that each image vector satisfies the next degree's defining constraints."""
-    ranks = []
-    for n, basis in enumerate(bases):
-        img = matrices[n].matmul(_columns(basis, matrices[n].ncols))
-        cons = next_constraints[n]
-        if cons is not None and not cons.matmul(img).is_zero:
-            raise ArithmeticError("subcomplex is not closed under its differential")
-        ranks.append(Echelon(img).rank)
-    return ranks
-
-
-def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:
-    """Cohomology of the skew-multiderivation complex of a commutative
-    Poisson algebra under the bracket-induced coboundary."""
-    if not alg.is_commutative:
-        raise StructuralError("the multiderivation complex needs a commutative algebra")
-    bases = [lp_space_basis(alg, n) for n in range(max_degree + 1)]
-    matrices = [lp_coboundary(alg, n) for n in range(max_degree + 1)]
-    constraints = [multiderivation_constraints(alg, n + 1)
-                   for n in range(max_degree + 1)]
-    ranks = _restricted_ranks(bases, matrices, constraints)
-    space_dims = tuple(len(b) for b in bases)
-    dims = _rank_nullity(space_dims, ranks)
-    return CohomologyReport(theory="lp", max_degree=max_degree,
-                            space_dims=space_dims, ranks=tuple(ranks), dims=dims)
-
-
 def type_cohomology(alg: AlgebraSpec, mod: ModuleSpec | None = None,
                     which: str = "I", max_degree: int = 4) -> CohomologyReport:
     """Cohomology of a distinguished subcomplex: corner-kernel wedge cochains
     under the horizontal map ("I"), or first-horizontal-kernel tensor
-    cochains under the Hochschild map ("II")."""
+    cochains under the Hochschild map ("II").
+
+    Each rank is that of the coboundary restricted to the degree-n basis,
+    after checking that every image vector lies in the degree-(n+1) space.
+    """
     if mod is None:
         mod = regular_module(alg)
-    bases = [type_space_basis(alg, mod, which, n) for n in range(max_degree + 1)]
-    matrices = [type_coboundary(alg, mod, which, n) for n in range(max_degree + 1)]
-    constraints: list[SparseMatrix | None] = []
-    for n in range(max_degree + 1):
-        if which == "I":
-            constraints.append(delta_v(alg, mod, n + 1))
-        else:
-            constraints.append(delta_H(alg, mod, n + 1, 0))
-    ranks = _restricted_ranks(bases, matrices, constraints)
+    maps = [_edge_maps(alg, mod, which, n) for n in range(max_degree + 2)]
+    bases = [kernel_basis(killer) for killer, _ in maps[:-1]]
+    ranks = []
+    for n, basis in enumerate(bases):
+        coboundary = maps[n][1]
+        img = coboundary.matmul(_columns(basis, coboundary.ncols))
+        if not maps[n + 1][0].matmul(img).is_zero:
+            raise ArithmeticError("subcomplex is not closed under its differential")
+        ranks.append(Echelon(img).rank)
     space_dims = tuple(len(b) for b in bases)
     dims = _rank_nullity(space_dims, ranks)
     return CohomologyReport(theory=f"type-{which}", max_degree=max_degree,
                             space_dims=space_dims, ranks=tuple(ranks), dims=dims)
+
+
+def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:
+    """Cohomology of the skew-multiderivation complex of a commutative
+    Poisson algebra under the bracket-induced coboundary: the type-I
+    subcomplex of the regular module."""
+    _require_commutative(alg)
+    return replace(type_cohomology(alg, None, "I", max_degree), theory="lp")
 
 
 # ---------------------------------------------------------------------------

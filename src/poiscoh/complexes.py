@@ -7,7 +7,9 @@ and three elementary maps move between blocks:
 * ``delta_V`` — vertical, Hochschild-flavored, with the wedge slot a spectator,
   raising tensor width by one;
 * ``delta_v`` — the corner map out of tensor width zero, trading one wedge
-  factor for two tensor factors.
+  factor for two tensor factors.  It is the Hochschild coboundary of the
+  polarisation: ``delta_v = delta_V(1, j-1) o iota`` with
+  ``iota f(a; omega) = f(a ^ omega)``.
 
 Total differentials twist ``delta_H`` out of tensor width ``i`` by ``(-1)**i``
 and take the vertical and corner blocks verbatim.  With these elementary maps
@@ -175,39 +177,33 @@ def _wedge_copies(block: SparseMatrix, copies: int, m: int) -> SparseMatrix:
                                         block.denominator)
 
 
+def _polarisation(d: int, m: int, j: int) -> SparseMatrix:
+    """The polarisation Hom(Lambda^j, M) -> Hom(A (x) Lambda^(j-1), M),
+    ``f |-> (a (x) omega |-> f(a ^ omega))``: one entry, the sign that sorts
+    ``a ^ omega``, per row whose wedge does not collapse."""
+    rows = {}
+    for row, (a, omega) in enumerate(itertools.product(
+            range(d), itertools.combinations(range(d), j - 1))):
+        wsgn, word = wedge_normalize((a,) + omega)
+        if wsgn:
+            col = wedge_rank(word, d) * m
+            for p in range(m):
+                rows[row * m + p] = {col + p: wsgn}
+    return SparseMatrix.from_numerators(d * comb(d, j - 1) * m, comb(d, j) * m, rows)
+
+
 @lru_cache(maxsize=None)
 def delta_v(alg: AlgebraSpec, mod: ModuleSpec, j: int) -> SparseMatrix:
     """Corner block map (0, j) -> (2, j-1), verbatim.
 
     On f : Lambda^j -> M at (a (x) b, omega):
-    a.f(b^omega) - f(ab^omega) + f(a^omega).b.
+    a.f(b^omega) - f(ab^omega) + f(a^omega).b,
+    which is delta_V(1, j-1) o iota for the polarisation iota of
+    :func:`_polarisation`.
     """
     if j < 1:
         raise StructuralError("the corner map needs at least one wedge factor")
-    d, m = alg.dim, mod.dim
-    scale, (left, right, mult) = _integer_tables(mod.left_pairs, mod.right_pairs,
-                                                 alg.mult_pairs)
-    num = _accumulator()
-    row = 0
-    for a, b in itertools.product(range(d), repeat=2):
-        for omega in itertools.combinations(range(d), j - 1):
-            for r, c in mult[a][b]:
-                wsgn, word = wedge_normalize((r,) + omega)
-                if wsgn:
-                    col = wedge_rank(word, d) * m
-                    for p in range(m):
-                        num[row + p][col + p] -= wsgn * c
-            # the outer terms: a acting on the left of f(b^omega), b on the
-            # right of f(a^omega)
-            for word, action in (((b,) + omega, left[a]), ((a,) + omega, right[b])):
-                wsgn, word = wedge_normalize(word)
-                if wsgn:
-                    col = wedge_rank(word, d) * m
-                    for p in range(m):
-                        for q, c in action[p]:
-                            num[row + q][col + p] += wsgn * c
-            row += m
-    return _block(_block_dim(alg, mod, 2, j - 1), _block_dim(alg, mod, 0, j), num, scale)
+    return delta_V(alg, mod, 1, j - 1).matmul(_polarisation(alg.dim, mod.dim, j))
 
 
 def hochschild_coboundary(alg: AlgebraSpec, mod: ModuleSpec, n: int) -> SparseMatrix:
@@ -279,59 +275,65 @@ def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
 
 
 # ---------------------------------------------------------------------------
-# The multiderivation (Lichnerowicz-flavored) complex of a commutative algebra
+# Distinguished subcomplexes of the first row and first column
 
 
-def multiderivation_constraints(alg: AlgebraSpec, n: int) -> SparseMatrix:
-    """Linear conditions cutting the skew multiderivations out of
-    Hom(Lambda^n A, A).
+def _edge_maps(alg: AlgebraSpec, mod: ModuleSpec, which: str,
+               n: int) -> tuple[SparseMatrix, SparseMatrix]:
+    """``(the map whose kernel is the degree-n space, the full-block
+    coboundary out of it)`` for a distinguished subcomplex.
 
-    A wedge-indexed map extends to an alternating multilinear one; it is a
-    derivation in every slot iff it is one in the first slot, which is what
-    the rows impose: f(b_i b_j ^ omega) = b_i f(b_j ^ omega) + b_j f(b_i ^ omega)
-    for every basis pair i <= j and every (n-1)-wedge omega.
+    ``"I"``: wedge cochains killed by the corner map, carrying the horizontal
+    differential (Hom(Lambda^0, M) = M has no corner map, so all of it).
+    ``"II"``: tensor cochains killed by the first horizontal map, carrying
+    the Hochschild differential.  Both are genuine subcomplexes because the
+    corner square anticommutes and the mixed square commutes.
     """
+    if which == "I":
+        killer = delta_v(alg, mod, n) if n else SparseMatrix(0, mod.dim)
+        return killer, ce_coboundary(alg, mod, n)
+    if which == "II":
+        return delta_H(alg, mod, n, 0), hochschild_coboundary(alg, mod, n)
+    raise StructuralError(f"unknown subcomplex type {which!r}; expected 'I' or 'II'")
+
+
+def type_space_basis(alg: AlgebraSpec, mod: ModuleSpec, which: str, n: int) -> list[tuple]:
+    """Basis of the degree-n space of a distinguished subcomplex (see
+    :func:`_edge_maps`)."""
+    return kernel_basis(_edge_maps(alg, mod, which, n)[0])
+
+
+def type_coboundary(alg: AlgebraSpec, mod: ModuleSpec, which: str, n: int) -> SparseMatrix:
+    """The full-block differential whose restriction the subcomplex carries."""
+    return _edge_maps(alg, mod, which, n)[1]
+
+
+# ---------------------------------------------------------------------------
+# The multiderivation (Lichnerowicz-flavored) complex of a commutative algebra:
+# the type-I subcomplex of the regular module
+
+
+def _require_commutative(alg: AlgebraSpec) -> None:
     if not alg.is_commutative:
         raise StructuralError("the multiderivation complex needs a commutative algebra")
-    d = alg.dim
-    ncols = d * comb(d, n)
-    if n == 0:
-        return SparseMatrix(0, ncols)
-    nrows = d * comb(d, n - 1) * (d * (d + 1) // 2)
-    scale, (mult,) = _integer_tables(alg.mult_pairs)
-    num = _accumulator()
-    row = 0
-    for omega in itertools.combinations(range(d), n - 1):
-        for i in range(d):
-            for j in range(i, d):
-                for r, c in mult[i][j]:
-                    wsgn, word = wedge_normalize((r,) + omega)
-                    if wsgn:
-                        col = wedge_rank(word, d) * d
-                        for p in range(d):
-                            num[row + p][col + p] += wsgn * c
-                for single, other in ((j, i), (i, j)):
-                    wsgn, word = wedge_normalize((single,) + omega)
-                    if wsgn:
-                        col = wedge_rank(word, d) * d
-                        for p in range(d):
-                            for q, c in mult[other][p]:
-                                num[row + q][col + p] -= wsgn * c
-                row += d
-    return _block(nrows, ncols, num, scale)
 
 
 def lp_space_basis(alg: AlgebraSpec, n: int) -> list[tuple]:
     """Basis of the degree-n skew multiderivation space, as coefficient
-    vectors in Hom(Lambda^n A, A)."""
-    return kernel_basis(multiderivation_constraints(alg, n))
+    vectors in Hom(Lambda^n A, A).
+
+    Over a commutative algebra acting on itself, f is killed by the corner
+    map iff f(ab^omega) = a f(b^omega) + b f(a^omega), the derivation rule
+    in the first slot, so the multiderivations are the type-I space.
+    """
+    _require_commutative(alg)
+    return type_space_basis(alg, regular_module(alg), "I", n)
 
 
 def lp_coboundary(alg: AlgebraSpec, n: int) -> SparseMatrix:
     """The bracket-induced coboundary on Hom(Lambda^n A, A); restricted to
     multiderivations it is the Lichnerowicz-style differential."""
-    if not alg.is_commutative:
-        raise StructuralError("the multiderivation complex needs a commutative algebra")
+    _require_commutative(alg)
     return ce_coboundary(alg, regular_module(alg), n)
 
 
@@ -346,34 +348,3 @@ def sigma_embed(alg: AlgebraSpec, n: int, vec) -> tuple:
     out = [0] * space.dim
     out[:width] = list(vec)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Distinguished subcomplexes of the first row and first column
-
-
-def type_space_basis(alg: AlgebraSpec, mod: ModuleSpec, which: str, n: int) -> list[tuple]:
-    """Basis of the degree-n space of a distinguished subcomplex.
-
-    ``"I"``: wedge cochains killed by the corner map, carrying the horizontal
-    differential.  ``"II"``: tensor cochains killed by the first horizontal
-    map, carrying the Hochschild differential.  Both are genuine subcomplexes
-    because the corner square anticommutes and the mixed square commutes.
-    """
-    d, m = alg.dim, mod.dim
-    if which == "I":
-        if n == 0:
-            return [tuple(1 if k == p else 0 for k in range(m)) for p in range(m)]
-        return kernel_basis(delta_v(alg, mod, n))
-    if which == "II":
-        return kernel_basis(delta_H(alg, mod, n, 0))
-    raise StructuralError(f"unknown subcomplex type {which!r}; expected 'I' or 'II'")
-
-
-def type_coboundary(alg: AlgebraSpec, mod: ModuleSpec, which: str, n: int) -> SparseMatrix:
-    """The full-block differential whose restriction the subcomplex carries."""
-    if which == "I":
-        return ce_coboundary(alg, mod, n)
-    if which == "II":
-        return hochschild_coboundary(alg, mod, n)
-    raise StructuralError(f"unknown subcomplex type {which!r}; expected 'I' or 'II'")

@@ -5,11 +5,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from poiscoh.algebra import algebra_to_dict, builtin, module_to_dict, regular_module
-from poiscoh.cli import main
+from poiscoh import complexes
+from poiscoh.cli import MAX_SPACE_DIM, _check_size, main
 from poiscoh.complexes import differential
 from poiscoh.deformation import (
     m2_table3_series,
@@ -337,6 +339,7 @@ def test_usage_errors_exit_2():
         ["examples", "--json", "--table"],          # mutually exclusive
         ["dump", "--what", "differential"],         # needs --algebra
         ["cohomology", "--algebra", "regular"],     # 'regular' names a module only
+        ["deform-check", "--series", "table3xyz"],  # not a table3 name
         # counts are nonnegative
         ["cohomology", "--algebra", "builtin:ut2", "--max-degree", "-1"],
         ["lp", "--algebra", "builtin:nil3", "--max-degree", "-1"],
@@ -427,12 +430,34 @@ def test_version_flag():
     assert proc.stdout.startswith(b"poiscoh ")
 
 
-def test_cost_warning_goes_to_stderr_only():
+@pytest.mark.parametrize("argv,size", (
+    (("cohomology", "--algebra", "builtin:m2", "--max-degree", "9"), 2560000),
+    (("cohomology", "--algebra", "builtin:m2", "--theory", "omega",
+      "--max-degree", "6"), 2560000),
+    (("dump", "--what", "differential", "--algebra", "builtin:m2",
+      "--theory", "hh", "--degree", "9"), 1048576),
+))
+def test_oversized_cochain_space_is_refused_before_building(capsys, argv, size):
+    blocks = (complexes.delta_H, complexes.delta_V, complexes.delta_v)
+    before = [block.cache_info().currsize for block in blocks]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert f"has {size} coordinates" in err and str(MAX_SPACE_DIM) in err
+    assert [block.cache_info().currsize for block in blocks] == before
+
+
+def test_largest_measured_run_passes_the_size_check():
+    """m2 omega up to degree 4 builds C^5, 160000 coordinates."""
+    alg = builtin("m2")
+    _check_size("omega", range(6), alg, regular_module(alg))
+
+
+def test_lp_has_no_size_cap():
     proc = spawn("lp", "--algebra", "builtin:sl2std", "--max-degree", "6")
-    assert proc.returncode == 0
-    assert b"warning" in proc.stderr and b"expect a long run" in proc.stderr
-    payload = json.loads(proc.stdout)          # stdout stays machine-readable
-    assert payload["dims"][:2] == [1, 0]
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert json.loads(proc.stdout)["dims"][:2] == [1, 0]
 
 
 def test_output_flag_matches_stdout_bytes(tmp_path):

@@ -36,7 +36,6 @@ from poiscoh.complexes import (
     hochschild_coboundary,
     lp_coboundary,
     lp_space_basis,
-    multiderivation_constraints,
     sigma_embed,
     type_coboundary,
     type_space_basis,
@@ -338,7 +337,8 @@ def _corner_eval(alg, mod, j, fvec, a, b, omega):
     return tuple(x - y + z for x, y, z in zip(t1, t2, t3))
 
 
-@pytest.mark.parametrize("name,j", (("trivial2", 1), ("ut2", 1), ("ut2", 2), ("nil3", 2)))
+@pytest.mark.parametrize("name,j", (("trivial2", 1), ("ut2", 1), ("ut2", 2), ("nil3", 2),
+                                    ("m2", 1), ("m2", 3), ("sl2std", 2)))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_corner_map_matches_direct_evaluation(name, j, data):
@@ -379,7 +379,7 @@ def test_multiderivation_space_dims(name, dims):
 def test_multiderivation_needs_commutativity():
     for name in ("ut2", "m2"):
         with pytest.raises(StructuralError):
-            multiderivation_constraints(builtin(name), 1)
+            lp_space_basis(builtin(name), 1)
         with pytest.raises(StructuralError):
             lp_coboundary(builtin(name), 1)
 
@@ -420,7 +420,7 @@ def test_lp_basis_elements_are_derivations_in_each_slot(name):
 def test_lp_coboundary_preserves_multiderivations(name):
     alg = builtin(name)
     for n in range(3):
-        constraints_next = multiderivation_constraints(alg, n + 1)
+        constraints_next = delta_v(alg, regular_module(alg), n + 1)
         d_n = lp_coboundary(alg, n)
         d_next = lp_coboundary(alg, n + 1)
         for fvec in lp_space_basis(alg, n):

@@ -9,7 +9,8 @@ import poiscoh.cli
 from poiscoh import complexes
 
 PACKAGE = Path(poiscoh.__file__).resolve().parent
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_no_bare_assert_in_package():
@@ -39,3 +40,36 @@ def test_bench_entry_points_exist():
     assert missing == []
     for block in (complexes.delta_H, complexes.delta_V, complexes.delta_v):
         assert callable(block.cache_clear) and callable(block.cache_info)
+
+
+def _pkg_chains(tree) -> set[tuple[str, ...]]:
+    """Every attribute chain ``pkg.a.b...`` in a module, as ``("a", "b", ...)``."""
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "pkg":
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_bench_untraced_names_exist():
+    """The benchmark's jobs reach the package through ``pkg.<module>.<name>``
+    chains, so a rename must fail here rather than in an untraced run."""
+    chains = set()
+    for name in ("workloads.py", "run.py"):
+        chains |= _pkg_chains(ast.parse((PERFBENCH / name).read_text(encoding="utf-8")))
+    assert chains
+
+    def resolves(chain):
+        obj = poiscoh
+        for attr in chain:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+
+    missing = sorted(".".join(chain) for chain in chains if not resolves(chain))
+    assert missing == []
