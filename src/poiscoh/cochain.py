@@ -5,7 +5,9 @@ a linear map  A^(tensor i) (x) Lambda^j A -> M.  Its coordinates are indexed
 by (tensor word, strictly increasing wedge word, module component).  A theory
 in a fixed degree is a direct sum of such blocks; this module pins down the
 block layout per theory and the flat index used by every matrix downstream,
-so that dumps and representatives are reproducible.
+so that dumps and representatives are reproducible.  :func:`encode` and
+:func:`decode` are the one conversion between nested (i, j) tables and flat
+coefficient vectors.
 """
 
 from __future__ import annotations
@@ -183,20 +185,46 @@ class CochainSpace:
         return f"({i},{j})[{tpart}|{wpart}]->{module_basis[comp]}"
 
 
-def assemble(space: CochainSpace, block_maps: dict) -> tuple:
-    """Flatten block evaluators into a coefficient tuple.
+def _at(table, word: tuple):
+    """The entry of a nested table at a word of indices."""
+    for a in word:
+        table = table[a]
+    return table
 
-    ``block_maps`` sends a block key (i, j) to a callable
-    ``(tens, wedge) -> module coefficient vector``; missing blocks are zero.
+
+def require_alternating(table, i: int, j: int, message: str) -> None:
+    """Raise ``StructuralError(message)`` unless a nested table of a block
+    (i, j) is alternating in its j wedge arguments.  It is checked as a sign
+    change under every swap of two adjacent wedge arguments; over the
+    rationals that also makes the table zero on repeated arguments and
+    multiplies it by the sign of any permutation of them."""
+    if j < 2:
+        return
+    for word in itertools.product(range(len(table)), repeat=i + j):
+        vec = tuple(_at(table, word))
+        for p in range(i, i + j - 1):
+            swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2:]
+            if vec != tuple(-v for v in _at(table, swapped)):
+                raise StructuralError(message)
+
+
+def encode(space: CochainSpace, tables: dict) -> tuple:
+    """Flat coefficients of the cochain given by ``{(i, j): nested table}``.
+
+    The table of block (i, j) is indexed by its i tensor arguments, then its
+    j wedge arguments, and holds module coefficient vectors; it must be
+    alternating in the wedge arguments.  Blocks not given are zero.
     """
     coeffs = [0] * space.dim
     m = space.mod_dim
-    for (i, j), fn in block_maps.items():
-        if (i, j) not in space.block_offsets:
-            raise KeyError(f"block {(i, j)} is not part of {space.theory} degree {space.degree}")
-        pos = space.block_offsets[i, j]
+    for (i, j), table in tables.items():
+        pos = space.index(i, j, (), (), 0)  # the block's first coordinate
+        require_alternating(table, i, j,
+                            f"block ({i}, {j}) is not alternating in its wedge arguments")
         for tens, wedge in space.cells(i, j):
-            vec = fn(tens, wedge)
+            vec = tuple(_at(table, tens + wedge))
+            if len(vec) != m:
+                raise StructuralError(f"block ({i}, {j}): expected vectors of length {m}")
             for q, v in enumerate(vec):
                 if v:
                     coeffs[pos + q] = v
@@ -204,22 +232,21 @@ def assemble(space: CochainSpace, block_maps: dict) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class Cochain:
-    """A vector in a cochain space, with block-aware access."""
+def decode(space: CochainSpace, coeffs) -> dict:
+    """Inverse of :func:`encode`: ``{(i, j): nested table}`` for every block
+    of the space, each table full (every word of arguments, zero on repeated
+    wedge arguments and signed on unsorted ones)."""
+    if len(coeffs) != space.dim:
+        raise StructuralError(f"expected {space.dim} coefficients, got {len(coeffs)}")
+    m = space.mod_dim
 
-    space: CochainSpace
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.space.dim:
-            raise StructuralError(
-                f"expected {self.space.dim} coefficients, got {len(self.coeffs)}")
-
-    def value(self, i: int, j: int, tens: tuple, wedge: tuple) -> tuple:
-        """Module coefficient vector at one cell, with wedge normalization."""
-        sign, sorted_wedge = wedge_normalize(wedge)
+    def nested(i, j, word):
+        if len(word) < i + j:
+            return tuple(nested(i, j, word + (a,)) for a in range(space.alg_dim))
+        sign, wedge = wedge_normalize(word[i:])
         if sign == 0:
-            return (0,) * self.space.mod_dim
-        base = self.space.index(i, j, tuple(tens), sorted_wedge, 0)
-        return tuple(sign * v for v in self.coeffs[base:base + self.space.mod_dim])
+            return (0,) * m
+        pos = space.index(i, j, word[:i], wedge, 0)
+        return tuple(sign * v for v in coeffs[pos:pos + m])
+
+    return {(i, j): nested(i, j, ()) for i, j in space.blocks}

@@ -28,6 +28,8 @@ from math import comb, lcm
 from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
 from .cochain import (
     CochainSpace,
+    decode,
+    encode,
     tensor_rank,
     wedge_normalize,
     wedge_rank,
@@ -341,10 +343,6 @@ def sigma_embed(alg: AlgebraSpec, n: int, vec) -> tuple:
     """Include a Hom(Lambda^n A, A) vector into the degree-n poisson cochain
     space of the regular module (its leading (0, n) block).  This inclusion
     intertwines the coboundaries on the nose, with no additional sign."""
-    space = CochainSpace.build("poisson", n, alg.dim, alg.dim)
-    width = alg.dim * comb(alg.dim, n)
-    if len(vec) != width:
-        raise StructuralError(f"expected {width} coefficients, got {len(vec)}")
-    out = [0] * space.dim
-    out[:width] = list(vec)
-    return tuple(out)
+    d = alg.dim
+    return encode(CochainSpace.build("poisson", n, d, d),
+                  decode(CochainSpace.build("ce", n, d, d), vec))

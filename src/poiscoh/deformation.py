@@ -32,21 +32,9 @@ from .algebra import (
     ratio,
     regular_module,
 )
-from .cochain import CochainSpace, assemble
+from .cochain import CochainSpace, decode, encode, require_alternating
 from .complexes import differential
 from .linalg import SparseMatrix, kernel_basis, solve
-
-
-def _is_antisymmetric(table) -> bool:
-    d = len(table)
-    zero = (0,) * len(table[0][0])
-    for i in range(d):
-        if table[i][i] != zero:
-            return False
-        for j in range(i + 1, d):
-            if tuple(-v for v in table[j][i]) != tuple(table[i][j]):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -77,8 +65,7 @@ class DeformationSeries:
         mt = mt + tuple(_zero_table(d) for _ in range(width - len(mt)))
         bt = bt + tuple(_zero_table(d) for _ in range(width - len(bt)))
         for k, t in enumerate(bt):
-            if not _is_antisymmetric(t):
-                raise StructuralError(f"bracket_terms[{k}] is not antisymmetric")
+            require_alternating(t, 0, 2, f"bracket_terms[{k}] is not antisymmetric")
         return DeformationSeries(alg, mt, bt)
 
     @property
@@ -211,9 +198,10 @@ def verify_deformation(series: DeformationSeries,
 
     Checked per order n (summing over splittings p + q = n):
     associativity of the m-series, the Leibniz compatibility between both
-    series, the Jacobi identity of the l-series, and antisymmetry of each
-    l-term.  Whether every higher m-term kills the unit is reported
-    separately and does not affect ``ok``.
+    series and the Jacobi identity of the l-series (each l-term is
+    antisymmetric already: :meth:`DeformationSeries.build` checks it).
+    Whether every higher m-term kills the unit is reported separately and
+    does not affect ``ok``.
     """
     alg = series.algebra
     d = alg.dim
@@ -224,23 +212,15 @@ def verify_deformation(series: DeformationSeries,
     failures: list[ResidualRecord] = []
     unital = True
 
-    def record(axiom, order, violations):
-        if violations:
-            failures.append(ResidualRecord(
-                axiom=axiom, order=order, count=len(violations),
-                samples=tuple(violations[:SAMPLE_LIMIT])))
-
     for n in range(max_order + 1):
         tables = _order_residuals(series.mult_terms, series.bracket_terms, n)
         for axiom, table in zip(("associativity", "leibniz", "jacobi"), tables):
-            record(axiom, n, _nonzero_cells(table))
-        if n > series.order:
-            continue
-        lt = series.bracket_terms[n]
-        skew = [((a, b), tuple(x + y for x, y in zip(lt[a][b], lt[b][a])))
-                for a in range(d) for b in range(a, d)]
-        record("antisymmetry", n, [(idx, vec) for idx, vec in skew if vec != zero])
-        if n >= 1 and unital:
+            violations = _nonzero_cells(table)
+            if violations:
+                failures.append(ResidualRecord(
+                    axiom=axiom, order=n, count=len(violations),
+                    samples=tuple(violations[:SAMPLE_LIMIT])))
+        if 1 <= n <= series.order and unital:
             mp = _pairs(series.mult_terms[n])
             unital = all(_apply_pairs(mp, alg.unit, basis[a], d) == zero
                          and _apply_pairs(mp, basis[a], alg.unit, d) == zero
@@ -258,38 +238,16 @@ def encode_pair(alg: AlgebraSpec, m_table, l_table) -> tuple:
     """Flatten a (bilinear, antisymmetric-bilinear) pair into the degree-2
     cochain space of the algebra acting on itself."""
     d = alg.dim
-    m_table = _freeze_table(m_table, d, d, d, "m_table")
-    l_table = _freeze_table(l_table, d, d, d, "l_table")
-    if not _is_antisymmetric(l_table):
-        raise StructuralError("the wedge part must be antisymmetric")
-    space = CochainSpace.build("poisson", 2, d, d)
-    return assemble(space, {
-        (0, 2): lambda tens, wedge: l_table[wedge[0]][wedge[1]],
-        (2, 0): lambda tens, wedge: m_table[tens[0]][tens[1]],
+    return encode(CochainSpace.build("poisson", 2, d, d), {
+        (2, 0): _freeze_table(m_table, d, d, d, "m_table"),
+        (0, 2): _freeze_table(l_table, d, d, d, "l_table"),
     })
 
 
 def decode_pair(alg: AlgebraSpec, coeffs) -> tuple:
     """Inverse of :func:`encode_pair`."""
-    d = alg.dim
-    space = CochainSpace.build("poisson", 2, d, d)
-    if len(coeffs) != space.dim:
-        raise StructuralError(f"expected {space.dim} coefficients")
-    m_table = [[[0] * d for _ in range(d)] for _ in range(d)]
-    l_table = [[[0] * d for _ in range(d)] for _ in range(d)]
-    pos = space.block_offsets[0, 2]
-    for tens, wedge in space.cells(0, 2):
-        vec = list(coeffs[pos:pos + d])
-        i, j = wedge
-        l_table[i][j] = vec
-        l_table[j][i] = [-v for v in vec]
-        pos += d
-    pos = space.block_offsets[2, 0]
-    for tens, wedge in space.cells(2, 0):
-        m_table[tens[0]][tens[1]] = list(coeffs[pos:pos + d])
-        pos += d
-    return tuple(tuple(tuple(v) for v in row) for row in m_table), \
-        tuple(tuple(tuple(v) for v in row) for row in l_table)
+    tables = decode(CochainSpace.build("poisson", 2, alg.dim, alg.dim), coeffs)
+    return tables[2, 0], tables[0, 2]
 
 
 def is_poisson_2cocycle(alg: AlgebraSpec, m_table, l_table) -> bool:
@@ -334,34 +292,15 @@ def obstruction_tables(series: DeformationSeries, order: int | None = None, *,
 def encode_obstruction(alg: AlgebraSpec, f1, f2, f3) -> tuple:
     """Flatten (F1, F2, F3) into the degree-3 cochain space: F3 on wedges,
     F2 on (tensor pair, single wedge) cells, F1 on tensor triples."""
-    d = alg.dim
-    space = CochainSpace.build("poisson", 3, d, d)
-    zero = (0,) * d
-    for a in range(d):
-        for b in range(d):
-            if f3[a][b][b] != zero or f3[a][a][b] != zero or f3[b][a][a] != zero:
-                raise StructuralError("F3 must vanish on repeated arguments")
-            for c in range(d):
-                if tuple(f3[b][a][c]) != tuple(-v for v in f3[a][b][c]):
-                    raise StructuralError("F3 must be alternating")
-    return assemble(space, {
-        (0, 3): lambda tens, wedge: f3[wedge[0]][wedge[1]][wedge[2]],
-        (2, 1): lambda tens, wedge: f2[tens[0]][tens[1]][wedge[0]],
-        (3, 0): lambda tens, wedge: f1[tens[0]][tens[1]][tens[2]],
-    })
-
-
-def obstruction_cochain(series: DeformationSeries, order: int | None = None, *,
-                        validate: bool = True) -> tuple:
-    f1, f2, f3 = obstruction_tables(series, order, validate=validate)
-    return encode_obstruction(series.algebra, f1, f2, f3)
+    return encode(CochainSpace.build("poisson", 3, alg.dim, alg.dim),
+                  {(0, 3): f3, (2, 1): f2, (3, 0): f1})
 
 
 def lift_step(series: DeformationSeries, *, validate: bool = True):
     """Extend a valid partial deformation by one order, or return None when
     the linear problem d(m_n, l_n) = F has no solution."""
     alg = series.algebra
-    target = obstruction_cochain(series, validate=validate)
+    target = encode_obstruction(alg, *obstruction_tables(series, validate=validate))
     mat = differential(alg, regular_module(alg), "poisson", 2)
     sol = solve(mat, target)
     if sol is None:
@@ -431,6 +370,9 @@ def quantization_obstruction_check(alg: AlgebraSpec, max_order: int = 3) -> dict
     particular partial series.  (Other partials could in principle behave
     differently; this check follows the canonical one.)
     """
+    if max_order < 1:
+        raise StructuralError("max_order must be at least 1: the semiclassical "
+                              "series starts at order 1")
     m1, l1 = quantization_first_order(alg)
     if not is_poisson_2cocycle(alg, m1, l1):
         raise ArithmeticError("the semiclassical direction must be a cocycle")
@@ -471,8 +413,7 @@ def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
     d, m = alg.dim, mod.dim
     f1 = _freeze_table(f1, d, d, m, "f1")
     f0 = _freeze_table(f0, d, d, m, "f0")
-    if not _is_antisymmetric(f0):
-        raise StructuralError("the wedge part f0 must be antisymmetric")
+    require_alternating(f0, 0, 2, "the wedge part f0 must be antisymmetric")
     n = d + m
     zero_m = (0,) * m
     zero_d = (0,) * d
@@ -505,8 +446,9 @@ def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
 
 
 def coboundary_pair(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
-    """The degree-2 coboundary of a linear map h : A -> M, returned as the
-    (tensor, wedge) table pair it shifts extensions by.
+    """The degree-2 coboundary d^1 h of a linear map h : A -> M, read off the
+    assembled degree-1 differential and returned as the (tensor, wedge)
+    table pair it shifts extensions by:
 
     tensor part: a.h(b) - h(ab) + h(a).b
     wedge part:  {a, h(b)} - {b, h(a)} - h({a, b})
@@ -515,30 +457,10 @@ def coboundary_pair(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
     h = tuple(tuple(ratio(v) for v in row) for row in h_table)
     if len(h) != d or any(len(row) != m for row in h):
         raise StructuralError(f"h must be a {d} x {m} table")
-
-    def h_of(avec):
-        acc = [0] * m
-        for i, c in enumerate(avec):
-            if c:
-                for q, v in enumerate(h[i]):
-                    acc[q] += c * v
-        return tuple(acc)
-
-    f1 = [[None] * d for _ in range(d)]
-    f0 = [[None] * d for _ in range(d)]
-    for i in range(d):
-        ei = alg.basis_vector(i)
-        for j in range(d):
-            ej = alg.basis_vector(j)
-            left = mod.act_left(ei, h[j])
-            right = mod.act_right(ej, h[i])
-            mid = h_of(alg.mult[i][j])
-            f1[i][j] = tuple(a - b + c for a, b, c in zip(left, mid, right))
-            lie_ij = mod.act_lie(ei, h[j])
-            lie_ji = mod.act_lie(ej, h[i])
-            br = h_of(alg.bracket[i][j])
-            f0[i][j] = tuple(a - b - c for a, b, c in zip(lie_ij, lie_ji, br))
-    return tuple(tuple(r) for r in f1), tuple(tuple(r) for r in f0)
+    dh = differential(alg, mod, "poisson", 1).matvec(
+        encode(CochainSpace.build("poisson", 1, d, m), {(0, 1): h}))
+    tables = decode(CochainSpace.build("poisson", 2, d, m), dh)
+    return tables[2, 0], tables[0, 2]
 
 
 def shift_basis_matrix(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:

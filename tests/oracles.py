@@ -307,3 +307,35 @@ def zero_bracket_corner_defect(mult, q):
             for comp in range(d):
                 rows.append(_corner_image(mult, support, comp, q))
     return dense_rank(general) - dense_rank(alternating)
+
+
+# ---------------------------------------------------------------------------
+# The degree-1 coboundary, written out from the structure constants
+
+
+def coboundary_pair(mult, bracket, left, right, lie, h):
+    """(tensor, wedge) tables of the coboundary of h : A -> M, from the
+    formulas  a.h(b) - h(ab) + h(a).b  and  {a, h(b)} - {b, h(a)} - h({a, b}).
+    ``h[a]`` is the image of basis a; ``left[a][p]``, ``right[a][p]`` and
+    ``lie[a][p]`` are the coordinates of basis a acting on module basis p
+    (``right`` from the right)."""
+    d, m = len(h), len(h[0])
+
+    def act(action, a, vec):
+        out = [Fraction(0)] * m
+        for p, c in enumerate(vec):
+            for q, v in enumerate(action[a][p]):
+                out[q] += Fraction(c) * Fraction(v)
+        return out
+
+    def h_of(avec):
+        return [sum(Fraction(avec[i]) * Fraction(h[i][q]) for i in range(d))
+                for q in range(m)]
+
+    tensor = [[tuple(x - y + z for x, y, z in zip(
+        act(left, a, h[b]), h_of(mult[a][b]), act(right, b, h[a])))
+        for b in range(d)] for a in range(d)]
+    wedge = [[tuple(x - y - z for x, y, z in zip(
+        act(lie, a, h[b]), act(lie, b, h[a]), h_of(bracket[a][b])))
+        for b in range(d)] for a in range(d)]
+    return tensor, wedge

@@ -408,8 +408,9 @@ def test_criterion_7f_cohomologous_cocycles_isomorphic_extensions():
                                     _add_tables(f0, df0))
         moved = transport(base, shift_basis_matrix(alg, mod, h))
         ok = ok and moved == shifted and validate_algebra(shifted).ok
-    assert _verdict("7f", "shifting the cocycle by a coboundary matches the "
-                          "basis-change transport of the extension exactly", ok)
+    assert _verdict("7f", "shifting the cocycle by a coboundary of the assembled "
+                          "d^1 matches the basis-change transport of the extension "
+                          "exactly", ok)
 
 
 # ---------------------------------------------------------------------------

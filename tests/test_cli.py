@@ -367,6 +367,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "examples", "--output",
                        str(tmp_path / "no-such-dir" / "out.json"))
     assert code == 1 and "cannot write" in err
+    code, out, err = run(capsys, "quantize-check", "--algebra", "builtin:sl2std",
+                         "--max-order", "0")  # the semiclassical series has order 1
+    assert code == 1 and out == "" and "at least 1" in err
     path = tmp_path / "bad_series.json"
     for bad_entry, message in ((["x", 0, 0, "1"], "indices must be integers"),
                                ([1.5, 0, 0, "1"], "indices must be integers"),
@@ -422,6 +425,28 @@ def test_validate_report_bytes_are_pinned(capsys, tmp_path, fmt):
     code, out, err = run(capsys, "validate", "--algebra", f"file:{path}", fmt)
     assert code == 1 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_ALGEBRA_SHA256[fmt]
+
+
+# stdout of the deformation verbs, which encode and decode degree-2 and
+# degree-3 cochains at every order they lift or report.
+DEFORMATION_VERB_SHA256 = {
+    "lift-s1": ("deform-lift --series table3-repaired:1 --target-order 8",
+                "d176618aedb5aae7075041f4addbab362ab2d8dd0b86aff14890f5cd99d75b28"),
+    "lift-s1_2": ("deform-lift --series table3-repaired:1/2 --target-order 8",
+                  "56bb39388c627db2e947db791b321c0fbf00c8af756950e055789af0638702ef"),
+    "obstruction-s2": ("obstruction --series table3-repaired:2",
+                       "f5559aba2db65711be385644280d9503276ec949611f01daf1442ce327d7c35a"),
+    "quantize-sl2std": ("quantize-check --algebra builtin:sl2std --max-order 6",
+                        "42c608b8523429e3fbf05f84a314bbcc0e47f65b86abbe0b5fd404d063d56637"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFORMATION_VERB_SHA256))
+def test_deformation_verb_bytes_are_pinned(capsys, case):
+    argv, digest = DEFORMATION_VERB_SHA256[case]
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_version_flag():

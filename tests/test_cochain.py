@@ -1,5 +1,7 @@
-"""Cell enumeration: tensor/wedge ranking, block layouts, flat indexing."""
+"""Cell enumeration: tensor/wedge ranking, block layouts, flat indexing, and
+the table codec."""
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 
 from poiscoh.algebra import StructuralError
 from poiscoh.cochain import (
-    Cochain,
     CochainSpace,
     THEORIES,
-    assemble,
+    decode,
+    encode,
     space_layout,
     tensor_rank,
     tensor_unrank,
@@ -154,33 +156,57 @@ def test_describe_mentions_basis_names():
 
 
 # ---------------------------------------------------------------------------
-# cochains
+# the table codec
 
 
-def test_assemble_and_value_agree():
-    space = CochainSpace.build("poisson", 2, 2, 2)
-
-    def pair_block(tens, wedge):
-        return (tens[0] + 2 * tens[1], 1)
-
-    def wedge_block(tens, wedge):
-        return (7, wedge[0] + wedge[1])
-
-    coeffs = assemble(space, {(2, 0): pair_block, (0, 2): wedge_block})
-    coch = Cochain(space, coeffs)
-    assert coch.value(2, 0, (1, 0), ()) == (1, 1)
-    assert coch.value(0, 2, (), (0, 1)) == (7, 1)
-
-
-def test_value_normalizes_wedge_arguments():
-    space = CochainSpace.build("ce", 2, 3, 1)
-    coeffs = assemble(space, {(0, 2): lambda tens, wedge: (1,)})
-    coch = Cochain(space, coeffs)
-    assert coch.value(0, 2, (), (2, 1)) == (-1,)
-    assert coch.value(0, 2, (), (1, 1)) == (0,)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(THEORIES), st.integers(0, 3), st.integers(1, 3),
+       st.integers(1, 2), st.randoms(use_true_random=False))
+def test_decode_encode_roundtrip(theory, degree, d, m, rng):
+    space = CochainSpace.build(theory, degree, d, m)
+    coeffs = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(space.dim))
+    tables = decode(space, coeffs)
+    assert sorted(tables) == sorted(space.blocks)
+    for i, j in space.blocks:
+        for tens, wedge in space.cells(i, j):
+            pos = space.index(i, j, tens, wedge, 0)
+            entry = tables[i, j]
+            for a in tens + wedge:
+                entry = entry[a]
+            assert entry == coeffs[pos:pos + m]
+    assert encode(space, tables) == coeffs
+    assert decode(space, encode(space, tables)) == tables
+    assert encode(space, {}) == (0,) * space.dim
 
 
-def test_cochain_length_checked():
+def test_decode_signs_unsorted_wedges_and_kills_repeats():
+    space = CochainSpace.build("poisson", 3, 3, 1)
+    coeffs = [0] * space.dim
+    coeffs[space.index(0, 3, (), (0, 1, 2), 0)] = 5
+    coeffs[space.index(2, 1, (2, 0), (1,), 0)] = 7
+    tables = decode(space, coeffs)
+    f3 = tables[0, 3]
+    for perm in permutations((0, 1, 2)):
+        assert f3[perm[0]][perm[1]][perm[2]] == (5 * oracles.permutation_sign(perm),)
+    assert f3[1][1][0] == f3[2][0][2] == (0,)
+    assert tables[2, 1][2][0][1] == (7,) and tables[2, 1][0][2][1] == (0,)
+
+
+def test_encode_rejects_tables_that_are_not_alternating():
+    space = CochainSpace.build("ce", 2, 2, 1)
+    with pytest.raises(StructuralError):
+        encode(space, {(0, 2): (((0,), (1,)), ((1,), (0,)))})  # symmetric
+    with pytest.raises(StructuralError):
+        encode(space, {(0, 2): (((1,), (0,)), ((0,), (0,)))})  # repeated argument
+    with pytest.raises(StructuralError):
+        encode(space, {(1, 1): (((0,), (0,)), ((0,), (0,)))})  # not a ce block
+    assert encode(space, {(0, 2): (((0,), (1,)), ((-1,), (0,)))}) == (1,)
+
+
+def test_decode_checks_the_length():
     space = CochainSpace.build("ce", 1, 2, 1)
     with pytest.raises(StructuralError):
-        Cochain(space, (1,) * (space.dim + 1))
+        decode(space, (1,) * (space.dim + 1))
+    with pytest.raises(StructuralError):
+        decode(space, (1,) * (space.dim - 1))

@@ -1,6 +1,7 @@
 """Formal deformations: series plumbing, residual reports, obstruction
 lifting, square-zero extensions, and the 2x2 matrix algebra families."""
 
+import dataclasses
 import json
 import os
 import random
@@ -14,10 +15,13 @@ import pytest
 
 import poiscoh
 from poiscoh.algebra import (
+    BUILTINS,
     AxiomError,
+    ModuleSpec,
     StructuralError,
     builtin,
     regular_module,
+    validate_module,
 )
 from poiscoh.deformation import (
     DeformationSeries,
@@ -383,6 +387,17 @@ def test_quantization_needs_a_commutative_base():
         quantization_first_order(builtin("ut2"))
 
 
+def test_quantization_check_starts_at_order_one():
+    """The semiclassical series already has order 1, so a lower maximum has
+    no honest report."""
+    for max_order in (0, -1):
+        with pytest.raises(StructuralError, match="at least 1"):
+            quantization_obstruction_check(builtin("sl2std"), max_order=max_order)
+    report = quantization_obstruction_check(builtin("sl2std"), max_order=1)
+    assert report == {"ok": True, "order_reached": 1, "obstructed_at": None,
+                      "orders_solved": []}
+
+
 def test_non_cocycle_start_raises_under_optimize():
     """The start-cocycle check is an explicit raise, so it holds under ``-O``."""
     script = textwrap.dedent("""
@@ -456,25 +471,80 @@ def test_extension_rejects_non_cocycles():
         extension_algebra(alg, mod, lopsided, lopsided)  # f0 not antisymmetric
 
 
+# one-dimensional modules on which basis a acts by chi[a] from both sides and
+# the bracket acts by zero: ut2 through e11 -> 1, kxk through p -> 1
+CHARACTERS = {"ut2": (1, 0, 0), "kxk": (1, 0)}
+
+
+def _character_module(name):
+    chi = CHARACTERS[name]
+    mod = ModuleSpec.build(1, len(chi), [[[c]] for c in chi], [[[c]] for c in chi],
+                           [[[0]] for _ in chi])
+    assert validate_module(builtin(name), mod).ok
+    return mod
+
+
+def _unit_killing_h(alg, dim, rng):
+    """A random h : A -> M with h(1) = 0, so the shifted pair stays
+    unit-normalized."""
+    h = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim)]
+         for _ in range(alg.dim)]
+    k = next(a for a, c in enumerate(alg.unit) if c)
+    h[k] = [-sum(alg.unit[a] * h[a][q] for a in range(alg.dim) if a != k)
+            / Fraction(alg.unit[k]) for q in range(dim)]
+    return h
+
+
 def test_cohomologous_cocycles_give_isomorphic_extensions():
     """Shifting the twisting pair by the coboundary of h must be the same as
     rewriting the untwisted extension in the basis b_j + h(b_j) -- an exact
-    algebra equality after transport, not just matching invariants."""
-    alg, mod, f1, f0 = _dual_extension_inputs()
-    base = extension_algebra(alg, mod, f1, f0)
+    algebra equality after transport, not just matching invariants.  Checked
+    over the dual numbers acting on themselves and over the characters of
+    ut2 and kxk, where h(a) and the module actions are scalars."""
+    inputs = [_dual_extension_inputs()]
+    for name in sorted(CHARACTERS):
+        alg = builtin(name)
+        zero = [[(0,)] * alg.dim for _ in range(alg.dim)]
+        inputs.append((alg, _character_module(name), zero, zero))
     rng = random.Random(40)
-    for _ in range(4):
-        # h(1) must vanish or the shifted pair stops being unit-normalized
-        h = [[0] * mod.dim] + [
-            [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-             for _ in range(mod.dim)]
-            for _ in range(alg.dim - 1)
-        ]
+    for alg, mod, f1, f0 in inputs:
+        base = extension_algebra(alg, mod, f1, f0)
+        moved_any = False
+        for _ in range(4):
+            h = _unit_killing_h(alg, mod.dim, rng)
+            df1, df0 = coboundary_pair(alg, mod, h)
+            moved_any = moved_any or any(v for row in df1 for vec in row for v in vec)
+            shifted = extension_algebra(alg, mod, _add_tables(f1, df1),
+                                        _add_tables(f0, df0))
+            moved = transport(base, shift_basis_matrix(alg, mod, h))
+            assert moved == shifted
+        assert moved_any
+
+
+@pytest.mark.parametrize("name,module", [(name, "regular") for name in sorted(BUILTINS)]
+                         + [(name, "character") for name in sorted(CHARACTERS)])
+def test_coboundary_pair_matches_the_written_out_formulas(name, module):
+    """``coboundary_pair`` reads d^1 off the assembled differential; here it
+    is checked against the defining formulas, evaluated by the oracle."""
+    alg = builtin(name)
+    mod = regular_module(alg) if module == "regular" else _character_module(name)
+    rng = random.Random(f"{name}-{module}")
+    for _ in range(3):
+        h = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(mod.dim)]
+             for _ in range(alg.dim)]
+        tensor, wedge = oracles.coboundary_pair(alg.mult, alg.bracket, mod.left,
+                                                mod.right, mod.lie, h)
         df1, df0 = coboundary_pair(alg, mod, h)
-        shifted = extension_algebra(alg, mod, _add_tables(f1, df1),
-                                    _add_tables(f0, df0))
-        moved = transport(base, shift_basis_matrix(alg, mod, h))
-        assert moved == shifted
+        assert df1 == tuple(map(tuple, tensor)) and df0 == tuple(map(tuple, wedge))
+
+
+def test_coboundary_pair_refuses_quasi_modules():
+    """The poisson differential is not defined over a quasi module, so there
+    is no d^1 to read."""
+    alg = builtin("ut2")
+    mod = dataclasses.replace(regular_module(alg), flavor="quasi")
+    with pytest.raises(StructuralError):
+        coboundary_pair(alg, mod, [[0] * 3 for _ in range(3)])
 
 
 def test_transport_requires_invertibility():

@@ -25,6 +25,16 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+def test_block_offsets_are_read_only_by_the_codec_and_the_assembly():
+    """Tables become flat cochains through ``cochain.encode``/``decode`` and
+    differentials are pasted in ``complexes``; any other module reading
+    ``CochainSpace.block_offsets`` is walking the layout by hand."""
+    readers = sorted({path.name for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr == "block_offsets"})
+    assert readers == ["cochain.py", "complexes.py"]
+
+
 def test_bench_entry_points_exist():
     """The benchmark's traced runs wrap these entry points by name through
     ``owner.__dict__`` and clear the block caches between job groups, so a
