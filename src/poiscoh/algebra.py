@@ -93,37 +93,36 @@ def _freeze_table(table, rows: int, cols: int, width: int, what: str) -> tuple:
     return tuple(out)
 
 
+def _sparse(vec) -> tuple:
+    """Sparse view ``((k, c), ...)`` of the nonzero coordinates of a vector."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
 def _pairs(table) -> tuple:
     """Sparse view of a structure-constant table: pairs[i][j] = ((k, c), ...)."""
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-        for row in table
-    )
+    return tuple(tuple(_sparse(vec) for vec in row) for row in table)
 
 
 def _add_pairs(acc: list, pairs, u, v, sign: int = 1) -> None:
     """``acc += sign * P(u, v)`` in place, for the bilinear map P whose sparse
-    structure constants are ``pairs``."""
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
+    structure constants are ``pairs``, on sparse vectors ``u`` and ``v``."""
+    for i, x in u:
         row = pairs[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
+        for j, y in v:
             for k, c in row[j]:
-                acc[k] += sign * ui * vj * c
+                acc[k] += sign * x * y * c
 
 
 def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
     acc = [0] * out_dim
-    _add_pairs(acc, pairs, u, v)
+    _add_pairs(acc, pairs, _sparse(u), _sparse(v))
     return tuple(acc)
 
 
-def _order_residuals(mult_terms, bracket_terms, n: int, inner: bool = False) -> tuple:
-    """Order-n residual tables (F1, F2, F3) of associativity, Leibniz and
-    Jacobi at basis triples ``[a][b][c]`` of the series ``m = sum m_p t^p``,
+def _order_residuals(mult_terms, bracket_terms, n: int, inner: bool = False,
+                     triples=None) -> tuple:
+    """Order-n residuals (F1, F2, F3) of associativity, Leibniz and Jacobi
+    at basis triples (a, b, c) of the series ``m = sum m_p t^p``,
     ``l = sum l_p t^p`` (tuples of tables, missing terms read as zero),
     summed over splittings p + q = n:
 
@@ -131,33 +130,32 @@ def _order_residuals(mult_terms, bracket_terms, n: int, inner: bool = False) -> 
         F2 = l_p(m_q(a, b), c) - m_p(a, l_q(b, c)) - m_p(l_q(a, c), b)
         F3 = l_p(l_q(a, b), c) + l_p(l_q(b, c), a) + l_p(l_q(c, a), b)
 
-    At order 0 these are the Poisson axioms of ``(m_0, l_0)`` themselves.
-    With ``inner`` the splittings p = 0 and q = 0 are dropped, which leaves
-    the part built from terms 1..n-1 alone: the order-n obstruction.
+    Each is a dict ``{(a, b, c): vector}`` over ``triples`` (distinct; all
+    of them in index order by default).  At order 0 these are the Poisson
+    axioms of ``(m_0, l_0)`` themselves.  With ``inner`` the splittings
+    p = 0 and q = 0 are dropped, which leaves the part built from terms
+    1..n-1 alone: the order-n obstruction.
     """
     d = len(mult_terms[0])
-    pad = (_zero_table(d),) * (n + 1 - len(mult_terms))
-    mult = mult_terms[:n + 1] + pad
-    bracket = bracket_terms[:n + 1] + pad
-    basis = [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]
-    f1, f2, f3 = ([[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-                  for _ in range(3))
+    zero = _pairs(_zero_table(d))
+    mult, bracket = ([_pairs(t) for t in terms[:n + 1]] + [zero] * (n + 1 - len(terms))
+                     for terms in (mult_terms, bracket_terms))
+    basis = [((i, 1),) for i in range(d)]
+    if triples is None:
+        triples = list(itertools.product(range(d), repeat=3))
+    f1, f2, f3 = ({t: [0] * d for t in triples} for _ in range(3))
     for p in range(1, n) if inner else range(n + 1):
-        mp, lp = _pairs(mult[p]), _pairs(bracket[p])
-        mq, lq = mult[n - p], bracket[n - p]
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    r1, r2, r3 = f1[a][b][c], f2[a][b][c], f3[a][b][c]
-                    _add_pairs(r1, mp, mq[a][b], basis[c])
-                    _add_pairs(r1, mp, basis[a], mq[b][c], -1)
-                    _add_pairs(r2, lp, mq[a][b], basis[c])
-                    _add_pairs(r2, mp, basis[a], lq[b][c], -1)
-                    _add_pairs(r2, mp, lq[a][c], basis[b], -1)
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        _add_pairs(r3, lp, lq[x][y], basis[z])
-    return tuple([[[tuple(vec) for vec in row] for row in plane] for plane in f]
-                 for f in (f1, f2, f3))
+        mp, lp, mq, lq = mult[p], bracket[p], mult[n - p], bracket[n - p]
+        for a, b, c in triples:
+            r1, r2, r3 = f1[a, b, c], f2[a, b, c], f3[a, b, c]
+            _add_pairs(r1, mp, mq[a][b], basis[c])
+            _add_pairs(r1, mp, basis[a], mq[b][c], -1)
+            _add_pairs(r2, lp, mq[a][b], basis[c])
+            _add_pairs(r2, mp, basis[a], lq[b][c], -1)
+            _add_pairs(r2, mp, lq[a][c], basis[b], -1)
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                _add_pairs(r3, lp, lq[x][y], basis[z])
+    return tuple({t: tuple(vec) for t, vec in f.items()} for f in (f1, f2, f3))
 
 
 @dataclass(frozen=True)
@@ -312,10 +310,6 @@ def _vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _vadd(*vs):
-    return tuple(sum(col) for col in zip(*vs))
-
-
 def validate_algebra(alg: AlgebraSpec) -> ValidationReport:
     """Exhaustively check the Poisson algebra axioms on basis tuples.
 
@@ -338,16 +332,16 @@ def validate_algebra(alg: AlgebraSpec) -> ValidationReport:
 
     for i in range(d):
         for j in range(d):
-            skew = _vadd(alg.bracket[i][j], alg.bracket[j][i])
+            skew = tuple(x + y for x, y in zip(alg.bracket[i][j], alg.bracket[j][i]))
             if skew != zero:
                 violations.append(Violation("antisymmetry", (i, j), skew))
 
     assoc, leibniz, jacobi = _order_residuals((alg.mult,), (alg.bracket,), 0)
-    for i, j, k in itertools.product(range(d), repeat=3):
-        for axiom, table in (("associativity", assoc), ("jacobi", jacobi),
-                             ("leibniz", leibniz)):
-            if any(table[i][j][k]):
-                violations.append(Violation(axiom, (i, j, k), table[i][j][k]))
+    for cell in assoc:
+        for axiom, residuals in (("associativity", assoc), ("jacobi", jacobi),
+                                 ("leibniz", leibniz)):
+            if any(residuals[cell]):
+                violations.append(Violation(axiom, cell, residuals[cell]))
 
     checked = ("unit", "antisymmetry", "associativity", "jacobi", "leibniz")
     return ValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
@@ -362,78 +356,90 @@ def _require_valid(alg: AlgebraSpec, why: str) -> ValidationReport:
     return report
 
 
+def _extension_tables(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> tuple:
+    """Multiplication and bracket tables of the square-zero extension
+    ``A + M`` (basis ``b_0..b_{d-1}, u_0..u_{m-1}``) twisted by the
+    ``d x d`` tables of module vectors ``f1`` and ``f0``:
+
+        (a, x)(a', x') = (aa', a.x' + x.a' + f1(a, a'))
+        {(a, x), (a', x')} = ({a, a'}, {a, x'} - {a', x} + f0(a, a'))
+    """
+    d, m = alg.dim, mod.dim
+    zero_a, zero_row = (0,) * d, ((0,) * (d + m),) * m
+
+    def table(base, twist, into_m, from_m):
+        return tuple(
+            [tuple(base[i][j] + twist[i][j] for j in range(d))
+             + tuple(zero_a + into_m[i][p] for p in range(m)) for i in range(d)]
+            + [tuple(zero_a + from_m[a][p] for a in range(d)) + zero_row
+               for p in range(m)])
+
+    minus_lie = tuple(tuple(tuple(-v for v in vec) for vec in row) for row in mod.lie)
+    return (table(alg.mult, f1, mod.left, mod.right),
+            table(alg.bracket, f0, mod.lie, minus_lie))
+
+
+# Each non-unit module axiom at (a, b, u) = (b_i, b_j, u_p) is the M part of
+# one order-0 residual cell of the extension: (label, F1/F2/F3, cell, sign).
+_MODULE_CELLS = (
+    ("assoc-left", 0, "abu", 1),
+    ("assoc-right", 0, "uab", -1),
+    ("bimodule-commute", 0, "aub", 1),
+    ("lie-module", 2, "abu", 1),
+    ("quasi-left", 1, "bua", -1),
+    ("quasi-right", 1, "uba", -1),
+    ("poisson-leibniz", 1, "abu", 1),
+)
+
+
 def validate_module(alg: AlgebraSpec, mod: ModuleSpec) -> ValidationReport:
     """Exhaustively check the module axioms for ``mod`` over ``alg``.
 
-    Bimodule: unitality of both actions, both associativities, commuting
-    left/right actions.  Lie module: {{a,b},m} = {a,{b,m}} - {b,{a,m}}.
-    Quasi compatibility: {a,bm} = {a,b}m + b{a,m} and {a,mb} = m{a,b} + {a,m}b.
-    Poisson flavor adds {ab,m} = a{b,m} + {a,m}b.
+    Each label below is checked as ``left side - right side`` at basis
+    vectors ``a, b`` of the algebra and ``u`` of the module:
+
+        unit-left         1.u = u
+        unit-right        u.1 = u
+        assoc-left        (ab).u = a.(b.u)
+        assoc-right       u.(ab) = (u.a).b
+        bimodule-commute  (a.u).b = a.(u.b)
+        lie-module        {{a,b},u} = {a,{b,u}} - {b,{a,u}}
+        quasi-left        {a,b.u} = {a,b}.u + b.{a,u}
+        quasi-right       {a,u.b} = u.{a,b} + {a,u}.b
+        poisson-leibniz   {ab,u} = a.{b,u} + {a,u}.b   (poisson flavor only)
+
+    The unit laws are checked directly.  The other seven are the module
+    parts of the order-0 residuals of the square-zero extension ``A + M``
+    at triples with one module index (``_MODULE_CELLS``).
     """
     if mod.algebra_dim != alg.dim:
         raise StructuralError("module was presented over a different algebra dimension")
     d, m = alg.dim, mod.dim
     violations: list[Violation] = []
-    avecs = [alg.basis_vector(i) for i in range(d)]
-    mvecs = [tuple(1 if k == p else 0 for k in range(m)) for p in range(m)]
-    zero = _zero(m)
-
-    def check(axiom, indices, got, want):
-        if got != want:
-            violations.append(Violation(axiom, indices, _vsub(got, want)))
-
     for p in range(m):
-        check("unit-left", (p,), mod.act_left(alg.unit, mvecs[p]), mvecs[p])
-        check("unit-right", (p,), mod.act_right(alg.unit, mvecs[p]), mvecs[p])
+        u_p = tuple(1 if k == p else 0 for k in range(m))
+        for axiom, got in (("unit-left", mod.act_left(alg.unit, u_p)),
+                           ("unit-right", mod.act_right(alg.unit, u_p))):
+            if got != u_p:
+                violations.append(Violation(axiom, (p,), _vsub(got, u_p)))
 
-    for i in range(d):
-        for j in range(d):
-            for p in range(m):
-                check(
-                    "assoc-left", (i, j, p),
-                    mod.act_left(alg.mult[i][j], mvecs[p]),
-                    mod.act_left(avecs[i], mod.left[j][p]),
-                )
-                check(
-                    "assoc-right", (i, j, p),
-                    mod.act_right(alg.mult[i][j], mvecs[p]),
-                    mod.act_right(avecs[j], mod.right[i][p]),
-                )
-                check(
-                    "bimodule-commute", (i, j, p),
-                    mod.act_right(avecs[j], mod.left[i][p]),
-                    mod.act_left(avecs[i], mod.right[j][p]),
-                )
-                check(
-                    "lie-module", (i, j, p),
-                    mod.act_lie(alg.bracket[i][j], mvecs[p]),
-                    _vsub(mod.act_lie(avecs[i], mod.lie[j][p]),
-                          mod.act_lie(avecs[j], mod.lie[i][p])),
-                )
-                check(
-                    "quasi-left", (i, j, p),
-                    mod.act_lie(avecs[i], mod.left[j][p]),
-                    _vadd(mod.act_left(alg.bracket[i][j], mvecs[p]),
-                          mod.act_left(avecs[j], mod.lie[i][p])),
-                )
-                check(
-                    "quasi-right", (i, j, p),
-                    mod.act_lie(avecs[i], mod.right[j][p]),
-                    _vadd(mod.act_right(alg.bracket[i][j], mvecs[p]),
-                          mod.act_right(avecs[j], mod.lie[i][p])),
-                )
-                if mod.flavor == "poisson":
-                    check(
-                        "poisson-leibniz", (i, j, p),
-                        mod.act_lie(alg.mult[i][j], mvecs[p]),
-                        _vadd(mod.act_left(avecs[i], mod.lie[j][p]),
-                              mod.act_right(avecs[j], mod.lie[i][p])),
-                    )
+    cells = _MODULE_CELLS if mod.flavor == "poisson" else _MODULE_CELLS[:-1]
+    zero = ((_zero(m),) * d,) * d
+    mult, bracket = _extension_tables(alg, mod, zero, zero)
+    # the triples with one module index, u last, first and in the middle
+    abu = [(a, b, d + p) for a, b, p in itertools.product(range(d), range(d), range(m))]
+    residuals = _order_residuals((mult,), (bracket,), 0, triples=abu
+                                 + [(u, a, b) for a, b, u in abu]
+                                 + [(a, u, b) for a, b, u in abu])
+    for i, j, u in abu:
+        at = {"a": i, "b": j, "u": u}
+        for axiom, f, cell, sign in cells:
+            residual = residuals[f][tuple(at[c] for c in cell)][d:]
+            if any(residual):
+                violations.append(Violation(axiom, (i, j, u - d),
+                                            tuple(sign * v for v in residual)))
 
-    checked = ("unit-left", "unit-right", "assoc-left", "assoc-right",
-               "bimodule-commute", "lie-module", "quasi-left", "quasi-right")
-    if mod.flavor == "poisson":
-        checked = checked + ("poisson-leibniz",)
+    checked = ("unit-left", "unit-right") + tuple(cell[0] for cell in cells)
     return ValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 
@@ -467,10 +473,8 @@ def regular_module(alg: AlgebraSpec) -> ModuleSpec:
     """The algebra as a module over itself: actions by multiplication, Lie
     action by the bracket.  Always poisson-flavored."""
     d = alg.dim
-    left = [[alg.mult[a][p] for p in range(d)] for a in range(d)]
-    right = [[alg.mult[p][a] for p in range(d)] for a in range(d)]
-    lie = [[alg.bracket[a][p] for p in range(d)] for a in range(d)]
-    return ModuleSpec.build(d, d, left, right, lie, flavor="poisson")
+    right = tuple(tuple(alg.mult[p][a] for p in range(d)) for a in range(d))
+    return ModuleSpec(d, d, left=alg.mult, right=right, lie=alg.bracket)
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,6 @@ def tensor_rank(word: tuple[int, ...], dim: int) -> int:
     return r
 
 
-def tensor_unrank(r: int, length: int, dim: int) -> tuple[int, ...]:
-    word = [0] * length
-    for pos in range(length - 1, -1, -1):
-        r, word[pos] = divmod(r, dim)
-    return tuple(word)
-
-
 def wedge_rank(word: tuple[int, ...], dim: int) -> int:
     """Position of an increasing word among ``itertools.combinations`` output
     (lexicographic), computed without enumeration."""
@@ -70,22 +63,6 @@ def wedge_rank(word: tuple[int, ...], dim: int) -> int:
             r += comb(dim - 1 - skipped, j - pos - 1)
         prev = c
     return r
-
-
-def wedge_unrank(r: int, length: int, dim: int) -> tuple[int, ...]:
-    word = []
-    prev = -1
-    for pos in range(length):
-        c = prev + 1
-        while True:
-            block = comb(dim - 1 - c, length - pos - 1)
-            if r < block:
-                break
-            r -= block
-            c += 1
-        word.append(c)
-        prev = c
-    return tuple(word)
 
 
 def space_layout(theory: str, degree: int, dim: int) -> tuple[tuple[int, int], ...]:
@@ -158,31 +135,11 @@ class CochainSpace:
             + wedge_rank(wedge, self.alg_dim)
         return self.block_offsets[i, j] + cell * self.mod_dim + comp
 
-    def unindex(self, flat: int) -> tuple[int, int, tuple, tuple, int]:
-        if not 0 <= flat < self.dim:
-            raise IndexError(f"flat index {flat} outside space of dim {self.dim}")
-        for i, j in reversed(self.blocks):
-            off = self.block_offsets[i, j]
-            if flat >= off:
-                cell, comp = divmod(flat - off, self.mod_dim)
-                trank, wrank = divmod(cell, comb(self.alg_dim, j))
-                return (i, j,
-                        tensor_unrank(trank, i, self.alg_dim),
-                        wedge_unrank(wrank, j, self.alg_dim),
-                        comp)
-        raise IndexError(f"flat index {flat} not inside any block")
-
     def cells(self, i: int, j: int):
         """All (tensor word, wedge word) cells of a block, in flat-index order."""
         for tens in itertools.product(range(self.alg_dim), repeat=i):
             for wedge in itertools.combinations(range(self.alg_dim), j):
                 yield tens, wedge
-
-    def describe(self, flat: int, basis: tuple[str, ...], module_basis: tuple[str, ...]) -> str:
-        i, j, tens, wedge, comp = self.unindex(flat)
-        tpart = ",".join(basis[t] for t in tens) if tens else "-"
-        wpart = "^".join(basis[w] for w in wedge) if wedge else "-"
-        return f"({i},{j})[{tpart}|{wpart}]->{module_basis[comp]}"
 
 
 def _at(table, word: tuple):

@@ -19,6 +19,7 @@ from .algebra import (
     StructuralError,
     ValidationReport,
     _apply_pairs,
+    _extension_tables,
     _freeze_table,
     _order_residuals,
     _pairs,
@@ -79,18 +80,20 @@ class DeformationSeries:
         return self.bracket_terms[n] if n <= self.order else _zero_table(self.algebra.dim)
 
     def extended(self, m_table, l_table) -> "DeformationSeries":
-        return DeformationSeries.build(
-            self.algebra,
-            self.mult_terms + (m_table,),
-            self.bracket_terms + (l_table,),
-        )
+        """The series with one more term; only the new pair is checked."""
+        d, n = self.algebra.dim, self.order + 1
+        m_n = _freeze_table(m_table, d, d, d, f"mult_terms[{n}]")
+        l_n = _freeze_table(l_table, d, d, d, f"bracket_terms[{n}]")
+        require_alternating(l_n, 0, 2, f"bracket_terms[{n}] is not antisymmetric")
+        return DeformationSeries(self.algebra, self.mult_terms + (m_n,),
+                                 self.bracket_terms + (l_n,))
 
     def truncated(self, order: int) -> "DeformationSeries":
         if order < 0:
             raise StructuralError("order must be nonnegative")
         stop = min(order, self.order) + 1
-        return DeformationSeries.build(
-            self.algebra, self.mult_terms[:stop], self.bracket_terms[:stop])
+        return DeformationSeries(self.algebra, self.mult_terms[:stop],
+                                 self.bracket_terms[:stop])
 
     def to_dict(self) -> dict:
         return {
@@ -144,12 +147,10 @@ def series_from_file_dict(data: dict) -> DeformationSeries:
 SAMPLE_LIMIT = 3  # residual samples kept per failing axiom and order
 
 
-def _nonzero_cells(table) -> list:
-    """``((a, b, c), vec)`` for every nonzero vector of a residual table, in
+def _nonzero_cells(residuals) -> list:
+    """``((a, b, c), vec)`` for every nonzero vector of a residual map, in
     index order."""
-    return [((a, b, c), vec) for a, plane in enumerate(table)
-            for b, row in enumerate(plane)
-            for c, vec in enumerate(row) if any(vec)]
+    return [(cell, vec) for cell, vec in residuals.items() if any(vec)]
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,10 @@ def obstruction_tables(series: DeformationSeries, order: int | None = None, *,
             raise StructuralError(
                 f"the series is not a deformation through order {n - 1}; "
                 "obstructions are undefined")
-    return _order_residuals(series.mult_terms, series.bracket_terms, n, inner=True)
+    residuals = _order_residuals(series.mult_terms, series.bracket_terms, n, inner=True)
+    basis = range(series.algebra.dim)
+    return tuple(tuple(tuple(tuple(f[a, b, c] for c in basis) for b in basis) for a in basis)
+                 for f in residuals)
 
 
 def encode_obstruction(alg: AlgebraSpec, f1, f2, f3) -> tuple:
@@ -400,10 +404,8 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> AlgebraSpec:
 def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
                          f0) -> tuple[AlgebraSpec, ValidationReport]:
     """The square-zero extension of the algebra by a poisson module, twisted
-    by a degree-2 cochain: f1 feeds tensor pairs, f0 feeds wedge pairs.
-
-    Products:  (a, x)(a', x') = (aa', a.x' + x.a' + f1(a, a'))
-    Brackets:  {(a, x), (a', x')} = ({a, a'}, {a, x'} - {a', x} + f0(a, a'))
+    by a degree-2 cochain: f1 feeds tensor pairs, f0 feeds wedge pairs (the
+    tables of :func:`poiscoh.algebra._extension_tables`).
 
     The result must satisfy all Poisson axioms (which is exactly the degree-2
     cocycle condition on (f1, f0), plus normalization of f1 against the
@@ -414,33 +416,9 @@ def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
     f1 = _freeze_table(f1, d, d, m, "f1")
     f0 = _freeze_table(f0, d, d, m, "f0")
     require_alternating(f0, 0, 2, "the wedge part f0 must be antisymmetric")
-    n = d + m
-    zero_m = (0,) * m
-    zero_d = (0,) * d
-
-    def pad(avec, mvec):
-        return tuple(avec) + tuple(mvec)
-
-    mult = [[None] * n for _ in range(n)]
-    bracket = [[None] * n for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            mult[i][j] = pad(alg.mult[i][j], f1[i][j])
-            bracket[i][j] = pad(alg.bracket[i][j], f0[i][j])
-    for i in range(d):
-        for p in range(m):
-            mult[i][d + p] = pad(zero_d, mod.left[i][p])
-            mult[d + p][i] = pad(zero_d, mod.right[i][p])
-            bracket[i][d + p] = pad(zero_d, mod.lie[i][p])
-            bracket[d + p][i] = pad(zero_d, tuple(-v for v in mod.lie[i][p]))
-    for p in range(m):
-        for q in range(m):
-            mult[d + p][d + q] = (0,) * n
-            bracket[d + p][d + q] = (0,) * n
-
-    ext = AlgebraSpec.build(
-        n, mult, pad(alg.unit, zero_m), bracket,
-        basis=alg.basis + _module_basis_names(mod))
+    mult, bracket = _extension_tables(alg, mod, f1, f0)
+    ext = AlgebraSpec.build(d + m, mult, alg.unit + (0,) * m, bracket,
+                            basis=alg.basis + _module_basis_names(mod))
     return ext, _require_valid(
         ext, "extension by a non-cocycle (or non-normalized) pair")
 

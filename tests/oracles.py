@@ -135,12 +135,11 @@ def in_span(vectors, target):
 
 
 def _apply(table, x, y):
-    d = len(x)
-    out = [Fraction(0)] * d
-    for i in range(d):
+    out = [Fraction(0)] * len(table[0][0])
+    for i in range(len(x)):
         if not x[i]:
             continue
-        for j in range(d):
+        for j in range(len(y)):
             if not y[j]:
                 continue
             coeff = Fraction(x[i]) * Fraction(y[j])
@@ -228,6 +227,66 @@ def series_residuals(series, order):
                 if any(r3):
                     out["jacobi"][(a, b, c)] = tuple(r3)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Module axioms, written out from their definitions
+
+
+def module_axiom_residuals(mult, bracket, unit, left, right, lie, flavor):
+    """``(checked, violations)`` of a module over an algebra, in the report
+    order of ``validate_module``: the unit laws for each module basis vector
+    u, then, for each basis triple (a, b, u), every other label in turn.  A
+    violation is ``(label, indices, left side - right side)``.  ``left[a][p]``,
+    ``right[a][p]`` and ``lie[a][p]`` are a.u_p, u_p.a and {a, u_p}."""
+    d, m = len(mult), len(left[0])
+
+    def sub(x, y):
+        return tuple(p - q for p, q in zip(x, y))
+
+    def add(x, y):
+        return tuple(p + q for p, q in zip(x, y))
+
+    def times(x, y):
+        return _apply(mult, x, y)
+
+    def brk(x, y):
+        return _apply(bracket, x, y)
+
+    def dot(x, u):  # x.u
+        return _apply(left, x, u)
+
+    def tod(u, x):  # u.x
+        return _apply(right, x, u)
+
+    def act(x, u):  # {x, u}
+        return _apply(lie, x, u)
+
+    labels = ["assoc-left", "assoc-right", "bimodule-commute", "lie-module",
+              "quasi-left", "quasi-right"] + (["poisson-leibniz"] if flavor == "poisson" else [])
+    checked = ("unit-left", "unit-right") + tuple(labels)
+    violations = []
+    for p in range(m):
+        u = _basis(m, p)
+        for label, residual in (("unit-left", sub(dot(unit, u), u)),
+                                ("unit-right", sub(tod(u, unit), u))):
+            if any(residual):
+                violations.append((label, (p,), residual))
+    for i, j, p in itertools.product(range(d), range(d), range(m)):
+        a, b, u = _basis(d, i), _basis(d, j), _basis(m, p)
+        residuals = {
+            "assoc-left": sub(dot(times(a, b), u), dot(a, dot(b, u))),
+            "assoc-right": sub(tod(u, times(a, b)), tod(tod(u, a), b)),
+            "bimodule-commute": sub(tod(dot(a, u), b), dot(a, tod(u, b))),
+            "lie-module": sub(act(brk(a, b), u), sub(act(a, act(b, u)), act(b, act(a, u)))),
+            "quasi-left": sub(act(a, dot(b, u)), add(dot(brk(a, b), u), dot(b, act(a, u)))),
+            "quasi-right": sub(act(a, tod(u, b)), add(tod(u, brk(a, b)), tod(act(a, u), b))),
+            "poisson-leibniz": sub(act(times(a, b), u), add(dot(a, act(b, u)), tod(act(a, u), b))),
+        }
+        for label in labels:
+            if any(residuals[label]):
+                violations.append((label, (i, j, p), residuals[label]))
+    return checked, violations
 
 
 # ---------------------------------------------------------------------------

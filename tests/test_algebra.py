@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from poiscoh.algebra import (
     AlgebraSpec,
     AxiomError,
     BUILTINS,
+    ModuleSpec,
     StructuralError,
     algebra_from_dict,
     algebra_to_dict,
@@ -239,6 +241,45 @@ def test_module_with_broken_lie_action():
                     flavor="poisson")
     report = validate_module(alg, bad)
     assert not report.ok
+
+
+def _module_cases(alg, seed):
+    """The regular module of ``alg`` unchanged and with seeded corruptions,
+    then random modules of dims 1-3, each in both flavors."""
+    rng = random.Random(seed)
+    values = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    reg = regular_module(alg)
+    tables = [[[[list(vec) for vec in row] for row in t] for t in (reg.left, reg.right, reg.lie)]]
+    for _ in range(4):
+        corrupt = copy.deepcopy(tables[0])
+        for _ in range(rng.randint(1, 3)):
+            t = rng.choice(corrupt)
+            t[rng.randrange(alg.dim)][rng.randrange(alg.dim)][rng.randrange(alg.dim)] \
+                += rng.choice(values)
+        tables.append(corrupt)
+    for m in (1, 2, 3):
+        tables.append([[[[rng.choice(values) if rng.random() < 0.3 else 0 for _ in range(m)]
+                         for _ in range(m)] for _ in range(alg.dim)] for _ in range(3)])
+    for left, right, lie in tables:
+        for flavor in ("poisson", "quasi"):
+            yield ModuleSpec.build(len(left[0]), alg.dim, left, right, lie, flavor)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_module_validation_matches_the_direct_axiom_expansion(name):
+    """Every field of the module report, violation by violation and in
+    order, equals the axioms written out from their definitions."""
+    alg = builtin(name)
+    failing = 0
+    for mod in _module_cases(alg, seed=sorted(BUILTINS).index(name)):
+        report = validate_module(alg, mod)
+        checked, expected = oracles.module_axiom_residuals(
+            alg.mult, alg.bracket, alg.unit, mod.left, mod.right, mod.lie, mod.flavor)
+        assert report.checked == checked
+        assert report.ok == (not expected)
+        assert [(v.axiom, v.indices, v.residual) for v in report.violations] == expected
+        failing += not report.ok
+    assert failing == 14  # all but the two unchanged regular modules
 
 
 # ---------------------------------------------------------------------------

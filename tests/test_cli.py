@@ -427,6 +427,32 @@ def test_validate_report_bytes_are_pinned(capsys, tmp_path, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_ALGEBRA_SHA256[fmt]
 
 
+# Over ut2 this module trips all nine module labels as poisson, and all
+# eight it is checked for as quasi.
+FAILING_MODULE = {"dim": 2, "left": [[2, 1, 1, "2"]], "right": [[2, 0, 1, "1/2"]],
+                  "lie": [[1, 1, 0, "-3/2"]]}
+FAILING_MODULE_SHA256 = {
+    ("poisson", "--json"): "9d433c03111cd852cfffad7281e0485a28f6e2a336bda4b6e8077c5ade80c437",
+    ("poisson", "--table"): "fdf1b7b660d2ffa082f2a3d8642a70cf987a13df810f3d325d003a49bbb9c2c9",
+    ("quasi", "--json"): "ec3225f08f5516bbccbcf47c7574831967d8608bb40971a100b75877a28a8102",
+    ("quasi", "--table"): "620d04670c2b6b593b5e63d23e4f9049cc1832a9016316ae65b4f0f25d81c41f",
+}
+
+
+@pytest.mark.parametrize("flavor,fmt", sorted(FAILING_MODULE_SHA256))
+def test_validate_module_report_bytes_are_pinned(capsys, tmp_path, flavor, fmt):
+    """Violation order, indices and residual text of a failing module."""
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(dict(FAILING_MODULE, flavor=flavor)))
+    code, out, err = run(capsys, "validate", "--algebra", "builtin:ut2",
+                         "--module", f"file:{path}", fmt)
+    assert code == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_MODULE_SHA256[flavor, fmt]
+    if fmt == "--json":
+        labels = {v["axiom"] for v in json.loads(out)["module"]["violations"]}
+        assert len(labels) == (9 if flavor == "poisson" else 8)
+
+
 # stdout of the deformation verbs, which encode and decode degree-2 and
 # degree-3 cochains at every order they lift or report.
 DEFORMATION_VERB_SHA256 = {

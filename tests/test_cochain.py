@@ -2,7 +2,7 @@
 the table codec."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -17,10 +17,8 @@ from poiscoh.cochain import (
     encode,
     space_layout,
     tensor_rank,
-    tensor_unrank,
     wedge_normalize,
     wedge_rank,
-    wedge_unrank,
 )
 
 import oracles
@@ -30,12 +28,13 @@ import oracles
 # ranking bijections
 
 
-@given(st.integers(1, 6), st.integers(0, 4), st.data())
-def test_tensor_rank_roundtrip(dim, length, data):
-    word = tuple(data.draw(st.integers(0, dim - 1)) for _ in range(length))
-    r = tensor_rank(word, dim)
-    assert 0 <= r < dim ** length
-    assert tensor_unrank(r, length, dim) == word
+def test_tensor_rank_roundtrip():
+    """Every word's rank is its position among all words of its length, so
+    the rank is a bijection onto range(dim ** length)."""
+    for dim in range(1, 7):
+        for length in range(5):
+            words = product(range(dim), repeat=length)
+            assert [tensor_rank(w, dim) for w in words] == list(range(dim ** length))
 
 
 def test_tensor_rank_is_big_endian():
@@ -52,7 +51,6 @@ def test_wedge_rank_matches_combinations_order(dim, length):
         return
     for pos, combo in enumerate(combinations(range(dim), length)):
         assert wedge_rank(combo, dim) == pos
-        assert wedge_unrank(pos, length, dim) == combo
 
 
 def test_wedge_normalize_sign_matches_permutation_parity():
@@ -131,28 +129,20 @@ def test_space_dim_is_sum_of_block_sizes(theory, degree):
     ("poisson", 3), ("quasi", 2), ("omega", 1), ("hochschild", 2), ("ce", 2),
 ])
 def test_index_unindex_roundtrip(theory, degree):
+    """Blocks, then cells, then components, in order, are the flat positions
+    in order: index hits every position once."""
     space = CochainSpace.build(theory, degree, 3, 2)
-    seen = set()
-    for i, j in space.blocks:
-        for tens, wedge in space.cells(i, j):
-            for comp in range(space.mod_dim):
-                flat = space.index(i, j, tens, wedge, comp)
-                assert space.unindex(flat) == (i, j, tens, wedge, comp)
-                seen.add(flat)
-    assert seen == set(range(space.dim))
+    flat = [space.index(i, j, tens, wedge, comp)
+            for i, j in space.blocks
+            for tens, wedge in space.cells(i, j)
+            for comp in range(space.mod_dim)]
+    assert flat == list(range(space.dim))
 
 
 def test_index_rejects_out_of_block_cells():
     space = CochainSpace.build("poisson", 2, 3, 2)
     with pytest.raises(StructuralError):
         space.index(1, 1, (0,), (0,), 0)
-
-
-def test_describe_mentions_basis_names():
-    space = CochainSpace.build("poisson", 2, 3, 3)
-    names = ("a", "b", "c")
-    text = space.describe(space.index(2, 0, (1, 2), (), 0), names, names)
-    assert "b" in text and "c" in text
 
 
 # ---------------------------------------------------------------------------

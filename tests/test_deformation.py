@@ -34,6 +34,7 @@ from poiscoh.deformation import (
     first_order_deformations,
     is_poisson_2cocycle,
     lift_step,
+    lift_until,
     m2_family_is_associative,
     m2_product_family,
     m2_table3_series,
@@ -103,6 +104,13 @@ def test_truncated_and_extended():
     assert longer.mult_term(2) == z
     with pytest.raises(StructuralError):
         series.truncated(-1)
+    # only the appended pair is checked, under its own order in the message
+    symmetric = tuple(tuple((1, 0, 0, 0) if i + j == 3 else (0,) * 4 for j in range(4))
+                      for i in range(4))
+    with pytest.raises(StructuralError, match=r"bracket_terms\[2\] is not antisymmetric"):
+        head.extended(z, symmetric)
+    with pytest.raises(StructuralError, match=r"mult_terms\[2\]"):
+        head.extended(z[:3], z)
 
 
 def test_series_dict_roundtrips():
@@ -368,6 +376,25 @@ def test_lift_step_extends_the_truncated_family():
                                            tabulated.bracket_term(2)[i][j]))
                for j in range(4)] for i in range(4)]
     assert is_poisson_2cocycle(alg, diff_m, diff_l)
+
+
+@pytest.mark.parametrize("target", [4, 8, 16])
+def test_lift_freezes_each_new_term_once(monkeypatch, target):
+    """Lifting freezes the two tables of each new order and nothing else:
+    earlier terms are never frozen or checked again."""
+    start = m2_table3_series(1, repaired=True).truncated(1)
+    frozen = []
+    real = poiscoh.algebra._freeze_table
+
+    def counting(table, rows, cols, width, what):
+        frozen.append(what)
+        return real(table, rows, cols, width, what)
+
+    for module in (poiscoh.algebra, poiscoh.deformation):
+        monkeypatch.setattr(module, "_freeze_table", counting)
+    series, obstructed_at = lift_until(start, target)
+    assert obstructed_at is None and series.order == target
+    assert len(frozen) == 2 * (target - 1)
 
 
 # ---------------------------------------------------------------------------
