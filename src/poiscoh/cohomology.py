@@ -1,9 +1,10 @@
 """Cohomology of the assembled complexes, with cross-checking utilities.
 
 Dimensions come from the rank-nullity bookkeeping
-``dim H^n = dim C^n - rank d^n - rank d^(n-1)``; representatives, when asked
-for, are kernel vectors filtered to be independent modulo the coboundary
-image.  The module also computes cohomology of distinguished subcomplexes
+``dim H^n = dim C^n - rank d^n - rank d^(n-1)``, applied to the weight-zero
+subcomplex alone when a diagonal Lie action makes every other weight
+acyclic; representatives, when asked for, are kernel vectors filtered to be
+independent modulo the coboundary image.  The module also computes cohomology of distinguished subcomplexes
 (multiderivations, corner/first-row kernels), spaces of equivariant maps, and
 a feasibility scan for the long exact sequence tying the three main theories
 together.
@@ -16,11 +17,14 @@ from math import comb
 from typing import Sequence
 
 from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
+from .cochain import CochainSpace
 from .complexes import (
     SIGN_CONVENTION,
     _edge_maps,
     _require_commutative,
     build_complex,
+    cartan_weights,
+    coordinate_weights,
     differential,
     lp_space_basis,
 )
@@ -68,6 +72,46 @@ def _rank_nullity(space_dims, ranks) -> tuple[int, ...]:
                  for n, dim in enumerate(space_dims))
 
 
+def _ranks_from_dims(mats, dims) -> tuple[int, ...]:
+    """rank d^n = dim C^n - dim H^n - rank d^(n-1), for every n: the inverse
+    of :func:`_rank_nullity`.  A rank outside ``[0, min(shape)]`` means the
+    dims were wrong, and raises ArithmeticError."""
+    ranks = []
+    for n, mat in enumerate(mats):
+        r = mat.ncols - dims[n] - (ranks[-1] if n else 0)
+        if not 0 <= r <= min(mat.nrows, mat.ncols):
+            raise ArithmeticError(f"rebuilt rank {r} of d^{n} is impossible")
+        ranks.append(r)
+    return tuple(ranks)
+
+
+def _weight_zero_rows(matrix: SparseMatrix, row_weights, col_weights) -> SparseMatrix:
+    """The rows of weight zero of a differential, on fresh row dicts and
+    with the columns left as they are, so that columns of other weights are
+    in no kept row.  Every entry must join equal weights; one that does not
+    raises ArithmeticError."""
+    rows = {}
+    for r, row in matrix.numerators.items():
+        w = row_weights[r]
+        if any(col_weights[c] != w for c in row):
+            raise ArithmeticError(f"the differential moves the weight of row {r}")
+        if not w:
+            rows[r] = dict(row)
+    return SparseMatrix.from_numerators(matrix.nrows, matrix.ncols, rows)
+
+
+def _weight_zero_dims(alg, mod, theory, mats, alg_weights, mod_weights) -> tuple[int, ...]:
+    """dim H^n of the weight-zero subcomplex, which is dim H^n of the whole
+    complex when Cartan's formula makes every other weight acyclic (see
+    :func:`~poiscoh.complexes.cartan_weights`)."""
+    weights = [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
+                                  alg_weights, mod_weights)
+               for n in range(len(mats) + 1)]
+    ranks = [Echelon(_weight_zero_rows(m, weights[n + 1], weights[n])).rank
+             for n, m in enumerate(mats)]
+    return _rank_nullity([w.count(0) for w in weights[:-1]], ranks)
+
+
 def _image_columns(matrix: SparseMatrix) -> list[dict[int, int]]:
     """The columns of the numerator matrix: the image columns, each scaled
     by the same positive denominator."""
@@ -100,11 +144,23 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     differentials are composed pairwise and checked to vanish before any
     rank is trusted, and each kernel basis that representatives are picked
     from is checked against its differential.
+
+    Without representatives, when :func:`~poiscoh.complexes.cartan_weights`
+    finds a weight element, only the weight-zero rows of each differential
+    are eliminated; the full ranks then follow from the dims by
+    rank-nullity, so the report is the same as from eliminating every row.
     """
     if mod is None:
         mod = regular_module(alg)
     mats = build_complex(alg, mod, theory, max_degree)
     space_dims = tuple(m.ncols for m in mats)
+    cartan = None if representatives else cartan_weights(alg, mod, theory)
+    if cartan is not None:
+        _, alg_weights, mod_weights = cartan
+        dims = _weight_zero_dims(alg, mod, theory, mats, alg_weights, mod_weights)
+        ranks = _ranks_from_dims(mats, dims)
+        return CohomologyReport(theory=theory, max_degree=max_degree,
+                                space_dims=space_dims, ranks=ranks, dims=dims)
     echelons = [Echelon(m) for m in mats]
     ranks = tuple(e.rank for e in echelons)
     dims = _rank_nullity(space_dims, ranks)

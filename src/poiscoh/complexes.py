@@ -30,6 +30,7 @@ from .cochain import (
     CochainSpace,
     decode,
     encode,
+    space_layout,
     tensor_rank,
     wedge_normalize,
     wedge_rank,
@@ -274,6 +275,62 @@ def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
         if not mats[n + 1].matmul(mats[n]).is_zero:
             raise ArithmeticError(f"{theory} assembly is not a complex at degree {n}")
     return mats
+
+
+# ---------------------------------------------------------------------------
+# Weights of a diagonal Lie action
+
+
+def _diagonal(table, x: int) -> tuple | None:
+    """The diagonal of the action matrix ``table[x]`` (``table[x][p]`` is the
+    image of basis p), or None when the matrix is not diagonal."""
+    diag = []
+    for p, vec in enumerate(table[x]):
+        if any(c for k, c in enumerate(vec) if k != p):
+            return None
+        diag.append(vec[p])
+    return tuple(diag)
+
+
+def cartan_weights(alg: AlgebraSpec, mod: ModuleSpec,
+                   theory: str) -> tuple[int, tuple, tuple] | None:
+    """``(x, algebra weights, module weights)`` for the first basis element
+    x whose bracket action ``ad_x`` and module action ``rho_M(x)`` are both
+    diagonal with some nonzero weight, the weights scaled to integers by one
+    common factor; None when there is no such x, or when the theory has no
+    wedge slot to insert x into.
+
+    Inserting x as the first wedge argument, with the twist ``(-1)**i`` on
+    tensor width i, is a map iota with ``d iota + iota d = L_x`` (Cartan's
+    formula), where ``L_x`` acts on each coordinate by its weight (see
+    :func:`coordinate_weights`).  So ``iota / w`` contracts the weight-w
+    part for every w != 0, and only weight zero carries cohomology.
+    The hochschild complex has no wedge slot, and its weight-zero part
+    alone gives wrong dimensions.
+    """
+    if not any(j for _, j in space_layout(theory, 1, alg.dim)):
+        return None
+    for x in range(alg.dim):
+        aw, mw = _diagonal(alg.bracket, x), _diagonal(mod.lie, x)
+        if aw is not None and mw is not None and any(aw + mw):
+            scale = denominator_lcm(aw + mw)
+            return x, tuple(int(w * scale) for w in aw), tuple(int(w * scale) for w in mw)
+    return None
+
+
+def coordinate_weights(space: CochainSpace, alg_weights, mod_weights) -> list[int]:
+    """The weight ``w(p) - sum w(tensor word) - sum w(wedge word)`` of every
+    flat coordinate of a cochain space, built one block at a time from the
+    weights of its tensor words and of its wedge words."""
+    out: list[int] = []
+    for i, j in space.blocks:
+        tensor = [0]
+        for _ in range(i):
+            tensor = [t + w for t in tensor for w in alg_weights]
+        wedge = [sum(alg_weights[k] for k in word)
+                 for word in itertools.combinations(range(space.alg_dim), j)]
+        out += [p - t - w for t in tensor for w in wedge for p in mod_weights]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -398,3 +398,74 @@ def coboundary_pair(mult, bracket, left, right, lie, h):
         act(lie, a, h[b]), act(lie, b, h[a]), h_of(bracket[a][b])))
         for b in range(d)] for a in range(d)]
     return tensor, wedge
+
+
+# ---------------------------------------------------------------------------
+# Cartan's formula: insertion of a basis element and its Lie derivative
+#
+# Both maps act on the flat cochains of a sum of (i, j) blocks, laid out as
+# ``block offset + (tensor rank * C(d, j) + wedge rank) * m + component``
+# with tensor words in ``itertools.product`` order and increasing wedge
+# words in ``itertools.combinations`` order, and come back as their shape
+# and a plain dict matrix ``{(row, col): Fraction}``.
+
+
+def _flat_positions(blocks, d, m):
+    """``({(i, j, tensor word, wedge word): first flat index}, total dim)``."""
+    pos, start = {}, 0
+    for i, j in blocks:
+        for tens in itertools.product(range(d), repeat=i):
+            for wedge in itertools.combinations(range(d), j):
+                pos[i, j, tens, wedge] = start
+                start += m
+    return pos, start
+
+
+def _sorted_wedge(word):
+    """``(sign, increasing word)`` of a wedge word, sign 0 on a repeat."""
+    if len(set(word)) < len(word):
+        return 0, None
+    return permutation_sign(sorted(range(len(word)), key=word.__getitem__)), tuple(sorted(word))
+
+
+def insertion(src_blocks, tgt_blocks, d, m, x):
+    """iota_x : C^n -> C^(n-1), ``(iota f)(a; omega) = (-1)^i f(a; x ^ omega)``
+    on tensor width i, as ``(nrows, ncols, entries)``."""
+    src, ncols = _flat_positions(src_blocks, d, m)
+    tgt, nrows = _flat_positions(tgt_blocks, d, m)
+    entries = {}
+    for (i, j, tens, omega), row in tgt.items():
+        if (i, j + 1) not in src_blocks:
+            continue
+        sign, word = _sorted_wedge((x,) + omega)
+        if sign:
+            col = src[i, j + 1, tens, word]
+            for p in range(m):
+                dict_add(entries, row + p, col + p, (-1) ** i * sign)
+    return nrows, ncols, entries
+
+
+def lie_derivative(blocks, bracket, lie, m, x):
+    """L_x on C^n: ``(L f)(args) = {x, f(args)} - sum_k f(..., {x, arg_k}, ...)``
+    over every tensor and wedge argument, from the bracket table and the
+    module's Lie action ``lie[a][p]`` = {a, u_p}; ``(dim, entries)``."""
+    d = len(bracket)
+    pos, dim = _flat_positions(blocks, d, m)
+    entries = {}
+    for (i, j, tens, wedge), row in pos.items():
+        for q in range(m):  # {x, f(args)}: column p feeds row component q
+            for p in range(m):
+                if lie[x][p][q]:
+                    dict_add(entries, row + q, row + p, lie[x][p][q])
+        args = tens + wedge
+        for k, a in enumerate(args):
+            for b, c in enumerate(bracket[x][a]):
+                if not c:
+                    continue
+                moved = args[:k] + (b,) + args[k + 1:]
+                sign, word = _sorted_wedge(moved[i:])
+                if sign:
+                    col = pos[i, j, moved[:i], word]
+                    for p in range(m):
+                        dict_add(entries, row + p, col + p, -c * sign)
+    return dim, entries

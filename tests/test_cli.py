@@ -475,6 +475,35 @@ def test_deformation_verb_bytes_are_pinned(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout of the dims-only cohomology runs, which take the weight-zero route
+# (digests captured on the direct elimination route).
+COHOMOLOGY_SHA256 = {
+    "m2-hp4": ("cohomology --algebra builtin:m2 --theory hp --max-degree 4",
+               "2c113ccbacf0c805a029b7fb6b9e74b97fc0596d89541aed96f18fcc70b0729f"),
+    "sl2std-hp4": ("cohomology --algebra builtin:sl2std --theory hp --max-degree 4",
+                   "f4c48564cddec1e5c85d00c843c9d7d33500ecb1c3d6bcaf50d294ea046c62d2"),
+    "m2-omega2": ("cohomology --algebra builtin:m2 --theory omega --max-degree 2",
+                  "f0ac1b4dbfffa58284c93d3886344c4676ef5704215a7d92a07795362517e76f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COHOMOLOGY_SHA256))
+def test_cohomology_bytes_are_pinned(capsys, case):
+    argv, digest = COHOMOLOGY_SHA256[case]
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_package_runs_as_a_module():
+    """``python -m poiscoh`` is the same program as ``python -m poiscoh.cli``."""
+    package = subprocess.run([sys.executable, "-m", "poiscoh", "examples"],
+                             capture_output=True)
+    cli = spawn("examples")
+    assert package.returncode == cli.returncode == 0
+    assert package.stdout == cli.stdout and package.stdout
+
+
 def test_version_flag():
     proc = spawn("--version")
     assert proc.returncode == 0

@@ -7,18 +7,22 @@ frozen here so any regression in indexing, assembly, or elimination shows up
 as a changed number, not a silent drift.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from poiscoh.algebra import (
+    BUILTINS,
     StructuralError,
     builtin,
     regular_module,
     trivial_bracket,
 )
+from poiscoh.cochain import CochainSpace
 from poiscoh.cohomology import (
+    _weight_zero_rows,
     adjoint_action,
     center_of_lie,
     cohomology_dims,
@@ -30,9 +34,22 @@ from poiscoh.cohomology import (
     trivial_bracket_decomposition,
     type_cohomology,
 )
-from poiscoh.complexes import SIGN_CONVENTION, differential, lp_space_basis
+from poiscoh.complexes import (
+    SIGN_CONVENTION,
+    build_complex,
+    cartan_weights,
+    coordinate_weights,
+    delta_H,
+    delta_V,
+    delta_v,
+    differential,
+    lp_space_basis,
+)
+from poiscoh.deformation import transport
+from poiscoh.linalg import Echelon, SparseMatrix
 
 import oracles
+from test_deformation import CHARACTERS, _character_module
 
 # (builtin, theory, expected dims from degree 0 up)
 FROZEN_DIMS = [
@@ -212,6 +229,130 @@ def test_report_to_dict_is_deterministic():
     second = cohomology_dims(builtin("ut2"), max_degree=2,
                              representatives=True).to_dict()
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Only weight zero carries cohomology
+
+CARTAN_THEORIES = ("poisson", "quasi", "omega", "ce")
+# the basis element whose weights split the complex, per builtin with a bracket
+WEIGHT_ELEMENT = {"ut2": "e11", "m2": "h", "sl2std": "h", "nil3": "y"}
+# top degrees as in FROZEN_DIMS; omega of the zero-bracket builtins stops at 2
+TIER1_TOP = {(name, theory): len(expected) - 1 for name, theory, expected in FROZEN_DIMS}
+
+
+def _tier1_top(name, theory):
+    return TIER1_TOP.get((name, theory), 2)
+
+
+def _rescaled_m2():
+    """m2 in the basis (3/2, -2/3 e, 3/2 f, 2/3 h): ad_h has weights 0, 4/3, -4/3, 0."""
+    factors = (Fraction(3, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(2, 3))
+    return transport(builtin("m2"), [[factors[r] if r == c else 0 for c in range(4)]
+                                     for r in range(4)])
+
+
+def _clear_block_caches():
+    for block in (delta_H, delta_V, delta_v):
+        block.cache_clear()
+
+
+@pytest.mark.parametrize("name,theory", itertools.product(sorted(WEIGHT_ELEMENT),
+                                                          CARTAN_THEORIES))
+def test_cartan_formula_holds_on_the_assembled_complex(name, theory):
+    """``d iota_x + iota_x d = L_x`` exactly, sign included, on C^0 .. C^top
+    for every basis x, with iota_x and L_x from the oracle and d the
+    assembled differential."""
+    alg = builtin(name)
+    mod = regular_module(alg)
+    d, m, top = alg.dim, mod.dim, _tier1_top(name, theory)
+    blocks = [CochainSpace.build(theory, n, d, m).blocks for n in range(top + 2)]
+    mats = [differential(alg, mod, theory, n) for n in range(top + 1)]
+    moved = False
+    for x in range(d):
+        iota = {n: SparseMatrix(*oracles.insertion(blocks[n], blocks[n - 1], d, m, x))
+                for n in range(1, top + 2)}
+        for n in range(top + 1):
+            dim, lie = oracles.lie_derivative(blocks[n], alg.bracket, mod.lie, m, x)
+            products = [iota[n + 1].matmul(mats[n])] + ([mats[n - 1].matmul(iota[n])] if n else [])
+            total = SparseMatrix(dim, dim, [e for p in products for e in p.entries.items()])
+            assert total == SparseMatrix(dim, dim, lie)
+            moved = moved or bool(lie)
+    assert moved
+
+
+def test_weight_route_is_chosen_from_the_input():
+    """The first basis element with a diagonal action and a nonzero weight
+    picks the route; hochschild, which has no wedge slot, and the
+    zero-bracket builtins stay on the direct path."""
+    for name in sorted(BUILTINS):
+        alg = builtin(name)
+        mod = regular_module(alg)
+        assert cartan_weights(alg, mod, "hochschild") is None
+        for theory in CARTAN_THEORIES:
+            chosen = cartan_weights(alg, mod, theory)
+            if name in WEIGHT_ELEMENT:
+                assert alg.basis[chosen[0]] == WEIGHT_ELEMENT[name]
+            else:
+                assert chosen is None
+    rescaled = _rescaled_m2()
+    assert cartan_weights(rescaled, regular_module(rescaled), "poisson") == (
+        3, (0, 4, -4, 0), (0, 4, -4, 0))
+
+
+def _route_inputs():
+    inputs = [("regular", name) for name in sorted(BUILTINS)]
+    inputs += [("character", name) for name in sorted(CHARACTERS)]
+    return inputs + [("rescaled", "m2")]
+
+
+@pytest.mark.parametrize("kind,name,theory", [
+    (kind, name, theory) for kind, name in _route_inputs() for theory in CARTAN_THEORIES])
+def test_weight_zero_route_agrees_with_direct_elimination(kind, name, theory):
+    if kind == "rescaled":
+        alg, mod = _rescaled_m2(), None
+    else:
+        alg = builtin(name)
+        mod = _character_module(name) if kind == "character" else None
+    mod = mod or regular_module(alg)
+    top = _tier1_top(name, theory)
+    assert (cartan_weights(alg, mod, theory) is None) == alg.has_zero_bracket
+    mats = build_complex(alg, mod, theory, top)
+    ranks = tuple(Echelon(mat).rank for mat in mats)
+    space_dims = tuple(mat.ncols for mat in mats)
+    report = cohomology_dims(alg, mod, theory, top)
+    assert report.space_dims == space_dims
+    assert report.ranks == ranks
+    assert report.dims == tuple(space_dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
+                                for n in range(top + 1))
+
+
+def test_weight_zero_route_leaves_the_differentials_as_built():
+    """Neither the cached blocks nor an assembled matrix the restriction
+    reads are written by the weight-zero route."""
+    alg = _rescaled_m2()
+    mod = regular_module(alg)
+    _clear_block_caches()
+    cohomology_dims(alg, mod, "poisson", 3)
+    cached = [differential(alg, mod, "poisson", n) for n in range(4)]
+    _clear_block_caches()
+    fresh = [differential(alg, mod, "poisson", n) for n in range(4)]
+    assert cached == fresh
+    assert any(mat.denominator > 1 for mat in fresh)
+    _, alg_weights, mod_weights = cartan_weights(alg, mod, "poisson")
+    weights = [coordinate_weights(CochainSpace.build("poisson", n, 4, 4), alg_weights,
+                                  mod_weights) for n in range(5)]
+    for n, mat in enumerate(fresh):
+        before = (mat.denominator, mat.numerator_rows())
+        kept = _weight_zero_rows(mat, weights[n + 1], weights[n])
+        assert (mat.denominator, mat.numerator_rows()) == before
+        assert set(kept.numerators) == {r for r in mat.numerators if not weights[n + 1][r]}
+
+
+def test_weight_zero_restriction_refuses_a_map_that_moves_weights():
+    mat = SparseMatrix(2, 2, {(0, 1): 1})
+    with pytest.raises(ArithmeticError, match="moves the weight"):
+        _weight_zero_rows(mat, [0, 1], [0, 1])
 
 
 # ---------------------------------------------------------------------------
