@@ -22,6 +22,7 @@ from .algebra import (
     BUILTINS,
     ModuleSpec,
     StructuralError,
+    _require_valid,
     _table_to_triples,
     _triples_to_table,
     algebra_to_dict,
@@ -273,6 +274,8 @@ def cmd_validate(args) -> int:
 def cmd_cohomology(args) -> int:
     alg = _resolve_algebra(args.algebra)
     mod = _resolve_module(args.module, alg)
+    if args.module != "regular":
+        _require_valid(alg, "the module fails its axioms", mod)
     theory = THEORY_ALIASES[args.theory]
     _check_size(theory, range(args.max_degree + 2), alg, mod)
     report = cohomology_dims(alg, mod, theory=theory, max_degree=args.max_degree,

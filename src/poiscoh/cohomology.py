@@ -1,13 +1,13 @@
 """Cohomology of the assembled complexes, with cross-checking utilities.
 
 Dimensions come from the rank-nullity bookkeeping
-``dim H^n = dim C^n - rank d^n - rank d^(n-1)``, applied to the weight-zero
-subcomplex alone when a diagonal Lie action makes every other weight
-acyclic; representatives, when asked for, are kernel vectors filtered to be
-independent modulo the coboundary image.  The module also computes cohomology of distinguished subcomplexes
-(multiderivations, corner/first-row kernels), spaces of equivariant maps, and
-a feasibility scan for the long exact sequence tying the three main theories
-together.
+``dim H^n = dim C^n - rank d^n - rank d^(n-1)``, and representatives, when
+asked for, are kernel vectors filtered to be independent modulo the
+coboundary image; both are taken from the weight-zero subcomplex alone when
+a diagonal Lie action makes every other weight acyclic.  The module also
+computes cohomology of distinguished subcomplexes (multiderivations,
+corner/first-row kernels), spaces of equivariant maps, and a feasibility
+scan for the long exact sequence tying the three main theories together.
 """
 
 from __future__ import annotations
@@ -100,18 +100,6 @@ def _weight_zero_rows(matrix: SparseMatrix, row_weights, col_weights) -> SparseM
     return SparseMatrix.from_numerators(matrix.nrows, matrix.ncols, rows)
 
 
-def _weight_zero_dims(alg, mod, theory, mats, alg_weights, mod_weights) -> tuple[int, ...]:
-    """dim H^n of the weight-zero subcomplex, which is dim H^n of the whole
-    complex when Cartan's formula makes every other weight acyclic (see
-    :func:`~poiscoh.complexes.cartan_weights`)."""
-    weights = [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
-                                  alg_weights, mod_weights)
-               for n in range(len(mats) + 1)]
-    ranks = [Echelon(_weight_zero_rows(m, weights[n + 1], weights[n])).rank
-             for n, m in enumerate(mats)]
-    return _rank_nullity([w.count(0) for w in weights[:-1]], ranks)
-
-
 def _image_columns(matrix: SparseMatrix) -> list[dict[int, int]]:
     """The columns of the numerator matrix: the image columns, each scaled
     by the same positive denominator."""
@@ -145,33 +133,34 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     rank is trusted, and each kernel basis that representatives are picked
     from is checked against its differential.
 
-    Without representatives, when :func:`~poiscoh.complexes.cartan_weights`
-    finds a weight element, only the weight-zero rows of each differential
-    are eliminated; the full ranks then follow from the dims by
-    rank-nullity, so the report is the same as from eliminating every row.
+    Only the weight-zero rows of each differential are eliminated, which is
+    all of them unless :func:`~poiscoh.complexes.cartan_weights` finds a
+    weight element.  The dims come from the weight-zero ranks, since every
+    other weight is acyclic, and the full ranks from the dims by
+    rank-nullity.  Representatives are the weight-zero kernel vectors that
+    are independent modulo the weight-zero image: the same vectors that
+    eliminating every row would pick (docs/decisions.md, section 6).
     """
     if mod is None:
         mod = regular_module(alg)
     mats = build_complex(alg, mod, theory, max_degree)
     space_dims = tuple(m.ncols for m in mats)
-    cartan = None if representatives else cartan_weights(alg, mod, theory)
-    if cartan is not None:
-        _, alg_weights, mod_weights = cartan
-        dims = _weight_zero_dims(alg, mod, theory, mats, alg_weights, mod_weights)
-        ranks = _ranks_from_dims(mats, dims)
-        return CohomologyReport(theory=theory, max_degree=max_degree,
-                                space_dims=space_dims, ranks=ranks, dims=dims)
-    echelons = [Echelon(m) for m in mats]
-    ranks = tuple(e.rank for e in echelons)
-    dims = _rank_nullity(space_dims, ranks)
+    cartan = cartan_weights(alg, mod, theory)
+    alg_weights, mod_weights = cartan[1:] if cartan else ((0,) * alg.dim, (0,) * mod.dim)
+    weights = [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
+                                  alg_weights, mod_weights)
+               for n in range(max_degree + 2)]
+    kept = [_weight_zero_rows(m, weights[n + 1], weights[n]) for n, m in enumerate(mats)]
+    echelons = [Echelon(m) for m in kept]
+    dims = _rank_nullity([w.count(0) for w in weights[:-1]], [e.rank for e in echelons])
+    ranks = _ranks_from_dims(mats, dims)
     reps = None
     if representatives:
         reps = {}
-        for n in range(max_degree + 1):
-            kernel = echelons[n].kernel_basis()
+        for n, echelon in enumerate(echelons):
+            kernel = echelon.kernel_basis([c for c in echelon.free_cols if not weights[n][c]])
             verify_kernel(mats[n], kernel)
-            found = _representatives(kernel, mats[n - 1] if n else None,
-                                     space_dims[n])
+            found = _representatives(kernel, kept[n - 1] if n else None, space_dims[n])
             if len(found) != dims[n]:
                 raise ArithmeticError(
                     f"representative count mismatch in degree {n}")

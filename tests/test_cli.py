@@ -9,7 +9,14 @@ import time
 
 import pytest
 
-from poiscoh.algebra import algebra_to_dict, builtin, module_to_dict, regular_module
+from poiscoh.algebra import (
+    algebra_to_dict,
+    builtin,
+    load_module,
+    module_to_dict,
+    regular_module,
+    validate_module,
+)
 from poiscoh import complexes
 from poiscoh.cli import MAX_SPACE_DIM, _check_size, main
 from poiscoh.complexes import differential
@@ -453,6 +460,41 @@ def test_validate_module_report_bytes_are_pinned(capsys, tmp_path, flavor, fmt):
         assert len(labels) == (9 if flavor == "poisson" else 8)
 
 
+@pytest.mark.parametrize("verb", ["cohomology", "extend"])
+def test_a_failing_file_module_is_named_before_anything_is_built(capsys, tmp_path, verb):
+    """The module's own violations are reported, not a broken complex or a
+    non-cocycle built from it."""
+    path, zero = tmp_path / "failing.json", tmp_path / "zero.json"
+    path.write_text(json.dumps(FAILING_MODULE))
+    zero.write_text("{}")
+    alg = builtin("ut2")
+    summary = validate_module(alg, load_module(str(path), alg)).summary()
+    extra = ["--max-degree", "2"] if verb == "cohomology" else ["--cocycle", f"file:{zero}"]
+    code, out, err = run(capsys, verb, "--algebra", "builtin:ut2",
+                         "--module", f"file:{path}", *extra)
+    assert code == 1 and out == ""
+    assert err == f"error: the module fails its axioms: {summary}\n"
+
+
+@pytest.mark.parametrize("verb", ["cohomology", "extend"])
+def test_a_passing_file_module_runs_as_the_regular_one(capsys, tmp_path, verb):
+    path = tmp_path / "regular.json"
+    path.write_text(json.dumps(module_to_dict(regular_module(builtin("ut2")))))
+    runs = [run(capsys, verb, "--algebra", "builtin:ut2", "--module", source)
+            for source in ("regular", f"file:{path}")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_extend_refuses_a_quasi_flavored_module(capsys, tmp_path):
+    path = tmp_path / "quasi.json"
+    path.write_text(json.dumps(dict(module_to_dict(regular_module(builtin("ut2"))),
+                                    flavor="quasi")))
+    code, out, err = run(capsys, "extend", "--algebra", "builtin:ut2",
+                         "--module", f"file:{path}")
+    assert code == 1 and out == ""
+    assert err == "error: the extension needs a poisson-flavored module\n"
+
+
 # stdout of the deformation verbs, which encode and decode degree-2 and
 # degree-3 cochains at every order they lift or report.
 DEFORMATION_VERB_SHA256 = {
@@ -484,6 +526,16 @@ COHOMOLOGY_SHA256 = {
                    "f4c48564cddec1e5c85d00c843c9d7d33500ecb1c3d6bcaf50d294ea046c62d2"),
     "m2-omega2": ("cohomology --algebra builtin:m2 --theory omega --max-degree 2",
                   "f0ac1b4dbfffa58284c93d3886344c4676ef5704215a7d92a07795362517e76f"),
+    # representatives as picked by eliminating every row of each differential
+    "ut2-hp5-reps": ("cohomology --algebra builtin:ut2 --theory hp --max-degree 5 "
+                     "--representatives",
+                     "44d010fc4bd6c53383f7422d1e48e63c03540c649bde2be677b0726ce70833a7"),
+    "sl2std-hp4-reps": ("cohomology --algebra builtin:sl2std --theory hp --max-degree 4 "
+                        "--representatives",
+                        "2630173425aa37ed4b2034784128fe67dc7ae791fb64df4056d9db0585172ae0"),
+    "m2-hp4-reps": ("cohomology --algebra builtin:m2 --theory hp --max-degree 4 "
+                    "--representatives",
+                    "4d33e1564905674b383052a057a3948e7206aaaf5fb7ade1a448e6fc760435f5"),
 }
 
 

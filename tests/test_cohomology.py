@@ -9,6 +9,7 @@ as a changed number, not a silent drift.
 
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ from poiscoh.complexes import (
     lp_space_basis,
 )
 from poiscoh.deformation import transport
-from poiscoh.linalg import Echelon, SparseMatrix
+from poiscoh.linalg import Echelon, RowReducer, SparseMatrix, dense_vector
 
 import oracles
 from test_deformation import CHARACTERS, _character_module
@@ -306,9 +307,28 @@ def _route_inputs():
     return inputs + [("rescaled", "m2")]
 
 
+def _direct_representatives(mats, echelons):
+    """Representatives from eliminating every row: each full kernel vector
+    that a RowReducer holding every image column accepts."""
+    reps = {}
+    for n, (mat, echelon) in enumerate(zip(mats, echelons)):
+        reducer = RowReducer(mat.ncols)
+        image: dict[int, dict[int, int]] = {}
+        for r, row in (mats[n - 1].numerators.items() if n else ()):
+            for c, v in row.items():
+                image.setdefault(c, {})[r] = v
+        for c in sorted(image):
+            reducer.add(image[c])
+        reps[n] = [dense_vector(vec, mat.ncols) for vec in echelon.kernel_basis()
+                   if reducer.add(vec)]
+    return reps
+
+
 @pytest.mark.parametrize("kind,name,theory", [
     (kind, name, theory) for kind, name in _route_inputs() for theory in CARTAN_THEORIES])
 def test_weight_zero_route_agrees_with_direct_elimination(kind, name, theory):
+    """Dims, ranks and representatives are those of eliminating every row
+    of the full differentials."""
     if kind == "rescaled":
         alg, mod = _rescaled_m2(), None
     else:
@@ -318,13 +338,16 @@ def test_weight_zero_route_agrees_with_direct_elimination(kind, name, theory):
     top = _tier1_top(name, theory)
     assert (cartan_weights(alg, mod, theory) is None) == alg.has_zero_bracket
     mats = build_complex(alg, mod, theory, top)
-    ranks = tuple(Echelon(mat).rank for mat in mats)
+    echelons = [Echelon(mat) for mat in mats]
+    ranks = tuple(e.rank for e in echelons)
     space_dims = tuple(mat.ncols for mat in mats)
-    report = cohomology_dims(alg, mod, theory, top)
+    report = cohomology_dims(alg, mod, theory, top, representatives=True)
     assert report.space_dims == space_dims
     assert report.ranks == ranks
     assert report.dims == tuple(space_dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
                                 for n in range(top + 1))
+    assert report.representatives == _direct_representatives(mats, echelons)
+    assert cohomology_dims(alg, mod, theory, top) == replace(report, representatives=None)
 
 
 def test_weight_zero_route_leaves_the_differentials_as_built():
