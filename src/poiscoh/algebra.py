@@ -347,11 +347,10 @@ def validate_algebra(alg: AlgebraSpec) -> ValidationReport:
     return ValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 
-def _require_valid(alg: AlgebraSpec, why: str, mod: ModuleSpec | None = None) -> ValidationReport:
-    """The passing validation report of ``alg``, or of ``mod`` over it when
-    given; a failing one raises :class:`AxiomError` with ``why`` and the
-    report summary."""
-    report = validate_algebra(alg) if mod is None else validate_module(alg, mod)
+def _require_valid(alg: AlgebraSpec, why: str) -> ValidationReport:
+    """The passing validation report of ``alg``; a failing one raises
+    :class:`AxiomError` with ``why`` and the report summary."""
+    report = validate_algebra(alg)
     if not report.ok:
         raise AxiomError(f"{why}: {report.summary()}", report)
     return report

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -22,7 +23,6 @@ from .algebra import (
     BUILTINS,
     ModuleSpec,
     StructuralError,
-    _require_valid,
     _table_to_triples,
     _triples_to_table,
     algebra_to_dict,
@@ -60,6 +60,14 @@ THEORY_ALIASES = {
     "hl": "ce",
     "ce": "ce",
     "lie": "ce",
+}
+
+
+# The module axioms read by the differentials of the theories that read part
+# of a module; the other theories and the extension read all of them.
+THEORY_MODULE_AXIOMS = {
+    "ce": ("lie-module",),
+    "hochschild": ("assoc-left", "assoc-right", "bimodule-commute"),
 }
 
 
@@ -183,6 +191,20 @@ def _check_size(theory: str, degrees, alg: AlgebraSpec, mod: ModuleSpec) -> None
                            f"lower the degree")
 
 
+def _require_module(source: str, alg: AlgebraSpec, mod: ModuleSpec,
+                    theory: str = "poisson") -> None:
+    """Refuse a ``file:`` module that fails an axiom ``theory`` reads, naming
+    those axioms, before anything is built from it.  The regular module
+    needs no check."""
+    if source == "regular":
+        return
+    report = validate_module(alg, mod)
+    read = THEORY_MODULE_AXIOMS.get(theory, report.checked)
+    report = replace(report, violations=tuple(v for v in report.violations if v.axiom in read))
+    if report.violations:
+        raise AxiomError(f"the module fails its axioms: {report.summary()}", report)
+
+
 def _validation_dict(report) -> dict:
     return {
         "ok": report.ok,
@@ -274,9 +296,8 @@ def cmd_validate(args) -> int:
 def cmd_cohomology(args) -> int:
     alg = _resolve_algebra(args.algebra)
     mod = _resolve_module(args.module, alg)
-    if args.module != "regular":
-        _require_valid(alg, "the module fails its axioms", mod)
     theory = THEORY_ALIASES[args.theory]
+    _require_module(args.module, alg, mod, theory)
     _check_size(theory, range(args.max_degree + 2), alg, mod)
     report = cohomology_dims(alg, mod, theory=theory, max_degree=args.max_degree,
                              representatives=args.representatives)
@@ -344,6 +365,7 @@ def cmd_obstruction(args) -> int:
 def cmd_extend(args) -> int:
     alg = _resolve_algebra(args.algebra)
     mod = _resolve_module(args.module, alg)
+    _require_module(args.module, alg, mod)
     data = {}
     if args.cocycle:
         data = _load_json(args.cocycle[5:] if args.cocycle.startswith("file:")
@@ -401,6 +423,7 @@ def cmd_dump(args) -> int:
         return 0
     # differential matrix in the exact-linalg dump format
     theory = THEORY_ALIASES[args.theory]
+    _require_module(args.module, alg, mod, theory)
     _check_size(theory, (args.degree, args.degree + 1), alg, mod)
     mat = differential(alg, mod, theory, args.degree)
     if args.table:

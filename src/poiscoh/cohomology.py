@@ -86,17 +86,21 @@ def _ranks_from_dims(mats, dims) -> tuple[int, ...]:
 
 
 def _weight_zero_rows(matrix: SparseMatrix, row_weights, col_weights) -> SparseMatrix:
-    """The rows of weight zero of a differential, on fresh row dicts and
-    with the columns left as they are, so that columns of other weights are
-    in no kept row.  Every entry must join equal weights; one that does not
-    raises ArithmeticError."""
+    """The rows of weight zero of a differential, with the columns left as
+    they are, so that columns of other weights are in no kept row: the
+    matrix itself when every weight is zero, and otherwise its live row
+    dicts over denominator 1, which ``from_numerators`` leaves unwritten.
+    Every entry must join equal weights; one that does not raises
+    ArithmeticError."""
+    if not any(row_weights) and not any(col_weights):
+        return matrix
     rows = {}
     for r, row in matrix.numerators.items():
         w = row_weights[r]
         if any(col_weights[c] != w for c in row):
             raise ArithmeticError(f"the differential moves the weight of row {r}")
         if not w:
-            rows[r] = dict(row)
+            rows[r] = row
     return SparseMatrix.from_numerators(matrix.nrows, matrix.ncols, rows)
 
 
@@ -151,20 +155,25 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
                                   alg_weights, mod_weights)
                for n in range(max_degree + 2)]
     kept = [_weight_zero_rows(m, weights[n + 1], weights[n]) for n, m in enumerate(mats)]
-    echelons = [Echelon(m) for m in kept]
-    dims = _rank_nullity([w.count(0) for w in weights[:-1]], [e.rank for e in echelons])
+    zero_ranks, found = [], []
+    for n, restricted in enumerate(kept):
+        echelon = Echelon(restricted)
+        zero_ranks.append(echelon.rank)
+        if representatives:
+            kernel = [vec for c, vec in zip(echelon.free_cols, echelon.kernel_basis())
+                      if not weights[n][c]]
+            verify_kernel(mats[n], kernel)
+            found.append(_representatives(kernel, kept[n - 1] if n else None, space_dims[n]))
+    dims = _rank_nullity([w.count(0) for w in weights[:-1]], zero_ranks)
     ranks = _ranks_from_dims(mats, dims)
     reps = None
     if representatives:
         reps = {}
-        for n, echelon in enumerate(echelons):
-            kernel = echelon.kernel_basis([c for c in echelon.free_cols if not weights[n][c]])
-            verify_kernel(mats[n], kernel)
-            found = _representatives(kernel, kept[n - 1] if n else None, space_dims[n])
-            if len(found) != dims[n]:
+        for n, vecs in enumerate(found):
+            if len(vecs) != dims[n]:
                 raise ArithmeticError(
                     f"representative count mismatch in degree {n}")
-            reps[n] = [dense_vector(vec, space_dims[n]) for vec in found]
+            reps[n] = [dense_vector(vec, space_dims[n]) for vec in vecs]
     return CohomologyReport(theory=theory, max_degree=max_degree,
                             space_dims=space_dims, ranks=ranks, dims=dims,
                             representatives=reps)

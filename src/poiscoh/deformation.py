@@ -407,16 +407,14 @@ def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
     by a degree-2 cochain: f1 feeds tensor pairs, f0 feeds wedge pairs (the
     tables of :func:`poiscoh.algebra._extension_tables`).
 
-    The module must be poisson-flavored and pass its axioms, checked first
-    so that its faults are not blamed on the cochain.  The result must
-    satisfy all Poisson axioms (which is exactly the degree-2 cocycle
-    condition on (f1, f0), plus normalization of f1 against the unit);
-    violations raise :class:`AxiomError`.  Returns the extension
-    with the (passing) report of its one validation.
+    The module must be poisson-flavored.  The result must satisfy all
+    Poisson axioms (which is exactly the degree-2 cocycle condition on
+    (f1, f0), plus normalization of f1 against the unit); violations raise
+    :class:`AxiomError`.  Returns the extension with the (passing) report of
+    its one validation.
     """
     if mod.flavor != "poisson":
         raise StructuralError("the extension needs a poisson-flavored module")
-    _require_valid(alg, "the module fails its axioms", mod)
     d, m = alg.dim, mod.dim
     f1 = _freeze_table(f1, d, d, m, "f1")
     f0 = _freeze_table(f0, d, d, m, "f0")

@@ -434,9 +434,8 @@ class Echelon:
         taken = set(self.pivot_cols)
         return tuple(c for c in range(self.ncols) if c not in taken)
 
-    def kernel_basis(self, free_cols: Sequence[int] | None = None) -> list[dict[int, int]]:
-        """One normalized sparse integer kernel vector per free column (all
-        of them, or the given ``free_cols`` in their order), each
+    def kernel_basis(self) -> list[dict[int, int]]:
+        """One normalized sparse integer kernel vector per free column, each
         back-substituted through the pivot rows of its own component only.
         A column with no entries gives its unit vector."""
         block_of: dict[int, list] = {}
@@ -445,7 +444,7 @@ class Echelon:
                 for c in row:
                     block_of[c] = pivots
         return [_normalize_exact_vec(_back_substitute(block_of.get(free, ()), {free: 1}))
-                for free in (self.free_cols if free_cols is None else free_cols)]
+                for free in self.free_cols]
 
 
 def rank(matrix: SparseMatrix) -> int:

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -460,29 +461,64 @@ def test_validate_module_report_bytes_are_pinned(capsys, tmp_path, flavor, fmt):
         assert len(labels) == (9 if flavor == "poisson" else 8)
 
 
-@pytest.mark.parametrize("verb", ["cohomology", "extend"])
-def test_a_failing_file_module_is_named_before_anything_is_built(capsys, tmp_path, verb):
-    """The module's own violations are reported, not a broken complex or a
-    non-cocycle built from it."""
+# the module axioms each verb reads: every one, except for the ce and
+# hochschild theories, whose differentials read only part of a module
+BIMODULE_AXIOMS = {"assoc-left", "assoc-right", "bimodule-commute"}
+MODULE_VERBS = {
+    "cohomology-hp": (("cohomology", "--max-degree", "2"), None),
+    "cohomology-ce": (("cohomology", "--theory", "ce", "--max-degree", "2"), {"lie-module"}),
+    "cohomology-hh": (("cohomology", "--theory", "hh", "--max-degree", "2"), BIMODULE_AXIOMS),
+    "extend": (("extend",), None),
+    "dump": (("dump", "--what", "differential", "--degree", "1"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_VERBS))
+def test_a_failing_file_module_is_named_before_anything_is_built(capsys, tmp_path, name):
+    """The module's violations of the axioms the verb reads are reported,
+    not a broken complex or a non-cocycle built from it."""
     path, zero = tmp_path / "failing.json", tmp_path / "zero.json"
     path.write_text(json.dumps(FAILING_MODULE))
     zero.write_text("{}")
+    argv, axioms = MODULE_VERBS[name]
     alg = builtin("ut2")
-    summary = validate_module(alg, load_module(str(path), alg)).summary()
-    extra = ["--max-degree", "2"] if verb == "cohomology" else ["--cocycle", f"file:{zero}"]
-    code, out, err = run(capsys, verb, "--algebra", "builtin:ut2",
+    report = validate_module(alg, load_module(str(path), alg))
+    report = replace(report, violations=tuple(v for v in report.violations
+                                              if axioms is None or v.axiom in axioms))
+    extra = ["--cocycle", f"file:{zero}"] if name == "extend" else []
+    code, out, err = run(capsys, *argv, "--algebra", "builtin:ut2",
                          "--module", f"file:{path}", *extra)
     assert code == 1 and out == ""
-    assert err == f"error: the module fails its axioms: {summary}\n"
+    assert err == f"error: the module fails its axioms: {report.summary()}\n"
+    assert {v.axiom for v in report.violations} == (axioms or set(report.checked))
 
 
-@pytest.mark.parametrize("verb", ["cohomology", "extend"])
-def test_a_passing_file_module_runs_as_the_regular_one(capsys, tmp_path, verb):
+@pytest.mark.parametrize("name", sorted(MODULE_VERBS))
+def test_a_passing_file_module_runs_as_the_regular_one(capsys, tmp_path, name):
     path = tmp_path / "regular.json"
     path.write_text(json.dumps(module_to_dict(regular_module(builtin("ut2")))))
-    runs = [run(capsys, verb, "--algebra", "builtin:ut2", "--module", source)
+    runs = [run(capsys, *MODULE_VERBS[name][0], "--algebra", "builtin:ut2", "--module", source)
             for source in ("regular", f"file:{path}")]
     assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+@pytest.mark.parametrize("theory,dropped", [("ce", ("left", "right")), ("hh", ("lie",))])
+def test_a_module_needs_only_the_axioms_its_theory_reads(capsys, tmp_path, theory, dropped):
+    """The regular module with the actions the theory does not read set to
+    zero fails the full validation, yet gives that theory's cohomology of
+    the regular module; the poisson theory refuses it."""
+    alg = builtin("ut2")
+    data = dict(module_to_dict(regular_module(alg)), **{key: [] for key in dropped})
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    assert not validate_module(alg, load_module(str(path), alg)).ok
+    runs = [run(capsys, "cohomology", "--algebra", "builtin:ut2", "--theory", theory,
+                "--max-degree", "3", "--module", source)
+            for source in ("regular", f"file:{path}")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    code, out, err = run(capsys, "cohomology", "--algebra", "builtin:ut2",
+                         "--module", f"file:{path}", "--max-degree", "3")
+    assert code == 1 and out == "" and err.startswith("error: the module fails its axioms")
 
 
 def test_extend_refuses_a_quasi_flavored_module(capsys, tmp_path):

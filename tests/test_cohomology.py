@@ -370,6 +370,8 @@ def test_weight_zero_route_leaves_the_differentials_as_built():
         kept = _weight_zero_rows(mat, weights[n + 1], weights[n])
         assert (mat.denominator, mat.numerator_rows()) == before
         assert set(kept.numerators) == {r for r in mat.numerators if not weights[n + 1][r]}
+        assert all(kept.numerators[r] is mat.numerators[r] for r in kept.numerators)
+        assert _weight_zero_rows(mat, [0] * mat.nrows, [0] * mat.ncols) is mat
 
 
 def test_weight_zero_restriction_refuses_a_map_that_moves_weights():
