@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every verb is a thin wrapper over a library call: sources are resolved
-(``builtin:NAME`` or ``file:PATH``), the computation runs, and the report is
-emitted as canonical JSON (``--table`` renders a plain-text view of the same
-data).  Exit codes: 0 success, 1 domain errors or failed checks, 2 usage
-errors.  Diagnostics go to stderr, data to stdout or ``--output``.
+Every verb is a thin wrapper over a library call: its sources are resolved,
+the computation runs, and the report is emitted as canonical JSON
+(``--table`` renders a plain-text view of the same data).  Each source
+option has one grammar (``SOURCE_GRAMMAR``), checked while the arguments
+are parsed; :func:`_resolve` then reads every source.  Exit codes: 0
+success, 1 domain errors or failed checks (a well-formed source that fails
+to read among them), 2 usage errors (a malformed source among them).
+Diagnostics go to stderr, data to stdout or ``--output``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,10 +28,10 @@ from .algebra import (
     StructuralError,
     _table_to_triples,
     _triples_to_table,
+    algebra_from_dict,
     algebra_to_dict,
     builtin,
-    load_algebra,
-    load_module,
+    module_from_dict,
     module_to_dict,
     ratio,
     regular_module,
@@ -50,17 +53,9 @@ from .deformation import (
     verify_deformation,
 )
 
-THEORY_ALIASES = {
-    "hp": "poisson",
-    "poisson": "poisson",
-    "quasi": "quasi",
-    "omega": "omega",
-    "hh": "hochschild",
-    "hochschild": "hochschild",
-    "hl": "ce",
-    "ce": "ce",
-    "lie": "ce",
-}
+THEORY_ALIASES = {"hp": "poisson", "poisson": "poisson", "quasi": "quasi",
+                  "omega": "omega", "hh": "hochschild", "hochschild": "hochschild",
+                  "hl": "ce", "ce": "ce", "lie": "ce"}
 
 
 # The module axioms read by the differentials of the theories that read part
@@ -84,15 +79,17 @@ class CliError(Exception):
 # Source resolution and output plumbing
 
 
-def _source(text: str) -> str:
-    if text.startswith(("builtin:", "file:")):
-        return text
-    raise argparse.ArgumentTypeError(
-        f"{text!r}: expected builtin:NAME or file:PATH")
+# the grammar of each source option; a [:s] parameter is an exact scalar, default 1
+SOURCE_GRAMMAR = {
+    "algebra": "builtin:NAME | file:PATH",
+    "module": "regular | file:PATH",
+    "series": "file:PATH | table3[:s] | table3-repaired[:s]",
+    "cocycle": "file:PATH",
+}
 
 
-def _module_source(text: str) -> str:
-    return text if text == "regular" else _source(text)
+# a source checked against its option's grammar, not yet read
+Source = namedtuple("Source", "option kind value")
 
 
 def _count(text: str) -> int:
@@ -106,53 +103,43 @@ def _count(text: str) -> int:
     return value
 
 
-def _series_source(text: str) -> str:
-    if text.startswith("file:") or text.partition(":")[0] in ("table3", "table3-repaired"):
-        return text
-    raise argparse.ArgumentTypeError(
-        f"{text!r}: expected file:PATH, table3[:s], or table3-repaired[:s]")
+def _cocycle_pair(data, alg: AlgebraSpec, mod: ModuleSpec) -> tuple:
+    """The (f1, f0) tables of a cocycle object; an absent key is the zero table."""
+    if not isinstance(data, dict):
+        raise CliError("cocycle file must contain a JSON object")
+    for key in data:
+        if key not in ("f1", "f0"):
+            raise CliError(f"cocycle file has an unknown key {key!r}; expected f1 and f0")
+    return tuple(_triples_to_table(data.get(key, []), alg.dim, alg.dim, mod.dim, key)
+                 for key in ("f1", "f0"))
 
 
-@contextmanager
-def _reading(path: str):
-    """Report an unreadable or malformed file at ``path`` as :class:`CliError`."""
-    try:
-        yield
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_json(path: str) -> dict:
-    with _reading(path), open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _resolve_algebra(src: str) -> AlgebraSpec:
-    kind, _, rest = src.partition(":")
+def _resolve(source: Source, alg: AlgebraSpec | None = None,
+             mod: ModuleSpec | None = None):
+    """The object a checked source names: a module over ``alg``, a cocycle
+    pair over ``alg`` with values in ``mod``.  Every ``file:`` source is
+    opened and decoded here; every failure here exits 1."""
+    option, kind, value = source
     if kind == "builtin":
-        return builtin(rest)
-    with _reading(rest):
-        return load_algebra(rest)
-
-
-def _resolve_module(src: str, alg: AlgebraSpec) -> ModuleSpec:
-    if src == "regular":
+        return builtin(value)
+    if kind == "regular":
         return regular_module(alg)
-    kind, _, rest = src.partition(":")
-    if kind == "builtin":
-        raise CliError("modules have no builtin registry; use 'regular' or file:PATH")
-    with _reading(rest):
-        return load_module(rest, alg)
-
-
-def _resolve_series(src: str):
-    if src.startswith("file:"):
-        return series_from_file_dict(_load_json(src[5:]))
-    name, _, param = src.partition(":")
-    return m2_table3_series(ratio(param) if param else 1,
-                            repaired=name == "table3-repaired")
+    if kind != "file":
+        return m2_table3_series(value, repaired=kind == "table3-repaired")
+    try:
+        with open(value, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {value}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"{value} is not valid JSON: {exc}") from exc
+    if option == "algebra":
+        return algebra_from_dict(data)
+    if option == "module":
+        return module_from_dict(data, alg.dim)
+    if option == "series":
+        return series_from_file_dict(data)
+    return _cocycle_pair(data, alg, mod)
 
 
 def _json_default(obj):
@@ -191,12 +178,12 @@ def _check_size(theory: str, degrees, alg: AlgebraSpec, mod: ModuleSpec) -> None
                            f"lower the degree")
 
 
-def _require_module(source: str, alg: AlgebraSpec, mod: ModuleSpec,
+def _require_module(source: Source, alg: AlgebraSpec, mod: ModuleSpec,
                     theory: str = "poisson") -> None:
     """Refuse a ``file:`` module that fails an axiom ``theory`` reads, naming
     those axioms, before anything is built from it.  The regular module
     needs no check."""
-    if source == "regular":
+    if source.kind == "regular":
         return
     report = validate_module(alg, mod)
     read = THEORY_MODULE_AXIOMS.get(theory, report.checked)
@@ -234,10 +221,7 @@ def _cohomology_table(payload: dict) -> str:
 
 def _validate_table(payload: dict) -> str:
     lines = []
-    for part in ("algebra", "module"):
-        if part not in payload:
-            continue
-        rep = payload[part]
+    for part, rep in payload.items():  # the algebra, then any module
         status = "ok" if rep["ok"] else "FAILED"
         lines.append(f"{part}: {status} (checked: {', '.join(rep['checked'])})")
         for v in rep["violations"]:
@@ -282,11 +266,11 @@ def _quantize_table(payload: dict) -> str:
 
 
 def cmd_validate(args) -> int:
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve(args.algebra)
     payload = {"algebra": _validation_dict(validate_algebra(alg))}
     ok = payload["algebra"]["ok"]
     if args.module:
-        mod = _resolve_module(args.module, alg)
+        mod = _resolve(args.module, alg)
         payload["module"] = _validation_dict(validate_module(alg, mod))
         ok = ok and payload["module"]["ok"]
     _emit(args, payload, _validate_table(payload))
@@ -294,8 +278,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    alg = _resolve_algebra(args.algebra)
-    mod = _resolve_module(args.module, alg)
+    alg = _resolve(args.algebra)
+    mod = _resolve(args.module, alg)
     theory = THEORY_ALIASES[args.theory]
     _require_module(args.module, alg, mod, theory)
     _check_size(theory, range(args.max_degree + 2), alg, mod)
@@ -312,7 +296,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_lp(args) -> int:
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve(args.algebra)
     report = lp_cohomology(alg, max_degree=args.max_degree)
     payload = report.to_dict()
     _emit(args, payload, _cohomology_table(payload))
@@ -320,7 +304,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_deform_check(args) -> int:
-    series = _resolve_series(args.series)
+    series = _resolve(args.series)
     order = args.order if args.order is not None else series.order
     check = verify_deformation(series, max_order=order)
     payload = check.to_dict()
@@ -329,7 +313,7 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_deform_lift(args) -> int:
-    series = _resolve_series(args.series)
+    series = _resolve(args.series)
     target = args.target_order if args.target_order is not None else series.order + 1
     if target <= series.order:
         raise CliError(f"series already has order {series.order}; "
@@ -348,7 +332,7 @@ def cmd_deform_lift(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
-    series = _resolve_series(args.series)
+    series = _resolve(args.series)
     order = args.order if args.order is not None else series.order + 1
     f1, f2, f3 = obstruction_tables(series, order)
     payload = {
@@ -363,17 +347,11 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    alg = _resolve_algebra(args.algebra)
-    mod = _resolve_module(args.module, alg)
+    alg = _resolve(args.algebra)
+    mod = _resolve(args.module, alg)
     _require_module(args.module, alg, mod)
-    data = {}
-    if args.cocycle:
-        data = _load_json(args.cocycle[5:] if args.cocycle.startswith("file:")
-                          else args.cocycle)
-        if not isinstance(data, dict):
-            raise CliError("cocycle file must contain a JSON object")
-    f1, f0 = (_triples_to_table(data.get(key, []), alg.dim, alg.dim, mod.dim, key)
-              for key in ("f1", "f0"))
+    f1, f0 = (_resolve(args.cocycle, alg, mod) if args.cocycle
+              else _cocycle_pair({}, alg, mod))
     ext, report = _validated_extension(alg, mod, f1, f0)
     payload = {
         "dim": ext.dim,
@@ -386,7 +364,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_quantize_check(args) -> int:
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve(args.algebra)
     payload = quantization_obstruction_check(alg, max_order=args.max_order)
     _emit(args, payload, _quantize_table(payload))
     return 0 if payload["ok"] else 1
@@ -409,15 +387,13 @@ def cmd_examples(args) -> int:
 
 def cmd_dump(args) -> int:
     if args.what == "series":
-        if not args.series:
-            raise CliError("dump --what series needs --series")
-        _emit(args, series_to_file_dict(_resolve_series(args.series)))
+        _emit(args, series_to_file_dict(_resolve(args.series)))
         return 0
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve(args.algebra)
     if args.what == "algebra":
         _emit(args, algebra_to_dict(alg))
         return 0
-    mod = _resolve_module(args.module, alg)
+    mod = _resolve(args.module, alg)
     if args.what == "module":
         _emit(args, module_to_dict(mod))
         return 0
@@ -445,12 +421,33 @@ def cmd_dump(args) -> int:
 # Parser
 
 
+def _add_source(sub, option: str, **kwargs) -> None:
+    """Add ``--OPTION`` with an argparse type that checks only the form of a
+    source and reads nothing, so a malformed source exits 2 while a missing
+    file or an unknown builtin is left to :func:`_resolve` and exits 1."""
+    grammar = SOURCE_GRAMMAR[option]
+    forms = {form.partition(":")[0].partition("[")[0]: form
+             for form in grammar.split(" | ")}
+
+    def check(text: str) -> Source:
+        kind, colon, value = text.partition(":")
+        form = forms.get(kind)
+        if form is not None and "[:" in form:
+            try:
+                return Source(option, kind, ratio(value) if value else 1)
+            except StructuralError as exc:
+                raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        if form is not None and bool(colon) == (":" in form):
+            return Source(option, kind, value)
+        raise argparse.ArgumentTypeError(f"{text!r}: expected {grammar}")
+
+    sub.add_argument(f"--{option}", type=check, help=grammar, **kwargs)
+
+
 def _add_common(sub, *, module=False, module_default="regular", degree=False):
-    sub.add_argument("--algebra", type=_source, required=True,
-                     help="builtin:NAME or file:PATH")
+    _add_source(sub, "algebra", required=True)
     if module:
-        sub.add_argument("--module", type=_module_source, default=module_default,
-                         help="'regular' (default) or file:PATH")
+        _add_source(sub, "module", default=module_default)
     if degree:
         sub.add_argument("--max-degree", type=_count, default=4,
                          help="top degree to compute (default 4)")
@@ -466,6 +463,13 @@ def _add_output(sub):
     sub.set_defaults(table=False)
 
 
+def _verb(subs, func, summary: str):
+    """The subparser of the verb that ``func`` (``cmd_NAME``) runs."""
+    sub = subs.add_parser(func.__name__[4:].replace("_", "-"), help=summary)
+    sub.set_defaults(func=func)
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poiscoh",
@@ -476,12 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    sub = subs.add_parser("validate", help="check algebra/module axioms")
+    sub = _verb(subs, cmd_validate, "check algebra/module axioms")
     _add_common(sub, module=True, module_default=None)
-    sub.set_defaults(func=cmd_validate)
-    _add_output(sub)
 
-    sub = subs.add_parser("cohomology", help="cohomology dims of a theory")
+    sub = _verb(subs, cmd_cohomology, "cohomology dims of a theory")
     _add_common(sub, module=True, degree=True)
     sub.add_argument("--theory", choices=sorted(THEORY_ALIASES), default="hp",
                      help="hp/poisson, quasi, omega, hh/hochschild, hl/ce/lie")
@@ -489,81 +491,62 @@ def build_parser() -> argparse.ArgumentParser:
                      help="include a cocycle representative basis per degree")
     sub.add_argument("--dump-matrices", action="store_true",
                      help="embed every differential in the dump format")
-    sub.set_defaults(func=cmd_cohomology)
-    _add_output(sub)
 
-    sub = subs.add_parser("lp", help="multiderivation-complex cohomology "
-                                     "(commutative algebras)")
+    sub = _verb(subs, cmd_lp,
+                "multiderivation-complex cohomology (commutative algebras)")
     _add_common(sub, degree=True)
-    sub.set_defaults(func=cmd_lp)
-    _add_output(sub)
 
-    sub = subs.add_parser("deform-check", help="per-order axiom residuals of "
-                                               "a deformation series")
-    sub.add_argument("--series", type=_series_source, required=True,
-                     help="file:PATH, table3[:s], or table3-repaired[:s]")
+    sub = _verb(subs, cmd_deform_check,
+                "per-order axiom residuals of a deformation series")
+    _add_source(sub, "series", required=True)
     sub.add_argument("--order", type=_count, default=None,
                      help="check through this t-order (default: series order)")
-    sub.set_defaults(func=cmd_deform_check)
-    _add_output(sub)
 
-    sub = subs.add_parser("deform-lift", help="extend a partial deformation "
-                                              "order by order")
-    sub.add_argument("--series", type=_series_source, required=True)
+    sub = _verb(subs, cmd_deform_lift, "extend a partial deformation order by order")
+    _add_source(sub, "series", required=True)
     sub.add_argument("--target-order", type=_count, default=None,
                      help="lift until this order (default: one step)")
-    sub.set_defaults(func=cmd_deform_lift)
-    _add_output(sub)
 
-    sub = subs.add_parser("obstruction", help="order-n obstruction tables "
-                                              "and cocycle check")
-    sub.add_argument("--series", type=_series_source, required=True)
+    sub = _verb(subs, cmd_obstruction, "order-n obstruction tables and cocycle check")
+    _add_source(sub, "series", required=True)
     sub.add_argument("--order", type=_count, default=None,
                      help="obstruction order (default: series order + 1)")
-    sub.set_defaults(func=cmd_obstruction)
-    _add_output(sub)
 
-    sub = subs.add_parser("extend", help="square-zero extension by a module "
-                                         "twisted by a 2-cocycle pair")
+    sub = _verb(subs, cmd_extend,
+                "square-zero extension by a module twisted by a 2-cocycle pair")
     _add_common(sub, module=True)
-    sub.add_argument("--cocycle", help="JSON file with sparse f1/f0 tables "
-                                       "([i, j, p, value] entries)")
-    sub.set_defaults(func=cmd_extend)
-    _add_output(sub)
+    _add_source(sub, "cocycle")
 
-    sub = subs.add_parser("quantize-check", help="order-by-order lifting of "
-                                                 "the semiclassical series")
+    sub = _verb(subs, cmd_quantize_check,
+                "order-by-order lifting of the semiclassical series")
     _add_common(sub)
     sub.add_argument("--max-order", type=_count, default=3)
-    sub.set_defaults(func=cmd_quantize_check)
-    _add_output(sub)
 
-    sub = subs.add_parser("examples", help="list built-in algebras")
-    sub.set_defaults(func=cmd_examples)
-    _add_output(sub)
+    _verb(subs, cmd_examples, "list built-in algebras")
 
-    sub = subs.add_parser("dump", help="emit algebra/module/series JSON or a "
-                                       "differential matrix")
+    sub = _verb(subs, cmd_dump,
+                "emit algebra/module/series JSON or a differential matrix")
     sub.add_argument("--what", choices=("algebra", "module", "differential",
                                         "series"), default="algebra")
-    sub.add_argument("--algebra", type=_source,
-                     help="builtin:NAME or file:PATH (not needed for series)")
-    sub.add_argument("--module", type=_module_source, default="regular")
-    sub.add_argument("--series", type=_series_source, default=None)
+    _add_source(sub, "algebra")  # main checks that --what has its source
+    _add_source(sub, "module", default="regular")
+    _add_source(sub, "series")
     sub.add_argument("--theory", choices=sorted(THEORY_ALIASES), default="hp")
     sub.add_argument("--degree", type=_count, default=2,
                      help="differential slice to dump")
-    sub.set_defaults(func=cmd_dump)
-    _add_output(sub)
 
+    for sub in subs.choices.values():
+        _add_output(sub)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "dump" and args.what != "series" and not args.algebra:
-        parser.error("dump: --algebra is required unless --what series")
+    if args.verb == "dump":
+        needed = "series" if args.what == "series" else "algebra"
+        if getattr(args, needed) is None:
+            parser.error(f"dump --what {args.what} needs --{needed}")
     try:
         return args.func(args)
     except (StructuralError, AxiomError, CliError, ArithmeticError) as exc:

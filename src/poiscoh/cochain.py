@@ -89,6 +89,12 @@ def space_layout(theory: str, degree: int, dim: int) -> tuple[tuple[int, int], .
     return ((0, n),)  # ce
 
 
+def block_size(d: int, m: int, i: int, j: int) -> int:
+    """Coordinates of the (i, j) block, Hom(A^(x)i (x) Lambda^j A, M), for an
+    algebra of dimension ``d`` and a module of dimension ``m``."""
+    return m * d ** i * comb(d, j)
+
+
 @dataclass(frozen=True)
 class CochainSpace:
     """One degree of one theory: an ordered direct sum of (i, j) blocks.
@@ -112,7 +118,7 @@ class CochainSpace:
         return space_layout(self.theory, self.degree, self.alg_dim)
 
     def block_size(self, i: int, j: int) -> int:
-        return self.mod_dim * self.alg_dim ** i * comb(self.alg_dim, j)
+        return block_size(self.alg_dim, self.mod_dim, i, j)
 
     @cached_property
     def block_offsets(self) -> dict[tuple[int, int], int]:

@@ -28,6 +28,7 @@ from math import comb, lcm
 from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
 from .cochain import (
     CochainSpace,
+    block_size,
     decode,
     encode,
     space_layout,
@@ -38,10 +39,6 @@ from .cochain import (
 from .linalg import SparseMatrix, denominator_lcm, kernel_basis
 
 SIGN_CONVENTION = "horizontal-(-1)^i"
-
-
-def _block_dim(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> int:
-    return mod.dim * alg.dim ** i * comb(alg.dim, j)
 
 
 def _integer_tables(*tables) -> tuple[int, tuple]:
@@ -103,11 +100,11 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     flat index ``(tensor_rank * comb(d, j) + wedge_rank) * m + component``.
     """
     d, m = alg.dim, mod.dim
-    nrows, ncols = _block_dim(alg, mod, i, j + 1), _block_dim(alg, mod, i, j)
+    nrows, ncols = block_size(d, m, i, j + 1), block_size(d, m, i, j)
     scale, (lie, bracket) = _integer_tables(mod.lie_pairs, alg.bracket_pairs)
     action = _induced_lie_action(d, m, i, lie, bracket) if nrows and ncols else ()
     # flat index of coordinate n of N at wedge rank 0, in the target / source
-    span = range(d ** i * m)
+    span = range(block_size(d, m, i, 0))
     row_at = [(n - n % m) * comb(d, j + 1) + n % m for n in span]
     col_at = [(n - n % m) * comb(d, j) + n % m for n in span]
     num = _accumulator()
@@ -163,7 +160,7 @@ def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
                 col = (base + r * weight) * m
                 for p in range(m):
                     num[row + p][col + p] += sgn * c
-    return _block(_block_dim(alg, mod, i + 1, 0), _block_dim(alg, mod, i, 0), num, scale)
+    return _block(block_size(d, m, i + 1, 0), block_size(d, m, i, 0), num, scale)
 
 
 def _wedge_copies(block: SparseMatrix, copies: int, m: int) -> SparseMatrix:
@@ -192,7 +189,8 @@ def _polarisation(d: int, m: int, j: int) -> SparseMatrix:
             col = wedge_rank(word, d) * m
             for p in range(m):
                 rows[row * m + p] = {col + p: wsgn}
-    return SparseMatrix.from_numerators(d * comb(d, j - 1) * m, comb(d, j) * m, rows)
+    return SparseMatrix.from_numerators(block_size(d, m, 1, j - 1), block_size(d, m, 0, j),
+                                        rows)
 
 
 @lru_cache(maxsize=None)

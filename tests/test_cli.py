@@ -266,7 +266,9 @@ def test_extend_rejects_malformed_cocycle_entries(capsys, tmp_path):
     for content, message in (({"f1": [[9, 0, 0, "1"]]}, "out of range"),
                              ({"f1": [["x", 0, 0, "1"]]}, "indices must be integers"),
                              ({"f0": [[1.5, 0, 0, "1"]]}, "indices must be integers"),
-                             ([[0, 0, 0, "1"]], "must contain a JSON object")):
+                             ([[0, 0, 0, "1"]], "must contain a JSON object"),
+                             # a mistyped key is not the zero cocycle
+                             ({"F1": [[0, 0, 0, "1"]]}, "unknown key 'F1'")):
         cocycle.write_text(json.dumps(content))
         code, out, err = run(capsys, "extend", "--algebra", "builtin:trivial2",
                              "--module", "regular", "--cocycle", f"file:{cocycle}")
@@ -328,10 +330,10 @@ def test_dump_differential_table_is_the_text_format(capsys):
     assert out == mat.dump_text()
 
 
-def test_dump_series_requires_a_series_source(capsys):
-    code, _, err = run(capsys, "dump", "--what", "series")
-    assert code == 1
-    assert "needs --series" in err
+def test_dump_series_requires_a_series_source():
+    proc = spawn("dump", "--what", "series")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"needs --series" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +350,16 @@ def test_usage_errors_exit_2():
         ["dump", "--what", "differential"],         # needs --algebra
         ["cohomology", "--algebra", "regular"],     # 'regular' names a module only
         ["deform-check", "--series", "table3xyz"],  # not a table3 name
+        # each source option has one grammar, checked before anything is read
+        ["validate", "--algebra", "builtin:m2", "--module", "builtin:x"],
+        ["cohomology", "--algebra", "builtin:m2", "--module", "builtin:x"],
+        ["extend", "--algebra", "builtin:trivial2", "--module", "builtin:x"],
+        ["dump", "--what", "module", "--algebra", "builtin:m2", "--module", "builtin:x"],
+        ["extend", "--algebra", "builtin:trivial2", "--cocycle", "builtin:x"],
+        ["extend", "--algebra", "builtin:trivial2", "--cocycle", "cocycle.json"],
+        ["deform-check", "--series", "table3:abc"],
+        ["deform-check", "--series", "table3:1/0"],
+        ["dump", "--what", "series"],               # needs --series
         # counts are nonnegative
         ["cohomology", "--algebra", "builtin:ut2", "--max-degree", "-1"],
         ["lp", "--algebra", "builtin:nil3", "--max-degree", "-1"],
@@ -368,8 +380,19 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert code == 1 and out == "" and "unknown builtin" in err
     code, _, err = run(capsys, "validate", "--algebra", "file:/nonexistent.json")
     assert code == 1 and "cannot read" in err
+    # a well-formed source of every other kind that fails to read
+    for argv in (["validate", "--algebra", "builtin:m2", "--module", "file:/nonexistent.json"],
+                 ["deform-check", "--series", "file:/nonexistent.json"],
+                 ["extend", "--algebra", "builtin:trivial2",
+                  "--cocycle", "file:/nonexistent.json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: cannot read /nonexistent.json: No such file or directory\n"
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
+    code, _, err = run(capsys, "validate", "--algebra", f"file:{garbled}")
+    assert code == 1 and "not valid JSON" in err
+    garbled.write_bytes(b"\xff{}")  # JSON files are UTF-8
     code, _, err = run(capsys, "validate", "--algebra", f"file:{garbled}")
     assert code == 1 and "not valid JSON" in err
     code, _, err = run(capsys, "examples", "--output",

@@ -35,6 +35,43 @@ def test_block_offsets_are_read_only_by_the_codec_and_the_assembly():
     assert readers == ["cochain.py", "complexes.py"]
 
 
+_SPLITTERS = {"partition", "rpartition", "split", "rsplit", "startswith",
+              "removeprefix", "find", "index"}
+_READERS = {"load", "load_algebra", "load_module"}  # json.load and the file loaders
+
+
+def _has_colon(node) -> bool:
+    return any(isinstance(c, ast.Constant) and isinstance(c.value, str) and ":" in c.value
+               for c in ast.walk(node))
+
+
+def _reads_a_source(node) -> bool:
+    """Splits text at ``":"``, or opens a file for reading."""
+    if isinstance(node, ast.Compare):
+        return any(isinstance(op, ast.In) for op in node.ops) and _has_colon(node.left)
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+    if name in _SPLITTERS and isinstance(node.func, ast.Attribute):
+        return any(_has_colon(arg) for arg in node.args)
+    if name == "open":  # reading, unless the mode is a constant that only writes
+        mode = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        return not (mode and isinstance(mode[0], ast.Constant)
+                    and not set(mode[0].value) & set("r+"))
+    return name in _READERS
+
+
+def test_cli_sources_have_one_grammar_and_one_reader():
+    """A source option's grammar is checked by ``cli._add_source`` and every
+    source is read by ``cli._resolve``; any other code in ``cli.py`` that
+    splits text at ``":"`` or opens a file for reading is parsing or reading
+    a source by hand."""
+    tree = ast.parse(Path(poiscoh.cli.__file__).read_text(encoding="utf-8"))
+    found = {getattr(top, "name", "<module>")
+             for top in tree.body for node in ast.walk(top) if _reads_a_source(node)}
+    assert found == {"_add_source", "_resolve"}
+
+
 def test_bench_entry_points_exist():
     """The benchmark's traced runs wrap these entry points by name through
     ``owner.__dict__`` and clear the block caches between job groups, so a
