@@ -434,7 +434,7 @@ def _add_source(sub, option: str, **kwargs) -> None:
         form = forms.get(kind)
         if form is not None and "[:" in form:
             try:
-                return Source(option, kind, ratio(value) if value else 1)
+                return Source(option, kind, ratio(value) if colon else 1)
             except StructuralError as exc:
                 raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
         if form is not None and bool(colon) == (":" in form):

@@ -20,13 +20,11 @@ from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
 from .cochain import CochainSpace
 from .complexes import (
     SIGN_CONVENTION,
-    _edge_maps,
-    _require_commutative,
     build_complex,
     cartan_weights,
     coordinate_weights,
     differential,
-    lp_space_basis,
+    edge_maps,
 )
 from .linalg import (
     Echelon,
@@ -207,7 +205,7 @@ def type_cohomology(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     """
     if mod is None:
         mod = regular_module(alg)
-    maps = [_edge_maps(alg, mod, which, n) for n in range(max_degree + 2)]
+    maps = [edge_maps(alg, mod, which, n) for n in range(max_degree + 2)]
     bases = [kernel_basis(killer) for killer, _ in maps[:-1]]
     ranks = []
     for n, basis in enumerate(bases):
@@ -225,8 +223,12 @@ def type_cohomology(alg: AlgebraSpec, mod: ModuleSpec | None = None,
 def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:
     """Cohomology of the skew-multiderivation complex of a commutative
     Poisson algebra under the bracket-induced coboundary: the type-I
-    subcomplex of the regular module."""
-    _require_commutative(alg)
+    subcomplex of the regular module.  Over a commutative algebra acting on
+    itself, f is killed by the corner map iff f(ab^omega) = a f(b^omega) +
+    b f(a^omega), the derivation rule in the first slot, so the
+    multiderivations are the type-I space."""
+    if not alg.is_commutative:
+        raise StructuralError("the multiderivation complex needs a commutative algebra")
     return replace(type_cohomology(alg, None, "I", max_degree), theory="lp")
 
 
@@ -406,7 +408,8 @@ def trivial_bracket_decomposition(alg: AlgebraSpec, max_degree: int = 4) -> dict
         raise StructuralError("the decomposition needs a commutative algebra")
     hh = cohomology_dims(alg, theory="hochschild", max_degree=max_degree).dims
     hp = cohomology_dims(alg, theory="poisson", max_degree=max_degree).dims
-    chi = [len(lp_space_basis(alg, n)) for n in range(max_degree + 1)]
+    mod = regular_module(alg)
+    chi = [len(kernel_basis(edge_maps(alg, mod, "I", n)[0])) for n in range(max_degree + 1)]
     rows = []
     all_ok = True
     for n in range(max_degree + 1):

@@ -15,7 +15,8 @@ Total differentials twist ``delta_H`` out of tensor width ``i`` by ``(-1)**i``
 and take the vertical and corner blocks verbatim.  With these elementary maps
 the mixed squares commute and the corner square anticommutes, which makes this
 twist the unique assembly (up to a global resigning) satisfying d o d = 0;
-``tests/test_complexes.py`` demonstrates that the untwisted assembly fails.
+``tests/test_complexes.py::test_mixed_squares_commute_so_the_twist_is_needed``
+shows that the untwisted assembly fails.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import defaultdict
 from functools import lru_cache
 from math import comb, lcm
 
-from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
+from .algebra import AlgebraSpec, ModuleSpec, StructuralError
 from .cochain import (
     CochainSpace,
     block_size,
@@ -36,7 +37,7 @@ from .cochain import (
     wedge_normalize,
     wedge_rank,
 )
-from .linalg import SparseMatrix, denominator_lcm, kernel_basis
+from .linalg import SparseMatrix, denominator_lcm
 
 SIGN_CONVENTION = "horizontal-(-1)^i"
 
@@ -207,30 +208,15 @@ def delta_v(alg: AlgebraSpec, mod: ModuleSpec, j: int) -> SparseMatrix:
     return delta_V(alg, mod, 1, j - 1).matmul(_polarisation(alg.dim, mod.dim, j))
 
 
-def hochschild_coboundary(alg: AlgebraSpec, mod: ModuleSpec, n: int) -> SparseMatrix:
-    """The plain Hochschild coboundary Hom(A^(x)n, M) -> Hom(A^(x)(n+1), M)."""
-    return delta_V(alg, mod, n, 0)
-
-
-def ce_coboundary(alg: AlgebraSpec, mod: ModuleSpec, n: int) -> SparseMatrix:
-    """The plain Lie-module coboundary Hom(Lambda^n, M) -> Hom(Lambda^(n+1), M)."""
-    return delta_H(alg, mod, 0, n)
-
-
-def _twist(i: int) -> int:
-    return -1 if i % 2 else 1
-
-
-def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int,
-                 _horizontal_sign=_twist) -> SparseMatrix:
+def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
+                 degree: int) -> SparseMatrix:
     """The assembled total differential C^degree -> C^(degree+1) of a theory.
 
     Which elementary blocks contribute is read off the block layouts
     themselves; the only theory-specific rule is that the corner map belongs
     to the poisson assembly alone (the quasi layout contains the same target
-    block but its differential is purely bicomplex).  ``_horizontal_sign``
-    maps the tensor width i to the sign on ``delta_H`` out of it; rules
-    other than the default exist only so tests can show they break d o d = 0.
+    block but its differential is purely bicomplex).  ``delta_H`` out of
+    tensor width i carries the sign ``(-1)**i``.
 
     Every entry belongs to exactly one (source block, target block) pair, so
     each block's numerators, rescaled to the common denominator, are written
@@ -247,7 +233,7 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int,
         col_off = src.block_offsets[i, j]
         if (i, j + 1) in tgt.block_offsets:
             parts.append((delta_H(alg, mod, i, j), tgt.block_offsets[i, j + 1], col_off,
-                          _horizontal_sign(i)))
+                          -1 if i % 2 else 1))
         if (i + 1, j) in tgt.block_offsets:
             parts.append((delta_V(alg, mod, i, j), tgt.block_offsets[i + 1, j], col_off, 1))
         if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
@@ -335,10 +321,11 @@ def coordinate_weights(space: CochainSpace, alg_weights, mod_weights) -> list[in
 # Distinguished subcomplexes of the first row and first column
 
 
-def _edge_maps(alg: AlgebraSpec, mod: ModuleSpec, which: str,
-               n: int) -> tuple[SparseMatrix, SparseMatrix]:
-    """``(the map whose kernel is the degree-n space, the full-block
-    coboundary out of it)`` for a distinguished subcomplex.
+def edge_maps(alg: AlgebraSpec, mod: ModuleSpec, which: str,
+              n: int) -> tuple[SparseMatrix, SparseMatrix]:
+    """``(killer, coboundary)`` of a distinguished subcomplex: its degree-n
+    space is the kernel of ``killer``, and it carries the restriction of the
+    full-block ``coboundary`` out of that space.
 
     ``"I"``: wedge cochains killed by the corner map, carrying the horizontal
     differential (Hom(Lambda^0, M) = M has no corner map, so all of it).
@@ -348,50 +335,10 @@ def _edge_maps(alg: AlgebraSpec, mod: ModuleSpec, which: str,
     """
     if which == "I":
         killer = delta_v(alg, mod, n) if n else SparseMatrix(0, mod.dim)
-        return killer, ce_coboundary(alg, mod, n)
+        return killer, delta_H(alg, mod, 0, n)
     if which == "II":
-        return delta_H(alg, mod, n, 0), hochschild_coboundary(alg, mod, n)
+        return delta_H(alg, mod, n, 0), delta_V(alg, mod, n, 0)
     raise StructuralError(f"unknown subcomplex type {which!r}; expected 'I' or 'II'")
-
-
-def type_space_basis(alg: AlgebraSpec, mod: ModuleSpec, which: str, n: int) -> list[tuple]:
-    """Basis of the degree-n space of a distinguished subcomplex (see
-    :func:`_edge_maps`)."""
-    return kernel_basis(_edge_maps(alg, mod, which, n)[0])
-
-
-def type_coboundary(alg: AlgebraSpec, mod: ModuleSpec, which: str, n: int) -> SparseMatrix:
-    """The full-block differential whose restriction the subcomplex carries."""
-    return _edge_maps(alg, mod, which, n)[1]
-
-
-# ---------------------------------------------------------------------------
-# The multiderivation (Lichnerowicz-flavored) complex of a commutative algebra:
-# the type-I subcomplex of the regular module
-
-
-def _require_commutative(alg: AlgebraSpec) -> None:
-    if not alg.is_commutative:
-        raise StructuralError("the multiderivation complex needs a commutative algebra")
-
-
-def lp_space_basis(alg: AlgebraSpec, n: int) -> list[tuple]:
-    """Basis of the degree-n skew multiderivation space, as coefficient
-    vectors in Hom(Lambda^n A, A).
-
-    Over a commutative algebra acting on itself, f is killed by the corner
-    map iff f(ab^omega) = a f(b^omega) + b f(a^omega), the derivation rule
-    in the first slot, so the multiderivations are the type-I space.
-    """
-    _require_commutative(alg)
-    return type_space_basis(alg, regular_module(alg), "I", n)
-
-
-def lp_coboundary(alg: AlgebraSpec, n: int) -> SparseMatrix:
-    """The bracket-induced coboundary on Hom(Lambda^n A, A); restricted to
-    multiderivations it is the Lichnerowicz-style differential."""
-    _require_commutative(alg)
-    return ce_coboundary(alg, regular_module(alg), n)
 
 
 def sigma_embed(alg: AlgebraSpec, n: int, vec) -> tuple:

@@ -469,3 +469,36 @@ def lie_derivative(blocks, bracket, lie, m, x):
                     for p in range(m):
                         dict_add(entries, row + p, col + p, -c * sign)
     return dim, entries
+
+
+# ---------------------------------------------------------------------------
+# The Chevalley-Eilenberg coboundary of a Lie module, slot by slot, in the
+# layout above restricted to the (0, n) block
+
+
+def lie_coboundary(bracket, lie, n):
+    """``d : Hom(Lambda^n A, M) -> Hom(Lambda^(n+1) A, M)`` evaluated on each
+    increasing word ``y``: ``sum_k (-1)^k {y_k, f(y without y_k)}`` plus
+    ``sum_{k<l} (-1)^(k+l) f({y_k, y_l}, y without y_k, y_l)``, from the
+    bracket table and the module's Lie action ``lie[a][p]`` = {a, u_p};
+    ``(nrows, ncols, entries)``."""
+    d, m = len(bracket), len(lie[0])
+    src, ncols = _flat_positions([(0, n)], d, m)
+    tgt, nrows = _flat_positions([(0, n + 1)], d, m)
+    entries = {}
+    for (_, _, _, y), row in tgt.items():
+        for k, x in enumerate(y):
+            col = src[0, n, (), y[:k] + y[k + 1:]]
+            for p in range(m):
+                for q, c in enumerate(lie[x][p]):
+                    if c:
+                        dict_add(entries, row + q, col + p, (-1) ** k * c)
+        for k, l in itertools.combinations(range(n + 1), 2):
+            rest = tuple(z for t, z in enumerate(y) if t not in (k, l))
+            for r, c in enumerate(bracket[y[k]][y[l]]):
+                sign, word = _sorted_wedge((r,) + rest)
+                if c and sign:
+                    col = src[0, n, (), word]
+                    for p in range(m):
+                        dict_add(entries, row + p, col + p, (-1) ** (k + l) * sign * c)
+    return nrows, ncols, entries

@@ -37,14 +37,7 @@ from poiscoh.cohomology import (
     tensor_product_action,
     trivial_bracket_decomposition,
 )
-from poiscoh.complexes import (
-    ce_coboundary,
-    delta_H,
-    differential,
-    lp_coboundary,
-    lp_space_basis,
-    sigma_embed,
-)
+from poiscoh.complexes import delta_H, differential, edge_maps, sigma_embed
 from poiscoh.deformation import (
     DeformationSeries,
     coboundary_pair,
@@ -330,9 +323,9 @@ def test_criterion_7b_horizontal_edge_is_the_lie_coboundary():
         mod = regular_module(alg)
         for n in range(3):
             edge = delta_H(alg, mod, 0, n)
-            lie = ce_coboundary(alg, mod, n)
-            ok = (ok and (edge.nrows, edge.ncols) == (lie.nrows, lie.ncols)
-                  and sorted(edge.triples()) == sorted(lie.triples()))
+            nrows, ncols, lie = oracles.lie_coboundary(alg.bracket, mod.lie, n)
+            ok = (ok and (edge.nrows, edge.ncols) == (nrows, ncols)
+                  and dict(edge.entries) == lie)
     assert _verdict("7b", "the i = 0 horizontal blocks are the Lie "
                           "coboundary matrices, entry for entry", ok)
 
@@ -344,8 +337,8 @@ def test_criterion_7c_multiderivation_embedding_is_a_chain_map():
         mod = regular_module(alg)
         for n in range(3):
             d_full = differential(alg, mod, "poisson", n)
-            d_lp = lp_coboundary(alg, n)
-            for fvec in lp_space_basis(alg, n):
+            killer, d_lp = edge_maps(alg, mod, "I", n)
+            for fvec in kernel_basis(killer):
                 lhs = d_full.matvec(sigma_embed(alg, n, fvec))
                 rhs = sigma_embed(alg, n + 1, d_lp.matvec(fvec))
                 ok = ok and tuple(lhs) == tuple(rhs)

@@ -359,6 +359,8 @@ def test_usage_errors_exit_2():
         ["extend", "--algebra", "builtin:trivial2", "--cocycle", "cocycle.json"],
         ["deform-check", "--series", "table3:abc"],
         ["deform-check", "--series", "table3:1/0"],
+        ["deform-check", "--series", "table3:", "--order", "3"],  # empty parameter
+        ["deform-lift", "--series", "table3-repaired:", "--target-order", "3"],
         ["dump", "--what", "series"],               # needs --series
         # counts are nonnegative
         ["cohomology", "--algebra", "builtin:ut2", "--max-degree", "-1"],

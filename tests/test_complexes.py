@@ -28,24 +28,27 @@ from poiscoh.deformation import transport
 from poiscoh.complexes import (
     SIGN_CONVENTION,
     build_complex,
-    ce_coboundary,
     delta_H,
     delta_V,
     delta_v,
     differential,
-    hochschild_coboundary,
-    lp_coboundary,
-    lp_space_basis,
+    edge_maps,
     sigma_embed,
-    type_coboundary,
-    type_space_basis,
 )
+from poiscoh.linalg import kernel_basis
+
+import oracles
 
 COMMUTATIVE = ("trivial2", "kxk", "nil3", "sl2std")
 
 
 def _unit(m, comp):
     return tuple(1 if k == comp else 0 for k in range(m))
+
+
+def _edge_basis(alg, mod, which, n):
+    """A basis of the degree-n space of a distinguished subcomplex."""
+    return kernel_basis(edge_maps(alg, mod, which, n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -83,28 +86,22 @@ def test_sign_convention_constant():
     assert SIGN_CONVENTION == "horizontal-(-1)^i"
 
 
-def test_naive_all_plus_assembly_is_not_a_complex():
-    """Dropping the (-1)^i horizontal twist must break d o d = 0 somewhere."""
+def test_mixed_squares_commute_so_the_twist_is_needed():
+    """delta_V o delta_H == delta_H o delta_V on every mixed square, so the
+    (-1)^i twist is what cancels them in d o d.  The composite is nonzero on
+    a square with i >= 2, whose four blocks all lie in the poisson layout and
+    which no corner map reaches: there an untwisted assembly's d o d is twice
+    the composite, so it is not a complex."""
     alg = builtin("ut2")
     mod = regular_module(alg)
-    naive = [
-        differential(alg, mod, "poisson", n, _horizontal_sign=lambda i: 1)
-        for n in range(5)
-    ]
-    broken = any(
-        not naive[n + 1].matmul(naive[n]).is_zero for n in range(4)
-    )
-    assert broken
-
-
-def test_differential_is_the_signed_assembly():
-    alg = builtin("ut2")
-    mod = regular_module(alg)
-    for theory in ("poisson", "quasi", "omega"):
-        for n in range(3):
-            twisted = differential(alg, mod, theory, n,
-                                   _horizontal_sign=lambda i: -1 if i % 2 else 1)
-            assert differential(alg, mod, theory, n).entries == twisted.entries
+    untwisted_breaks = False
+    for i in range(4):
+        for j in range(3):
+            vh = delta_V(alg, mod, i, j + 1).matmul(delta_H(alg, mod, i, j))
+            hv = delta_H(alg, mod, i + 1, j).matmul(delta_V(alg, mod, i, j))
+            assert vh == hv, (i, j)
+            untwisted_breaks = untwisted_breaks or (i >= 2 and not vh.is_zero)
+    assert untwisted_breaks
 
 
 def test_build_complex_shapes_chain():
@@ -163,37 +160,6 @@ def _bar_oracle(alg, mod, n):
     return cols
 
 
-def _ce_oracle(alg, mod, n):
-    """Chevalley-Eilenberg coboundary on Hom(Lambda^n A, M), slot by slot."""
-    d, m = alg.dim, mod.dim
-    src = list(itertools.combinations(range(d), n))
-    tgt = list(itertools.combinations(range(d), n + 1))
-    cols = {}
-    for si, w in enumerate(src):
-        for comp in range(m):
-            col = [Fraction(0)] * (len(tgt) * m)
-            for ti, y in enumerate(tgt):
-                val = [Fraction(0)] * m
-                for k in range(n + 1):
-                    rest = y[:k] + y[k + 1:]
-                    sign = -1 if k % 2 else 1
-                    if rest == w:
-                        for p, v in enumerate(mod.act_lie(alg.basis_vector(y[k]), _unit(m, comp))):
-                            val[p] += sign * v
-                for k in range(n + 1):
-                    for l in range(k + 1, n + 1):
-                        sign = -1 if (k + l) % 2 else 1
-                        rest = tuple(x for t, x in enumerate(y) if t not in (k, l))
-                        for r, c in alg.bracket_pairs[y[k]][y[l]]:
-                            wsgn, word = wedge_normalize((r,) + rest)
-                            if wsgn and word == w:
-                                val[comp] += sign * wsgn * c
-                for k, v in enumerate(val):
-                    col[ti * m + k] += v
-            cols[si * m + comp] = col
-    return cols
-
-
 def _matrix_matches_oracle(mat, cols):
     for col, vec in cols.items():
         for row, v in enumerate(vec):
@@ -214,15 +180,10 @@ def test_vertical_block_matches_bar_formula(name, n):
 def test_horizontal_block_matches_ce_formula(name, n):
     alg = builtin(name)
     mod = regular_module(alg)
-    _matrix_matches_oracle(delta_H(alg, mod, 0, n), _ce_oracle(alg, mod, n))
-
-
-def test_named_coboundaries_are_the_edge_blocks():
-    alg = builtin("nil3")
-    mod = regular_module(alg)
-    for n in range(3):
-        assert hochschild_coboundary(alg, mod, n).entries == delta_V(alg, mod, n, 0).entries
-        assert ce_coboundary(alg, mod, n).entries == delta_H(alg, mod, 0, n).entries
+    mat = delta_H(alg, mod, 0, n)
+    nrows, ncols, entries = oracles.lie_coboundary(alg.bracket, mod.lie, n)
+    assert (mat.nrows, mat.ncols) == (nrows, ncols)
+    assert dict(mat.entries) == entries
 
 
 def test_vertical_map_leaves_the_wedge_alone():
@@ -298,7 +259,7 @@ def test_delta_H_is_ce_of_the_hom_module(i, j):
     hom = _hom_module(alg, mod, i)
     assert validate_module(alg, hom).ok
     orig = delta_H(alg, mod, i, j)
-    via_ce = ce_coboundary(alg, hom, j)
+    via_ce = delta_H(alg, hom, 0, j)
     assert (orig.nrows, orig.ncols) == (via_ce.nrows, via_ce.ncols)
 
     M = d ** i * m
@@ -372,16 +333,9 @@ def test_corner_map_matches_direct_evaluation(name, j, data):
 ))
 def test_multiderivation_space_dims(name, dims):
     alg = builtin(name)
-    got = tuple(len(lp_space_basis(alg, n)) for n in range(len(dims)))
+    mod = regular_module(alg)
+    got = tuple(len(_edge_basis(alg, mod, "I", n)) for n in range(len(dims)))
     assert got == dims
-
-
-def test_multiderivation_needs_commutativity():
-    for name in ("ut2", "m2"):
-        with pytest.raises(StructuralError):
-            lp_space_basis(builtin(name), 1)
-        with pytest.raises(StructuralError):
-            lp_coboundary(builtin(name), 1)
 
 
 @pytest.mark.parametrize("name", ("nil3", "sl2std"))
@@ -392,7 +346,7 @@ def test_lp_basis_elements_are_derivations_in_each_slot(name):
     alg = builtin(name)
     d = alg.dim
     for n in (1, 2):
-        for fvec in lp_space_basis(alg, n):
+        for fvec in _edge_basis(alg, regular_module(alg), "I", n):
             def f_at(word):
                 sgn, w = wedge_normalize(word)
                 if sgn == 0:
@@ -419,11 +373,12 @@ def test_lp_basis_elements_are_derivations_in_each_slot(name):
 @pytest.mark.parametrize("name", ("nil3", "sl2std"))
 def test_lp_coboundary_preserves_multiderivations(name):
     alg = builtin(name)
+    mod = regular_module(alg)
     for n in range(3):
-        constraints_next = delta_v(alg, regular_module(alg), n + 1)
-        d_n = lp_coboundary(alg, n)
-        d_next = lp_coboundary(alg, n + 1)
-        for fvec in lp_space_basis(alg, n):
+        constraints_next = delta_v(alg, mod, n + 1)
+        d_n = delta_H(alg, mod, 0, n)
+        d_next = delta_H(alg, mod, 0, n + 1)
+        for fvec in _edge_basis(alg, mod, "I", n):
             img = d_n.matvec(fvec)
             assert not any(constraints_next.matvec(img))
             assert not any(d_next.matvec(img))
@@ -437,8 +392,8 @@ def test_sigma_embedding_is_a_chain_map(name):
     mod = regular_module(alg)
     for n in range(3):
         d_full = differential(alg, mod, "poisson", n)
-        d_lp = lp_coboundary(alg, n)
-        for fvec in lp_space_basis(alg, n):
+        d_lp = delta_H(alg, mod, 0, n)
+        for fvec in _edge_basis(alg, mod, "I", n):
             lhs = d_full.matvec(sigma_embed(alg, n, fvec))
             rhs = sigma_embed(alg, n + 1, d_lp.matvec(fvec))
             assert tuple(lhs) == tuple(rhs)
@@ -458,11 +413,11 @@ def test_sigma_embed_rejects_wrong_width():
 def test_type_I_is_closed_under_its_coboundary(name):
     alg = builtin(name)
     mod = regular_module(alg)
-    assert len(type_space_basis(alg, mod, "I", 0)) == mod.dim
+    assert len(_edge_basis(alg, mod, "I", 0)) == mod.dim
     for n in (1, 2):
         killer = delta_v(alg, mod, n + 1)
-        d_n = type_coboundary(alg, mod, "I", n)
-        for fvec in type_space_basis(alg, mod, "I", n):
+        d_n = edge_maps(alg, mod, "I", n)[1]
+        for fvec in _edge_basis(alg, mod, "I", n):
             assert not any(delta_v(alg, mod, n).matvec(fvec))
             assert not any(killer.matvec(d_n.matvec(fvec)))
 
@@ -473,8 +428,8 @@ def test_type_II_is_closed_under_its_coboundary(name):
     mod = regular_module(alg)
     for n in (1, 2):
         killer = delta_H(alg, mod, n + 1, 0)
-        d_n = type_coboundary(alg, mod, "II", n)
-        for fvec in type_space_basis(alg, mod, "II", n):
+        d_n = edge_maps(alg, mod, "II", n)[1]
+        for fvec in _edge_basis(alg, mod, "II", n):
             assert not any(delta_H(alg, mod, n, 0).matvec(fvec))
             assert not any(killer.matvec(d_n.matvec(fvec)))
 
@@ -482,17 +437,15 @@ def test_type_II_is_closed_under_its_coboundary(name):
 def test_type_coboundaries_are_the_edge_maps():
     alg = builtin("ut2")
     mod = regular_module(alg)
-    assert type_coboundary(alg, mod, "I", 2).entries == ce_coboundary(alg, mod, 2).entries
-    assert type_coboundary(alg, mod, "II", 2).entries == hochschild_coboundary(alg, mod, 2).entries
+    assert edge_maps(alg, mod, "I", 2) == (delta_v(alg, mod, 2), delta_H(alg, mod, 0, 2))
+    assert edge_maps(alg, mod, "II", 2) == (delta_H(alg, mod, 2, 0), delta_V(alg, mod, 2, 0))
 
 
 def test_unknown_subcomplex_type():
     alg = builtin("ut2")
     mod = regular_module(alg)
     with pytest.raises(StructuralError):
-        type_space_basis(alg, mod, "III", 1)
-    with pytest.raises(StructuralError):
-        type_coboundary(alg, mod, "III", 1)
+        edge_maps(alg, mod, "III", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,19 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+def test_no_underscore_parameters_in_package():
+    """A parameter named ``_x`` is a knob that only tests turn, so no
+    function or method in the package has one."""
+    found = [f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for arg in (node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                         + [a for a in (node.args.vararg, node.args.kwarg) if a])
+             if arg.arg.startswith("_")]
+    assert found == []
+
+
 def test_block_offsets_are_read_only_by_the_codec_and_the_assembly():
     """Tables become flat cochains through ``cochain.encode``/``decode`` and
     differentials are pasted in ``complexes``; any other module reading
