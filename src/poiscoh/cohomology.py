@@ -33,6 +33,7 @@ from .linalg import (
     _columns,
     dense_vector,
     kernel_basis,
+    rank,
     verify_kernel,
 )
 
@@ -137,9 +138,10 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
 
     Only the weight-zero rows of each differential are eliminated, which is
     all of them unless :func:`~poiscoh.complexes.cartan_weights` finds a
-    weight element.  The dims come from the weight-zero ranks, since every
-    other weight is acyclic, and the full ranks from the dims by
-    rank-nullity.  Representatives are the weight-zero kernel vectors that
+    weight element.  The dims come from the weight-zero ranks (by
+    :func:`~poiscoh.linalg.rank` unless representatives are asked for),
+    since every other weight is acyclic, and the full ranks from the dims
+    by rank-nullity.  Representatives are the weight-zero kernel vectors that
     are independent modulo the weight-zero image: the same vectors that
     eliminating every row would pick (docs/decisions.md, section 6).
     """
@@ -155,13 +157,15 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     kept = [_weight_zero_rows(m, weights[n + 1], weights[n]) for n, m in enumerate(mats)]
     zero_ranks, found = [], []
     for n, restricted in enumerate(kept):
+        if not representatives:
+            zero_ranks.append(rank(restricted))
+            continue
         echelon = Echelon(restricted)
         zero_ranks.append(echelon.rank)
-        if representatives:
-            kernel = [vec for c, vec in zip(echelon.free_cols, echelon.kernel_basis())
-                      if not weights[n][c]]
-            verify_kernel(mats[n], kernel)
-            found.append(_representatives(kernel, kept[n - 1] if n else None, space_dims[n]))
+        kernel = [vec for c, vec in zip(echelon.free_cols, echelon.kernel_basis())
+                  if not weights[n][c]]
+        verify_kernel(mats[n], kernel)
+        found.append(_representatives(kernel, kept[n - 1] if n else None, space_dims[n]))
     dims = _rank_nullity([w.count(0) for w in weights[:-1]], zero_ranks)
     ranks = _ranks_from_dims(mats, dims)
     reps = None
@@ -213,7 +217,7 @@ def type_cohomology(alg: AlgebraSpec, mod: ModuleSpec | None = None,
         img = coboundary.matmul(_columns(basis, coboundary.ncols))
         if not maps[n + 1][0].matmul(img).is_zero:
             raise ArithmeticError("subcomplex is not closed under its differential")
-        ranks.append(Echelon(img).rank)
+        ranks.append(rank(img))
     space_dims = tuple(len(b) for b in bases)
     dims = _rank_nullity(space_dims, ranks)
     return CohomologyReport(theory=f"type-{which}", max_degree=max_degree,

@@ -5,13 +5,14 @@ solves of sparse matrices with rational entries.  All arithmetic here is
 exact.  A matrix stores integer numerators over one denominator, so products
 and eliminations run on integers: elimination starts from the numerator rows,
 is fraction-free (cross-multiplication followed by gcd reduction), and pivots
-are chosen by a deterministic rule so that repeated runs produce identical
-output.
+are chosen by deterministic rules so that repeated runs produce identical
+output: one rule for kernels and solves, and a faster one for ranks alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -244,20 +245,34 @@ def _integer_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
     return {rid: _normalize_int_row(row) for rid, row in matrix.numerator_rows().items()}
 
 
-def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
-    """A new gcd-reduced integer row: ``row`` cross-multiplied against the
-    pivot row ``piv`` so that its entry in ``col`` cancels."""
+def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> tuple[list, list]:
+    """Cross-multiply ``row`` in place against the pivot row ``piv`` so that
+    its entry in ``col`` cancels, then divide it by the gcd of its entries.
+    Kept columns keep their place and gained ones are appended in ``piv``'s
+    order (docs/decisions.md, section 7).  Returns ``(added, dropped)``: the
+    columns the row gained and lost, ``col`` among the lost.  ``row`` must
+    be the caller's own dict, never a row of a stored matrix."""
     a, b = piv[col], row[col]
     g = gcd(a, b)
     ma, mb = a // g, b // g
-    new = {c: ma * v for c, v in row.items()}
+    if ma != 1:
+        for c in row:
+            row[c] *= ma
+    added, dropped = [], []
     for c, pv in piv.items():
-        nv = new.get(c, 0) - mb * pv
-        if nv:
-            new[c] = nv
+        v = row.get(c)
+        if v is None:
+            row[c] = -mb * pv
+            added.append(c)
+            continue
+        v -= mb * pv
+        if v:
+            row[c] = v
         else:
-            new.pop(c, None)
-    return _normalize_int_row(new)
+            del row[c]
+            dropped.append(c)
+    _normalize_int_row(row)
+    return added, dropped
 
 
 def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
@@ -277,6 +292,12 @@ def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
     this on the rows of one component retires exactly the pivots, in exactly
     the order, that a run over all rows retires from that component;
     :func:`_eliminate_components` relies on this.
+
+    The pivot order decides which columns are free, and so every kernel
+    vector and solution; a rank alone may take another order (see
+    :func:`rank`).  Rows are updated in place by :func:`_cancel`, so
+    ``rows`` must hold the caller's own dicts (as :func:`_integer_rows`
+    makes them), never the rows of a stored matrix.
 
     Returns ``(pivots, leftovers)`` where pivots is a list of
     ``(pivot_col, row_dict)`` in retirement order and leftovers are the
@@ -305,19 +326,17 @@ def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
 
         for rid in sorted(col_rows.get(pivot_col, ())):
             row = rows[rid]
-            new = _cancel(row, piv, pivot_col)
-            for c in row:
-                if c != skip_col and c != pivot_col and c not in new:
+            added, dropped = _cancel(row, piv, pivot_col)
+            for c in dropped:
+                if c != skip_col and c != pivot_col:
                     holders = col_rows[c]
                     holders.discard(rid)
                     if not holders:
                         del col_rows[c]
-            for c in new:
-                if c != skip_col and c not in row:
+            for c in added:
+                if c != skip_col:
                     col_rows.setdefault(c, set()).add(rid)
-            if new:
-                rows[rid] = new
-            else:
+            if not row:
                 del rows[rid]
         col_rows.pop(pivot_col, None)
 
@@ -416,6 +435,10 @@ class Echelon:
     column's component.  Eliminating per component saves the pivot search
     over other components' columns, which makes the whole run quadratic in
     the largest component instead of in the matrix.
+
+    Build one only for the pivots, free columns or kernel vectors: a rank
+    alone comes faster from :func:`rank`, whose pivot order keeps the
+    active rows short.
     """
 
     def __init__(self, matrix: SparseMatrix):
@@ -448,7 +471,49 @@ class Echelon:
 
 
 def rank(matrix: SparseMatrix) -> int:
-    return Echelon(matrix).rank
+    """The rank, by fraction-free elimination under the row-first rule:
+    retire the shortest active row (lowest row index on ties), pivoting on
+    its column held by the fewest active rows (lowest column index on ties).
+    Short pivot rows keep the fill, and so the active rows, short.  A rank
+    does not depend on the pivot order, but kernel vectors and solutions
+    do, so :class:`Echelon` and :func:`solve` keep the rule of
+    :func:`_eliminate` (docs/decisions.md, section 7).  The active rows sit
+    in a lazy heap keyed by ``(length, row)``: an entry whose row has since
+    been retired, emptied or resized is skipped when it comes up."""
+    rows = _integer_rows(matrix)
+    holders: dict[int, set[int]] = {}
+    for rid, row in rows.items():
+        for c in row:
+            holders.setdefault(c, set()).add(rid)
+    heap = [(len(row), rid) for rid, row in rows.items()]
+    heapify(heap)
+    found = 0
+    while heap:
+        length, rid = heappop(heap)
+        piv = rows.get(rid)
+        if piv is None or len(piv) != length:
+            continue
+        del rows[rid]
+        for c in piv:
+            holders[c].discard(rid)
+        col = min(piv, key=lambda c: (len(holders[c]), c))
+        found += 1
+        # no active row holds ``col`` after this sweep, and none gains it
+        # later, since every later pivot row lacks it
+        for other in holders.pop(col):
+            row = rows[other]
+            before = len(row)
+            added, dropped = _cancel(row, piv, col)
+            for c in dropped:
+                if c != col:
+                    holders[c].discard(other)
+            for c in added:
+                holders.setdefault(c, set()).add(other)
+            if not row:
+                del rows[other]
+            elif len(row) != before:
+                heappush(heap, (len(row), other))
+    return found
 
 
 def _columns(basis: Sequence, nrows: int) -> SparseMatrix:
@@ -557,7 +622,7 @@ class RowReducer:
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
         for pivot_col in sorted(set(row) & set(self._rows)):
             if pivot_col in row:
-                row = _cancel(row, self._rows[pivot_col], pivot_col)
+                _cancel(row, self._rows[pivot_col], pivot_col)
         return row
 
     def contains(self, vec) -> bool:
@@ -570,8 +635,8 @@ class RowReducer:
             return False
         pivot_col = min(row)
         # keep the invariant: no stored row may contain the new pivot column
-        for other_col, other in self._rows.items():
+        for other in self._rows.values():
             if pivot_col in other:
-                self._rows[other_col] = _cancel(other, row, pivot_col)
+                _cancel(other, row, pivot_col)
         self._rows[pivot_col] = row
         return True

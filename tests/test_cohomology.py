@@ -47,7 +47,15 @@ from poiscoh.complexes import (
     edge_maps,
 )
 from poiscoh.deformation import transport
-from poiscoh.linalg import Echelon, RowReducer, SparseMatrix, dense_vector, kernel_basis
+from poiscoh.linalg import (
+    Echelon,
+    RowReducer,
+    SparseMatrix,
+    dense_vector,
+    kernel_basis,
+    rank,
+    solve,
+)
 
 import oracles
 from test_deformation import CHARACTERS, _character_module
@@ -307,6 +315,26 @@ def _route_inputs():
     return inputs + [("rescaled", "m2")]
 
 
+def _route_input(kind, name):
+    """The algebra and module of one ``_route_inputs()`` case."""
+    if kind == "rescaled":
+        alg = _rescaled_m2()
+        return alg, regular_module(alg)
+    alg = builtin(name)
+    return alg, _character_module(name) if kind == "character" else regular_module(alg)
+
+
+def _weight_zero_restrictions(alg, mod, theory, top):
+    """Each ``d^n`` up to ``top`` cut to its weight-zero rows, as
+    ``cohomology_dims`` eliminates it."""
+    cartan = cartan_weights(alg, mod, theory)
+    alg_weights, mod_weights = cartan[1:] if cartan else ((0,) * alg.dim, (0,) * mod.dim)
+    weights = [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
+                                  alg_weights, mod_weights) for n in range(top + 2)]
+    return [_weight_zero_rows(mat, weights[n + 1], weights[n])
+            for n, mat in enumerate(build_complex(alg, mod, theory, top))]
+
+
 def _direct_representatives(mats, echelons):
     """Representatives from eliminating every row: each full kernel vector
     that a RowReducer holding every image column accepts."""
@@ -329,12 +357,7 @@ def _direct_representatives(mats, echelons):
 def test_weight_zero_route_agrees_with_direct_elimination(kind, name, theory):
     """Dims, ranks and representatives are those of eliminating every row
     of the full differentials."""
-    if kind == "rescaled":
-        alg, mod = _rescaled_m2(), None
-    else:
-        alg = builtin(name)
-        mod = _character_module(name) if kind == "character" else None
-    mod = mod or regular_module(alg)
+    alg, mod = _route_input(kind, name)
     top = _tier1_top(name, theory)
     assert (cartan_weights(alg, mod, theory) is None) == alg.has_zero_bracket
     mats = build_complex(alg, mod, theory, top)
@@ -372,6 +395,52 @@ def test_weight_zero_route_leaves_the_differentials_as_built():
         assert set(kept.numerators) == {r for r in mat.numerators if not weights[n + 1][r]}
         assert all(kept.numerators[r] is mat.numerators[r] for r in kept.numerators)
         assert _weight_zero_rows(mat, [0] * mat.nrows, [0] * mat.ncols) is mat
+
+
+# every FROZEN_DIMS case and every _route_inputs() case, each once
+RANK_CASES = sorted({("regular", name, theory, len(expected) - 1)
+                     for name, theory, expected in FROZEN_DIMS}
+                    | {(kind, name, theory, _tier1_top(name, theory))
+                       for kind, name in _route_inputs() for theory in CARTAN_THEORIES})
+
+
+@pytest.mark.parametrize("kind,name,theory,top", RANK_CASES)
+def test_row_first_rank_equals_the_echelon_rank_at_weight_zero(kind, name, theory, top):
+    """``linalg.rank`` takes other pivots than ``Echelon`` but must find
+    the same rank on every matrix that ``cohomology_dims`` eliminates."""
+    alg, mod = _route_input(kind, name)
+    for kept in _weight_zero_restrictions(alg, mod, theory, top):
+        assert rank(kept) == Echelon(kept).rank
+
+
+def test_elimination_never_writes_a_shared_row():
+    """Elimination updates its rows in place, so it must work on copies:
+    cached blocks and a weight-zero restriction, whose rows are those of a
+    cached differential, keep their bytes through every elimination."""
+    alg = _rescaled_m2()
+    mod = regular_module(alg)
+    _clear_block_caches()
+    shared = [delta_H(alg, mod, 1, 2), delta_V(alg, mod, 1, 1), delta_v(alg, mod, 2),
+              _weight_zero_restrictions(alg, mod, "poisson", 2)[2]]
+    assert any(mat.denominator > 1 for mat in shared)
+
+    def reduce_rows(mat):
+        reducer = RowReducer(mat.ncols)
+        for row in mat.numerators.values():
+            reducer.add(row)
+        return reducer.rank
+
+    operations = {
+        "rank": rank,
+        "kernel": lambda mat: len(Echelon(mat).kernel_basis()),
+        "solve": lambda mat: solve(mat, mat.matvec([1] * mat.ncols)),
+        "reducer": reduce_rows,
+    }
+    for mat in shared:
+        text = mat.dump_text()
+        for name, operation in operations.items():
+            assert operation(mat), name
+            assert mat.dump_text() == text, name
 
 
 def test_weight_zero_restriction_refuses_a_map_that_moves_weights():

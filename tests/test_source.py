@@ -48,6 +48,20 @@ def test_block_offsets_are_read_only_by_the_codec_and_the_assembly():
     assert readers == ["cochain.py", "complexes.py"]
 
 
+def test_rank_only_callers_use_linalg_rank():
+    """``Echelon(...).rank`` builds pivot rows and free columns only to
+    count them; a caller that needs only the rank calls ``linalg.rank``,
+    whose pivot order is faster."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "rank"
+             and isinstance(node.value, ast.Call)
+             and getattr(node.value.func, "attr", getattr(node.value.func, "id", None))
+             == "Echelon"]
+    assert found == []
+
+
 _SPLITTERS = {"partition", "rpartition", "split", "rsplit", "startswith",
               "removeprefix", "find", "index"}
 _READERS = {"load", "load_algebra", "load_module"}  # json.load and the file loaders
