@@ -119,12 +119,13 @@ def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
     return tuple(acc)
 
 
-def _order_residuals(mult_terms, bracket_terms, n: int, inner: bool = False,
+def _order_residuals(mult_terms, bracket_terms, n: int, splittings=None,
                      triples=None) -> tuple:
     """Order-n residuals (F1, F2, F3) of associativity, Leibniz and Jacobi
     at basis triples (a, b, c) of the series ``m = sum m_p t^p``,
     ``l = sum l_p t^p`` (tuples of tables, missing terms read as zero),
-    summed over splittings p + q = n:
+    summed over the splittings p + q = n with p in ``splittings`` (distinct;
+    all of 0..n by default):
 
         F1 = m_p(m_q(a, b), c) - m_p(a, m_q(b, c))
         F2 = l_p(m_q(a, b), c) - m_p(a, l_q(b, c)) - m_p(l_q(a, c), b)
@@ -132,20 +133,31 @@ def _order_residuals(mult_terms, bracket_terms, n: int, inner: bool = False,
 
     Each is a dict ``{(a, b, c): vector}`` over ``triples`` (distinct; all
     of them in index order by default).  At order 0 these are the Poisson
-    axioms of ``(m_0, l_0)`` themselves.  With ``inner`` the splittings
-    p = 0 and q = 0 are dropped, which leaves the part built from terms
-    1..n-1 alone: the order-n obstruction.
+    axioms of ``(m_0, l_0)`` themselves.  The splittings ``range(1, n)``
+    leave the part built from terms 1..n-1 alone: the order-n obstruction;
+    ``(0, n)`` are the two that read the order-n terms.
+
+    Only the terms the splittings read are converted to sparse pairs, and a
+    splitting is skipped when one side's mult and bracket terms are both
+    zero: every product in it would vanish.
     """
     d = len(mult_terms[0])
-    zero = _pairs(_zero_table(d))
-    mult, bracket = ([_pairs(t) for t in terms[:n + 1]] + [zero] * (n + 1 - len(terms))
-                     for terms in (mult_terms, bracket_terms))
+    zero = (((),) * d,) * d  # the sparse pairs of the zero table
+    if splittings is None:
+        splittings = range(n + 1)
+    sides = {}
+    for k in {k for p in splittings for k in (p, n - p)}:
+        mk, lk = (_pairs(terms[k]) if k < len(terms) else zero
+                  for terms in (mult_terms, bracket_terms))
+        sides[k] = (mk, lk) if mk != zero or lk != zero else None
     basis = [((i, 1),) for i in range(d)]
     if triples is None:
         triples = list(itertools.product(range(d), repeat=3))
     f1, f2, f3 = ({t: [0] * d for t in triples} for _ in range(3))
-    for p in range(1, n) if inner else range(n + 1):
-        mp, lp, mq, lq = mult[p], bracket[p], mult[n - p], bracket[n - p]
+    for p in splittings:
+        if sides[p] is None or sides[n - p] is None:
+            continue
+        (mp, lp), (mq, lq) = sides[p], sides[n - p]
         for a, b, c in triples:
             r1, r2, r3 = f1[a, b, c], f2[a, b, c], f3[a, b, c]
             _add_pairs(r1, mp, mq[a][b], basis[c])

@@ -287,7 +287,7 @@ def obstruction_tables(series: DeformationSeries, order: int | None = None, *,
             raise StructuralError(
                 f"the series is not a deformation through order {n - 1}; "
                 "obstructions are undefined")
-    residuals = _order_residuals(series.mult_terms, series.bracket_terms, n, inner=True)
+    residuals = _order_residuals(series.mult_terms, series.bracket_terms, n, range(1, n))
     basis = range(series.algebra.dim)
     return tuple(tuple(tuple(tuple(f[a, b, c] for c in basis) for b in basis) for a in basis)
                  for f in residuals)
@@ -302,15 +302,31 @@ def encode_obstruction(alg: AlgebraSpec, f1, f2, f3) -> tuple:
 
 def lift_step(series: DeformationSeries, *, validate: bool = True):
     """Extend a valid partial deformation by one order, or return None when
-    the linear problem d(m_n, l_n) = F has no solution."""
+    the linear problem d(m_n, l_n) = F has no solution.
+
+    The new order n is checked from its own residual: the inner splittings
+    that gave the obstruction F, plus the two outer ones p = 0 and p = n
+    that read (m_n, l_n), are the whole order-n residual
+    (docs/decisions.md, section 8).  A cell that does not vanish raises
+    :class:`ArithmeticError`.  Lower orders are checked only by
+    ``validate``.
+    """
     alg = series.algebra
-    target = encode_obstruction(alg, *obstruction_tables(series, validate=validate))
+    n = series.order + 1
+    inner = obstruction_tables(series, n, validate=validate)
+    target = encode_obstruction(alg, *inner)
     mat = differential(alg, regular_module(alg), "poisson", 2)
     sol = solve(mat, target)
     if sol is None:
         return None
     m_n, l_n = decode_pair(alg, sol)
-    return series.extended(m_n, l_n)
+    lifted = series.extended(m_n, l_n)
+    outer = _order_residuals(lifted.mult_terms, lifted.bracket_terms, n, (0, n))
+    for f_inner, f_outer in zip(inner, outer):
+        for (a, b, c), vec in f_outer.items():
+            if any(x + y for x, y in zip(f_inner[a][b][c], vec)):
+                raise ArithmeticError(f"lifted series fails the axioms at order {n}")
+    return lifted
 
 
 def lift_until(series: DeformationSeries, target: int) -> tuple:
@@ -319,19 +335,15 @@ def lift_until(series: DeformationSeries, target: int) -> tuple:
     is reached).
 
     The input is validated once, by the first :func:`lift_step`.  Lifting
-    never changes lower orders, so checking each new order on its own keeps
-    the whole series verified; a surviving residual raises
-    :class:`ArithmeticError`.
+    never changes lower orders, and each :func:`lift_step` checks the order
+    it adds, so the whole series stays verified; a surviving residual
+    raises :class:`ArithmeticError`.
     """
     validate = True
     while series.order < target:
         lifted = lift_step(series, validate=validate)
         if lifted is None:
             return series, series.order + 1
-        n = lifted.order
-        if any(map(_nonzero_cells,
-                   _order_residuals(lifted.mult_terms, lifted.bracket_terms, n))):
-            raise ArithmeticError(f"lifted series fails the axioms at order {n}")
         series, validate = lifted, False
     return series, None
 

@@ -291,7 +291,7 @@ def _eliminate(rows: dict[int, dict[int, int]], skip_col: int | None = None):
     ``skip_col`` entry, but that entry is local to the row.  Hence running
     this on the rows of one component retires exactly the pivots, in exactly
     the order, that a run over all rows retires from that component;
-    :func:`_eliminate_components` relies on this.
+    :class:`Echelon` and :func:`solve` rely on this (see :func:`_components`).
 
     The pivot order decides which columns are free, and so every kernel
     vector and solution; a rank alone may take another order (see
@@ -413,14 +413,6 @@ def _components(rows: dict[int, dict[int, int]],
     return list(blocks.values())
 
 
-def _eliminate_components(rows: dict[int, dict[int, int]],
-                          skip_col: int | None = None) -> list[tuple]:
-    """``_eliminate`` run on each connected component of ``rows`` (see
-    :func:`_components`), in order of lowest row index: one
-    ``(pivots, leftovers)`` pair per component."""
-    return [_eliminate(block, skip_col) for block in _components(rows, skip_col)]
-
-
 class Echelon:
     """Outcome of eliminating a matrix: rank, pivot positions, and the frozen
     pivot rows needed to back-substitute kernel vectors.
@@ -444,8 +436,8 @@ class Echelon:
     def __init__(self, matrix: SparseMatrix):
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        self._blocks = [pivots for pivots, _ in
-                        _eliminate_components(_integer_rows(matrix))]
+        self._blocks = [_eliminate(block)[0]
+                        for block in _components(_integer_rows(matrix))]
         self.pivot_cols = tuple(c for pivots in self._blocks for c, _ in pivots)
 
     @property
@@ -559,16 +551,21 @@ def kernel_basis(matrix: SparseMatrix) -> list[tuple]:
 def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
     """One exact solution of ``M x = rhs``, or None when inconsistent.
 
-    Eliminates the augmented system ``M x - rhs*t = 0`` per connected
-    component of ``M``'s rows, with the ``t`` column barred from pivoting
-    and from joining components, then back-substitutes at t = 1 with all
-    free columns set to zero.  By the argument in :func:`_eliminate` this is
-    the solution one elimination over all augmented rows gives.
+    Splits the augmented system ``M x - rhs*t = 0`` into the connected
+    components of ``M``'s rows, with the ``t`` column barred from pivoting
+    and from joining components.  Only the components holding a nonzero
+    right-hand-side entry are eliminated and back-substituted at t = 1, with
+    all free columns set to zero; a zero right-hand side eliminates nothing.
+    The other components would assign nothing and leave no leftovers, so
+    this is the solution one elimination over all augmented rows gives
+    (docs/decisions.md, section 8).  The result is checked with
+    :meth:`SparseMatrix.matvec` before it is returned.
     """
     if len(rhs) != matrix.nrows:
         raise ValueError("right-hand side length does not match row count")
     sentinel = matrix.ncols
     rows = matrix.numerator_rows()
+    touched = []  # rows with a nonzero right-hand-side entry
     for r, b in enumerate(rhs):
         # numerators are the matrix times its denominator, so the rhs is too;
         # a fractional rhs entry scales its whole row to integers
@@ -579,14 +576,17 @@ def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
                 for c in row:
                     row[c] *= b.denominator
             row[sentinel] = -b.numerator
-    rows = {rid: _normalize_int_row(row) for rid, row in rows.items()}
-    if any(len(row) == 1 and sentinel in row for row in rows.values()):
+            touched.append(r)
+    if any(len(rows[r]) == 1 for r in touched):
         return None
     assign: dict[int, Scalar] = {sentinel: 1}
-    for pivots, leftovers in _eliminate_components(rows, sentinel):
-        if leftovers:
-            return None
-        _back_substitute(pivots, assign)
+    for block in _components(rows, sentinel) if touched else ():
+        if any(sentinel in row for row in block.values()):
+            pivots, leftovers = _eliminate(
+                {rid: _normalize_int_row(row) for rid, row in block.items()}, sentinel)
+            if leftovers:
+                return None
+            _back_substitute(pivots, assign)
 
     solution = tuple(_as_exact(Fraction(assign.get(c, 0))) for c in range(matrix.ncols))
     if matrix.matvec(solution) != tuple(rhs):

@@ -19,6 +19,7 @@ from poiscoh.algebra import (
     AxiomError,
     ModuleSpec,
     StructuralError,
+    _order_residuals,
     builtin,
     regular_module,
     validate_module,
@@ -332,10 +333,9 @@ def test_obstructions_of_invalid_series_are_refused():
         obstruction_tables(m2_table3_series(1, repaired=True), 0)
 
 
-@pytest.mark.parametrize("name", ("ut2", "trivial2"))
-def test_random_partial_series_have_closed_obstructions(name):
-    """Twenty seeded random valid partials per base: every obstruction
-    encodes to a degree-3 cocycle, and lifting (when possible) re-verifies."""
+def random_partials(name):
+    """Ten seeded random valid order-1 partials over a builtin, each a
+    random combination of its first-order directions."""
     alg = builtin(name)
     directions = first_order_deformations(alg)
     rng = random.Random(f"obstruction-{name}")
@@ -352,13 +352,83 @@ def test_random_partial_series_have_closed_obstructions(name):
                     for k in range(d):
                         m1[i][j][k] += weight * m_dir[i][j][k]
                         l1[i][j][k] += weight * l_dir[i][j][k]
-        series = DeformationSeries.build(alg, (alg.mult, m1), (alg.bracket, l1))
+        yield DeformationSeries.build(alg, (alg.mult, m1), (alg.bracket, l1))
+
+
+@pytest.mark.parametrize("name", ("ut2", "trivial2"))
+def test_random_partial_series_have_closed_obstructions(name):
+    """Ten seeded random valid partials per base: every obstruction
+    encodes to a degree-3 cocycle, and lifting (when possible) re-verifies."""
+    for series in random_partials(name):
         assert obstruction_is_closed(series)
         lifted = lift_step(series)
         if lifted is None:
             continue
         assert verify_deformation(lifted).ok
         assert obstruction_is_closed(lifted)
+
+
+def _split_residuals(series, n):
+    """The inner splittings plus the outer ones {0, n}, summed cell by cell."""
+    inner = _order_residuals(series.mult_terms, series.bracket_terms, n, range(1, n))
+    outer = _order_residuals(series.mult_terms, series.bracket_terms, n, (0, n))
+    return tuple({cell: tuple(x + y for x, y in zip(vec, f_outer[cell]))
+                  for cell, vec in f_inner.items()}
+                 for f_inner, f_outer in zip(inner, outer))
+
+
+def test_inner_and_outer_splittings_make_the_full_residual():
+    """The order-n check of :func:`lift_step` reads the inner residuals it
+    solved for plus p in {0, n}: together the full order-n residual."""
+    lifted, _ = lift_until(m2_table3_series(1, repaired=True).truncated(1), 8)
+    for series in (lifted, *random_partials("ut2"), *random_partials("trivial2")):
+        for n in range(1, 9):
+            full = _order_residuals(series.mult_terms, series.bracket_terms, n)
+            assert _split_residuals(series, n) == full
+
+
+def test_a_wrong_order_fails_its_own_check(monkeypatch):
+    """A continuation that does not solve the order-n problem raises at
+    that order, from ``lift_until`` and from a direct ``lift_step``."""
+    alg = builtin("sl2std")
+    m1, l1 = quantization_first_order(alg)
+    series = DeformationSeries.build(alg, (alg.mult, m1), (alg.bracket, l1))
+    assert any(v for row in lift_step(series).mult_term(2) for vec in row for v in vec)
+
+    def doubled(base, coeffs):
+        m_n, l_n = decode_pair(base, coeffs)
+        return tuple(tuple(tuple(2 * v for v in vec) for vec in row) for row in m_n), l_n
+
+    monkeypatch.setattr(poiscoh.deformation, "decode_pair", doubled)
+    with pytest.raises(ArithmeticError, match="at order 2"):
+        quantization_obstruction_check(alg, 4)
+    with pytest.raises(ArithmeticError, match="at order 2"):
+        lift_step(series)
+
+
+def test_lift_eliminates_only_for_nonzero_obstructions(monkeypatch):
+    """An order whose obstruction is zero solves without any elimination."""
+    solves = []
+    real_eliminate, real_solve = poiscoh.linalg._eliminate, poiscoh.deformation.solve
+
+    def counting_eliminate(*args):
+        solves[-1][1] += 1
+        return real_eliminate(*args)
+
+    def recording_solve(mat, rhs):
+        solves.append([any(rhs), 0])
+        return real_solve(mat, rhs)
+
+    monkeypatch.setattr(poiscoh.linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(poiscoh.deformation, "solve", recording_solve)
+    start = m2_table3_series(1, repaired=True).truncated(1)
+    series, obstructed_at = lift_until(start, 20)
+    assert obstructed_at is None and series.order == 20
+    assert len(solves) == 19
+    assert any(nonzero for nonzero, _ in solves)
+    assert any(not nonzero for nonzero, _ in solves)
+    for nonzero, eliminations in solves:
+        assert (eliminations > 0) == nonzero
 
 
 def test_lift_step_extends_the_truncated_family():

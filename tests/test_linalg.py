@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poiscoh
+from poiscoh import linalg
 from poiscoh.algebra import builtin, regular_module
 from poiscoh.complexes import delta_H, differential
 from poiscoh.linalg import (
@@ -403,13 +404,43 @@ def same_solution(got, expected):
     return got == expected and list(map(type, got or ())) == list(map(type, expected or ()))
 
 
+def pattern_components(mat):
+    """``(rows, cols)`` of each connected component of the nonzero pattern,
+    found by a breadth-first search over rows, not by ``linalg``."""
+    cols_of, rows_of = {}, {}
+    for r, c in mat.entries:
+        cols_of.setdefault(r, set()).add(c)
+        rows_of.setdefault(c, set()).add(r)
+    components, seen = [], set()
+    for start in sorted(cols_of):
+        if start in seen:
+            continue
+        rows, frontier = {start}, [start]
+        while frontier:
+            for c in cols_of[frontier.pop()]:
+                for r in rows_of[c] - rows:
+                    rows.add(r)
+                    frontier.append(r)
+        seen |= rows
+        components.append((rows, set().union(*(cols_of[r] for r in rows))))
+    return components
+
+
 @settings(max_examples=80, deadline=None)
 @given(shuffled_block_diagonal(), st.data())
 def test_solve_matches_single_elimination(mat, data):
+    components = pattern_components(mat)
     x = [data.draw(scalars) for _ in range(mat.ncols)]
+    # a right-hand side that is zero on a random subset of the components
+    silent = data.draw(st.sets(st.sampled_from(range(len(components))))) if components else ()
+    for i in silent:
+        for c in components[i][1]:
+            x[c] = 0
     rhs = mat.matvec(x)
     assert solve(mat, rhs) is not None
     assert same_solution(solve(mat, rhs), single_elimination_solve(mat, rhs))
+    zero = (0,) * mat.nrows
+    assert same_solution(solve(mat, zero), single_elimination_solve(mat, zero))
     noise = [data.draw(scalars) for _ in range(mat.nrows)]
     assert same_solution(solve(mat, noise), single_elimination_solve(mat, noise))
     # an extra all-zero row with a nonzero right-hand side entry
@@ -417,6 +448,34 @@ def test_solve_matches_single_elimination(mat, data):
     bad = rhs + (data.draw(scalars.filter(bool)),)
     assert solve(padded, bad) is None
     assert single_elimination_solve(padded, bad) is None
+    if components:
+        # infeasible inside one component only: a copy of one of its rows
+        # asks for another value, and every other row asks for zero
+        rows, _ = components[data.draw(st.integers(0, len(components) - 1))]
+        r = data.draw(st.sampled_from(sorted(rows)))
+        copied = SparseMatrix(mat.nrows + 1, mat.ncols, [
+            *mat.entries.items(),
+            *(((mat.nrows, c), v) for (q, c), v in mat.entries.items() if q == r)])
+        confined = tuple(b if q in rows else 0 for q, b in enumerate(rhs))
+        confined += (rhs[r] + data.draw(scalars.filter(bool)),)
+        assert solve(copied, confined) is None
+        assert single_elimination_solve(copied, confined) is None
+
+
+def test_zero_right_hand_side_eliminates_nothing(monkeypatch):
+    alg = builtin("m2")
+    mat = differential(alg, regular_module(alg), "poisson", 2)
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: calls.append(args) or real(*args))
+    assert solve(mat, (0,) * mat.nrows) == (0,) * mat.ncols
+    assert calls == []
+    # a right-hand side in one component eliminates that component alone
+    x = [0] * mat.ncols
+    x[next(c for r, c in sorted(mat.entries))] = 1
+    assert mat.matvec(solve(mat, mat.matvec(x))) == mat.matvec(x)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["m2", "sl2std"])
