@@ -22,7 +22,6 @@ shows that the untwisted assembly fails.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from functools import lru_cache
 from math import comb, lcm
 
@@ -33,7 +32,6 @@ from .cochain import (
     decode,
     encode,
     space_layout,
-    tensor_rank,
     wedge_normalize,
     wedge_rank,
 )
@@ -54,38 +52,13 @@ def _integer_tables(*tables) -> tuple[int, tuple]:
         for table in tables)
 
 
-def _accumulator() -> defaultdict[int, defaultdict[int, int]]:
-    """Numerator rows that take ``num[row][col] += value``."""
-    return defaultdict(lambda: defaultdict(int))
-
-
-def _block(nrows: int, ncols: int, num: dict, scale: int) -> SparseMatrix:
-    """The block ``num / scale`` from accumulated numerators, zeros dropped."""
-    rows = {}
-    for r, acc in num.items():
-        row = {c: v for c, v in acc.items() if v}
-        if row:
-            rows[r] = row
-    return SparseMatrix.from_numerators(nrows, ncols, rows, scale)
-
-
-def _induced_lie_action(d: int, m: int, i: int, lie, bracket) -> list[list[tuple]]:
-    """The Lie action of each basis element x on the induced module
-    Hom(A^(x)i, M), coordinate ``tensor_rank * m + component``, as
-    ``(row, col, coefficient)`` triples: x acts on the values through M and
-    by minus the bracket substitution of x into each tensor factor."""
-    action = []
-    for x in range(d):
-        triples = []
-        for trank, tens in enumerate(itertools.product(range(d), repeat=i)):
-            base = trank * m
-            triples += [(base + q, base + p, c) for p in range(m) for q, c in lie[x][p]]
-            for t_pos, a_t in enumerate(tens):
-                shift = d ** (i - 1 - t_pos) * m  # tensor factor t_pos moves by one
-                triples += [(base + p, base + (k - a_t) * shift + p, -c)
-                            for k, c in bracket[x][a_t] for p in range(m)]
-        action.append(triples)
-    return action
+def _add(row: dict[int, int], col: int, value: int) -> None:
+    """``row[col] += value``, dropping the entry when the sum is zero."""
+    v = row.get(col, 0) + value
+    if v:
+        row[col] = v
+    else:
+        del row[col]
 
 
 @lru_cache(maxsize=None)
@@ -93,29 +66,44 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     """Horizontal block map (i, j) -> (i, j+1), verbatim (no assembly sign).
 
     The Chevalley-Eilenberg coboundary of the Lie algebra with coefficients
-    in the induced module N = Hom(A^(x)i, M) (see
-    :func:`_induced_lie_action`): on f : Lambda^j -> N at x_0^...^x_j,
-    the alternating sum of x_l acting on f(..., omitted x_l, ...), plus the
-    alternating pair terms feeding {x_p, x_q} back into the wedge.  At i = 0
-    this is the usual Lie-module coboundary.  Entries sit at the block's own
-    flat index ``(tensor_rank * comb(d, j) + wedge_rank) * m + component``.
+    in the induced module N = Hom(A^(x)i, M), on which x acts through M on
+    the values and by minus the bracket substitution of x into each tensor
+    factor: on f : Lambda^j -> N at x_0^...^x_j, the alternating sum of x_l
+    acting on f(..., omitted x_l, ...), plus the alternating pair terms
+    feeding {x_p, x_q} back into the wedge.  At i = 0 this is the usual
+    Lie-module coboundary.  Entries sit at the block's own flat index
+    ``(tensor_rank * comb(d, j) + wedge_rank) * m + component``.
+
+    At j = 0 the wedge is one letter x and there are no pair terms, so the
+    block is the action itself: row ``(n, x)`` is row n of the action of x.
+    For j > 0 each x's action is read off that cached (i, 0) block, and
+    each target wedge adds its pair terms as one diagonal
+    (docs/decisions.md, section 9).
     """
     d, m = alg.dim, mod.dim
     nrows, ncols = block_size(d, m, i, j + 1), block_size(d, m, i, j)
+    if not (nrows and ncols):
+        return SparseMatrix(nrows, ncols)
     scale, (lie, bracket) = _integer_tables(mod.lie_pairs, alg.bracket_pairs)
-    action = _induced_lie_action(d, m, i, lie, bracket) if nrows and ncols else ()
+    if j == 0:
+        return _induced_action(d, m, i, scale, lie, bracket)
+    base = delta_H(alg, mod, i, 0)
+    f = scale // base.denominator
+    c0, c1 = comb(d, j), comb(d, j + 1)
     # flat index of coordinate n of N at wedge rank 0, in the target / source
     span = range(block_size(d, m, i, 0))
-    row_at = [(n - n % m) * comb(d, j + 1) + n % m for n in span]
-    col_at = [(n - n % m) * comb(d, j) + n % m for n in span]
-    num = _accumulator()
+    row_at = [(n - n % m) * c1 + n % m for n in span]
+    col_at = [(n - n % m) * c0 + n % m for n in span]
+    # row (n, x) of the (i, 0) block, at source wedge rank 0 and at scale
+    action = {r: [(col_at[c], v * f) for c, v in row.items()]
+              for r, row in base.numerators.items()}
+    rows = {}
     for wrank, wedge in enumerate(itertools.combinations(range(d), j + 1)):
         row_w = wrank * m
-        for l_pos, x in enumerate(wedge):
-            sgn = -1 if l_pos % 2 else 1
-            col_w = wedge_rank(wedge[:l_pos] + wedge[l_pos + 1:], d) * m
-            for nr, nc, c in action[x]:
-                num[row_at[nr] + row_w][col_at[nc] + col_w] += sgn * c
+        terms = [(x * m, -1 if l_pos % 2 else 1,
+                  wedge_rank(wedge[:l_pos] + wedge[l_pos + 1:], d) * m)
+                 for l_pos, x in enumerate(wedge)]
+        diagonal = {}  # source wedge offset -> coefficient of the pair terms
         for p_pos, q_pos in itertools.combinations(range(j + 1), 2):
             sgn = 1 if (p_pos + q_pos) % 2 == 0 else -1
             rest = tuple(w for t, w in enumerate(wedge) if t != p_pos and t != q_pos)
@@ -123,9 +111,53 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
                 wsgn, word = wedge_normalize((k,) + rest)
                 if wsgn:
                     col_w = wedge_rank(word, d) * m
-                    for n in span:
-                        num[row_at[n] + row_w][col_at[n] + col_w] += sgn * wsgn * c
-    return _block(nrows, ncols, num, scale)
+                    diagonal[col_w] = diagonal.get(col_w, 0) + sgn * wsgn * c
+        diagonal = [(col_w, c) for col_w, c in diagonal.items() if c]
+        for n in span:
+            q = n % m
+            cell = (n - q) * d + q  # row (n, x) of the (i, 0) block is cell + x * m
+            row = {}
+            # the omitted letters differ, so the terms fill disjoint columns
+            for x_m, sgn, col_w in terms:
+                for c, v in action.get(cell + x_m, ()):
+                    row[c + col_w] = sgn * v
+            for col_w, c in diagonal:
+                _add(row, col_at[n] + col_w, c)
+            if row:
+                rows[row_at[n] + row_w] = row
+    return SparseMatrix.from_numerators(nrows, ncols, rows, scale)
+
+
+def _induced_action(d: int, m: int, i: int, scale: int, lie, bracket) -> SparseMatrix:
+    """``delta_H(i, 0)``: the Lie action of each basis element x on the
+    induced module Hom(A^(x)i, M), coordinate ``n = tensor_rank * m +
+    component``, at row ``(n, x)``: x acts on the values through M and by
+    minus the bracket substitution of x into each tensor factor."""
+    # lie_rows[x][q] = ((p, c), ...): row q of the action of x on M
+    lie_rows = [[[] for _ in range(m)] for _ in range(d)]
+    for x in range(d):
+        for p in range(m):
+            for q, c in lie[x][p]:
+                lie_rows[x][q].append((p, c))
+    shifts = [d ** (i - 1 - t) for t in range(i)]  # tensor factor t moves by one
+    rows = {}
+    for trank, tens in enumerate(itertools.product(range(d), repeat=i)):
+        for x in range(d):
+            moved = {}  # tensor word -> coefficient of the substitutions
+            for shift, a_t in zip(shifts, tens):
+                for k, c in bracket[x][a_t]:
+                    cell = trank + (k - a_t) * shift
+                    moved[cell] = moved.get(cell, 0) - c
+            moved = [(cell * m, c) for cell, c in moved.items() if c]
+            row0 = (trank * d + x) * m
+            for q in range(m):
+                row = {cell + q: c for cell, c in moved}
+                for p, c in lie_rows[x][q]:
+                    _add(row, trank * m + p, c)
+                if row:
+                    rows[row0 + q] = row
+    return SparseMatrix.from_numerators(block_size(d, m, i, 1), block_size(d, m, i, 0),
+                                        rows, scale)
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +166,12 @@ def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
 
     The Hochschild coboundary in the tensor slots with the wedge slot along
     for the ride: left action of the first argument, alternating inner
-    merges, and a signed right action of the last argument.  For j > 0 the
-    block is one copy of the (i, 0) block per j-wedge, index-remapped.
+    merges, and a signed right action of the last argument.  The (i, 0)
+    block is built one tensor word at a time: its head, tail and merged
+    words are read off the word's rank, the merges of each word are summed
+    once and fanned out to its m component rows, and the two actions are
+    added to those rows.  For j > 0 the block is one copy of the (i, 0)
+    block per j-wedge, index-remapped.
     """
     d, m = alg.dim, mod.dim
     if j:
@@ -143,25 +179,32 @@ def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     scale, (left, right, mult) = _integer_tables(mod.left_pairs, mod.right_pairs,
                                                  alg.mult_pairs)
     last_sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
-    num = _accumulator()
+    power = [d ** e for e in range(i + 2)]
+    # per merge position k: (sign (-1)^(k+1), d^(i+1-k), d^(i-k), d^(i-1-k))
+    merges = [(-1 if k % 2 == 0 else 1, power[i + 1 - k], power[i - k], power[i - 1 - k])
+              for k in range(i)]
+    rows = {}
     for trank, tens in enumerate(itertools.product(range(d), repeat=i + 1)):
-        row = trank * m
-        head = tensor_rank(tens[1:], d) * m
-        tail = tensor_rank(tens[:-1], d) * m
-        for p in range(m):
-            for q, c in left[tens[0]][p]:
-                num[row + q][head + p] += c
-            for q, c in right[tens[-1]][p]:
-                num[row + q][tail + p] += last_sign * c
-        for k_pos in range(i):
-            sgn = -1 if k_pos % 2 == 0 else 1  # (-1)^(k+1)
-            base = tensor_rank(tens[:k_pos] + (0,) + tens[k_pos + 2:], d)
-            weight = d ** (i - 1 - k_pos)
-            for r, c in mult[tens[k_pos]][tens[k_pos + 1]]:
-                col = (base + r * weight) * m
-                for p in range(m):
-                    num[row + p][col + p] += sgn * c
-    return _block(block_size(d, m, i + 1, 0), block_size(d, m, i, 0), num, scale)
+        merged = {}  # merged tensor word -> coefficient
+        for k, (sgn, above, width, weight) in enumerate(merges):
+            base = trank // above * width + trank % weight
+            for r, c in mult[tens[k]][tens[k + 1]]:
+                cell = base + r * weight
+                merged[cell] = merged.get(cell, 0) + sgn * c
+        merged = [(cell * m, c) for cell, c in merged.items() if c]
+        out = [{cell + p: c for cell, c in merged} for p in range(m)]
+        for cell, sgn, action in ((trank % power[i] * m, 1, left[tens[0]]),
+                                  (trank // d * m, last_sign, right[tens[-1]])):
+            for p in range(m):
+                col = cell + p
+                for q, c in action[p]:
+                    _add(out[q], col, sgn * c)
+        row0 = trank * m
+        for q, row in enumerate(out):
+            if row:
+                rows[row0 + q] = row
+    return SparseMatrix.from_numerators(block_size(d, m, i + 1, 0), block_size(d, m, i, 0),
+                                        rows, scale)
 
 
 def _wedge_copies(block: SparseMatrix, copies: int, m: int) -> SparseMatrix:

@@ -300,23 +300,24 @@ def encode_obstruction(alg: AlgebraSpec, f1, f2, f3) -> tuple:
                   {(0, 3): f3, (2, 1): f2, (3, 0): f1})
 
 
-def lift_step(series: DeformationSeries, *, validate: bool = True):
+def lift_step(series: DeformationSeries, d2: SparseMatrix, *, validate: bool = True):
     """Extend a valid partial deformation by one order, or return None when
     the linear problem d(m_n, l_n) = F has no solution.
 
-    The new order n is checked from its own residual: the inner splittings
-    that gave the obstruction F, plus the two outer ones p = 0 and p = n
-    that read (m_n, l_n), are the whole order-n residual
-    (docs/decisions.md, section 8).  A cell that does not vanish raises
-    :class:`ArithmeticError`.  Lower orders are checked only by
-    ``validate``.
+    ``d2`` is ``differential(alg, regular_module(alg), "poisson", 2)`` of
+    the series' algebra; the caller assembles it, so that a loop over
+    orders assembles it once.  The new order n is checked from its own
+    residual: the inner splittings that gave the obstruction F, plus the
+    two outer ones p = 0 and p = n that read (m_n, l_n), are the whole
+    order-n residual (docs/decisions.md, section 8).  A cell that does not
+    vanish raises :class:`ArithmeticError`.  Lower orders are checked only
+    by ``validate``.
     """
     alg = series.algebra
     n = series.order + 1
     inner = obstruction_tables(series, n, validate=validate)
     target = encode_obstruction(alg, *inner)
-    mat = differential(alg, regular_module(alg), "poisson", 2)
-    sol = solve(mat, target)
+    sol = solve(d2, target)
     if sol is None:
         return None
     m_n, l_n = decode_pair(alg, sol)
@@ -334,14 +335,17 @@ def lift_until(series: DeformationSeries, target: int) -> tuple:
     and the order whose linear problem had no solution (None once ``target``
     is reached).
 
-    The input is validated once, by the first :func:`lift_step`.  Lifting
-    never changes lower orders, and each :func:`lift_step` checks the order
-    it adds, so the whole series stays verified; a surviving residual
-    raises :class:`ArithmeticError`.
+    The degree-2 differential is assembled once and every order's
+    :func:`lift_step` solves against it.  The input is validated once, by
+    the first :func:`lift_step`.  Lifting never changes lower orders, and
+    each :func:`lift_step` checks the order it adds, so the whole series
+    stays verified; a surviving residual raises :class:`ArithmeticError`.
     """
+    alg = series.algebra
+    d2 = differential(alg, regular_module(alg), "poisson", 2)
     validate = True
     while series.order < target:
-        lifted = lift_step(series, validate=validate)
+        lifted = lift_step(series, d2, validate=validate)
         if lifted is None:
             return series, series.order + 1
         series, validate = lifted, False

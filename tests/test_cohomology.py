@@ -441,6 +441,14 @@ def test_elimination_never_writes_a_shared_row():
         for name, operation in operations.items():
             assert operation(mat), name
             assert mat.dump_text() == text, name
+    # the j >= 1 blocks are read off the cached (i, 0) blocks' rows
+    bases = [block(alg, mod, i, 0) for block in (delta_H, delta_V) for i in range(3)]
+    texts = [mat.dump_text() for mat in bases]
+    for block in (delta_H, delta_V):
+        for i in range(3):
+            for j in range(1, alg.dim + 1):
+                block(alg, mod, i, j)
+    assert [mat.dump_text() for mat in bases] == texts
 
 
 def test_weight_zero_restriction_refuses_a_map_that_moves_weights():

@@ -167,19 +167,41 @@ def _matrix_matches_oracle(mat, cols):
     assert mat.nnz == sum(1 for vec in cols.values() for v in vec if v)
 
 
-@pytest.mark.parametrize("name", ("ut2", "nil3", "m2"))
-@pytest.mark.parametrize("n", (0, 1, 2))
-def test_vertical_block_matches_bar_formula(name, n):
-    alg = builtin(name)
+def _block_input(name):
+    """A builtin with its regular module, or ``"m2/5"``: m2 in the basis
+    (1, e, f, 5h), with the regular module of m2 pulled back along that
+    isomorphism (the new basis element i acts as its image does).  Its
+    brackets hold fifths and its products tenths, while its module actions
+    are integral, so the Lie action has a smaller denominator than the
+    scale the blocks are built at."""
+    if name != "m2/5":
+        alg = builtin(name)
+        return alg, regular_module(alg)
+    alg = builtin("m2")
+    factors = (1, 1, 1, 5)
+    rescaled = transport(alg, [[factors[r] if r == c else 0 for c in range(4)]
+                               for r in range(4)])
     mod = regular_module(alg)
+
+    def pulled_back(table):
+        return tuple(tuple(tuple(factors[a] * v for v in vec) for vec in table[a])
+                     for a in range(4))
+
+    return rescaled, ModuleSpec.build(4, 4, pulled_back(mod.left), pulled_back(mod.right),
+                                      pulled_back(mod.lie))
+
+
+@pytest.mark.parametrize("name", ("ut2", "nil3", "m2", "sl2std", "m2/5"))
+@pytest.mark.parametrize("n", (0, 1, 2, 3))
+def test_vertical_block_matches_bar_formula(name, n):
+    alg, mod = _block_input(name)
     _matrix_matches_oracle(delta_V(alg, mod, n, 0), _bar_oracle(alg, mod, n))
 
 
-@pytest.mark.parametrize("name", ("ut2", "nil3", "m2"))
+@pytest.mark.parametrize("name", ("ut2", "nil3", "m2", "m2/5"))
 @pytest.mark.parametrize("n", (0, 1, 2))
 def test_horizontal_block_matches_ce_formula(name, n):
-    alg = builtin(name)
-    mod = regular_module(alg)
+    alg, mod = _block_input(name)
     mat = delta_H(alg, mod, 0, n)
     nrows, ncols, entries = oracles.lie_coboundary(alg.bracket, mod.lie, n)
     assert (mat.nrows, mat.ncols) == (nrows, ncols)
@@ -249,12 +271,18 @@ def _hom_module(alg, mod, i):
                       right=tuple(right), lie=tuple(lie), flavor="quasi")
 
 
-@pytest.mark.parametrize("i,j", ((2, 0), (2, 1), (3, 0)))
-def test_delta_H_is_ce_of_the_hom_module(i, j):
+HOM_MODULE_CASES = [(name, i, j) for name in ("ut2", "nil3")
+                    for i, j in ((1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1))]
+HOM_MODULE_CASES += [("m2/5", i, j) for i, j in ((1, 1), (2, 0), (2, 1), (2, 2))]
+
+
+# the ut2 cases are named by (i, j) alone
+@pytest.mark.parametrize("name,i,j", HOM_MODULE_CASES, ids=[
+    f"{i}-{j}" if name == "ut2" else f"{name}-{i}-{j}" for name, i, j in HOM_MODULE_CASES])
+def test_delta_H_is_ce_of_the_hom_module(name, i, j):
     """Transposing the tensor slots into the coefficients must reproduce the
     horizontal map exactly, including every substitution sign."""
-    alg = builtin("ut2")
-    mod = regular_module(alg)
+    alg, mod = _block_input(name)
     d, m = alg.dim, mod.dim
     hom = _hom_module(alg, mod, i)
     assert validate_module(alg, hom).ok

@@ -24,6 +24,7 @@ from poiscoh.algebra import (
     regular_module,
     validate_module,
 )
+from poiscoh.complexes import differential
 from poiscoh.deformation import (
     DeformationSeries,
     classical_limit,
@@ -52,6 +53,11 @@ from poiscoh.deformation import (
 )
 
 import oracles
+
+
+def _d2(alg):
+    """The degree-2 differential that :func:`lift_step` solves against."""
+    return differential(alg, regular_module(alg), "poisson", 2)
 
 
 def _zero_table(d):
@@ -361,7 +367,7 @@ def test_random_partial_series_have_closed_obstructions(name):
     encodes to a degree-3 cocycle, and lifting (when possible) re-verifies."""
     for series in random_partials(name):
         assert obstruction_is_closed(series)
-        lifted = lift_step(series)
+        lifted = lift_step(series, _d2(series.algebra))
         if lifted is None:
             continue
         assert verify_deformation(lifted).ok
@@ -393,7 +399,8 @@ def test_a_wrong_order_fails_its_own_check(monkeypatch):
     alg = builtin("sl2std")
     m1, l1 = quantization_first_order(alg)
     series = DeformationSeries.build(alg, (alg.mult, m1), (alg.bracket, l1))
-    assert any(v for row in lift_step(series).mult_term(2) for vec in row for v in vec)
+    lifted = lift_step(series, _d2(alg))
+    assert any(v for row in lifted.mult_term(2) for vec in row for v in vec)
 
     def doubled(base, coeffs):
         m_n, l_n = decode_pair(base, coeffs)
@@ -403,7 +410,7 @@ def test_a_wrong_order_fails_its_own_check(monkeypatch):
     with pytest.raises(ArithmeticError, match="at order 2"):
         quantization_obstruction_check(alg, 4)
     with pytest.raises(ArithmeticError, match="at order 2"):
-        lift_step(series)
+        lift_step(series, _d2(alg))
 
 
 def test_lift_eliminates_only_for_nonzero_obstructions(monkeypatch):
@@ -431,9 +438,24 @@ def test_lift_eliminates_only_for_nonzero_obstructions(monkeypatch):
         assert (eliminations > 0) == nonzero
 
 
+def test_lift_assembles_the_differential_once(monkeypatch):
+    """Every order of a lift solves against one assembled d^2."""
+    calls = []
+    real = poiscoh.deformation.differential
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poiscoh.deformation, "differential", counting)
+    series, obstructed_at = lift_until(m2_table3_series(1, repaired=True).truncated(1), 20)
+    assert obstructed_at is None and series.order == 20
+    assert [args[2:] for args in calls] == [("poisson", 2)]
+
+
 def test_lift_step_extends_the_truncated_family():
     series = m2_table3_series(1, repaired=True).truncated(1)
-    lifted = lift_step(series)
+    lifted = lift_step(series, _d2(series.algebra))
     assert lifted is not None and lifted.order == 2
     assert verify_deformation(lifted).ok
     # the found term can differ from the tabulated one by a cocycle only
