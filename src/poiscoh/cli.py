@@ -42,7 +42,7 @@ from .cochain import CochainSpace
 from .cohomology import cohomology_dims, lp_cohomology
 from .complexes import differential
 from .deformation import (
-    _validated_extension,
+    extension_algebra,
     is_poisson_3cocycle,
     lift_until,
     m2_table3_series,
@@ -58,11 +58,12 @@ THEORY_ALIASES = {"hp": "poisson", "poisson": "poisson", "quasi": "quasi",
                   "hl": "ce", "ce": "ce", "lie": "ce"}
 
 
-# The module axioms read by the differentials of the theories that read part
-# of a module; the other theories and the extension read all of them.
-THEORY_MODULE_AXIOMS = {
-    "ce": ("lie-module",),
-    "hochschild": ("assoc-left", "assoc-right", "bimodule-commute"),
+# The algebra and module axioms read by the differentials of the theories
+# that read part of an algebra or a module; the other theories, ``lp``, the
+# extension and the semiclassical series read all of them.
+THEORY_AXIOMS = {
+    "ce": ("antisymmetry", "jacobi", "lie-module"),
+    "hochschild": ("associativity", "assoc-left", "assoc-right", "bimodule-commute"),
 }
 
 
@@ -178,18 +179,23 @@ def _check_size(theory: str, degrees, alg: AlgebraSpec, mod: ModuleSpec) -> None
                            f"lower the degree")
 
 
-def _require_module(source: Source, alg: AlgebraSpec, mod: ModuleSpec,
+def _require_axioms(args, alg: AlgebraSpec, mod: ModuleSpec | None = None,
                     theory: str = "poisson") -> None:
-    """Refuse a ``file:`` module that fails an axiom ``theory`` reads, naming
-    those axioms, before anything is built from it.  The regular module
-    needs no check."""
-    if source.kind == "regular":
-        return
-    report = validate_module(alg, mod)
-    read = THEORY_MODULE_AXIOMS.get(theory, report.checked)
-    report = replace(report, violations=tuple(v for v in report.violations if v.axiom in read))
-    if report.violations:
-        raise AxiomError(f"the module fails its axioms: {report.summary()}", report)
+    """Refuse a ``file:`` algebra or module that fails an axiom ``theory``
+    reads, naming those axioms, before anything is built from it.  The
+    builtins and the regular module need no check."""
+    parts = [("algebra", args.algebra, validate_algebra, (alg,))]
+    if mod is not None:
+        parts.append(("module", args.module, validate_module, (alg, mod)))
+    for part, source, validate, inputs in parts:
+        if source.kind != "file":
+            continue
+        report = validate(*inputs)
+        read = THEORY_AXIOMS.get(theory, report.checked)
+        report = replace(report, violations=tuple(v for v in report.violations
+                                                  if v.axiom in read))
+        if report.violations:
+            raise AxiomError(f"the {part} fails its axioms: {report.summary()}", report)
 
 
 def _validation_dict(report) -> dict:
@@ -281,7 +287,7 @@ def cmd_cohomology(args) -> int:
     alg = _resolve(args.algebra)
     mod = _resolve(args.module, alg)
     theory = THEORY_ALIASES[args.theory]
-    _require_module(args.module, alg, mod, theory)
+    _require_axioms(args, alg, mod, theory)
     _check_size(theory, range(args.max_degree + 2), alg, mod)
     report = cohomology_dims(alg, mod, theory=theory, max_degree=args.max_degree,
                              representatives=args.representatives)
@@ -297,6 +303,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_lp(args) -> int:
     alg = _resolve(args.algebra)
+    _require_axioms(args, alg, theory="lp")
     report = lp_cohomology(alg, max_degree=args.max_degree)
     payload = report.to_dict()
     _emit(args, payload, _cohomology_table(payload))
@@ -349,10 +356,10 @@ def cmd_obstruction(args) -> int:
 def cmd_extend(args) -> int:
     alg = _resolve(args.algebra)
     mod = _resolve(args.module, alg)
-    _require_module(args.module, alg, mod)
+    _require_axioms(args, alg, mod)
     f1, f0 = (_resolve(args.cocycle, alg, mod) if args.cocycle
               else _cocycle_pair({}, alg, mod))
-    ext, report = _validated_extension(alg, mod, f1, f0)
+    ext, report = extension_algebra(alg, mod, f1, f0)
     payload = {
         "dim": ext.dim,
         "basis": list(ext.basis),
@@ -365,6 +372,7 @@ def cmd_extend(args) -> int:
 
 def cmd_quantize_check(args) -> int:
     alg = _resolve(args.algebra)
+    _require_axioms(args, alg)
     payload = quantization_obstruction_check(alg, max_order=args.max_order)
     _emit(args, payload, _quantize_table(payload))
     return 0 if payload["ok"] else 1
@@ -399,7 +407,7 @@ def cmd_dump(args) -> int:
         return 0
     # differential matrix in the exact-linalg dump format
     theory = THEORY_ALIASES[args.theory]
-    _require_module(args.module, alg, mod, theory)
+    _require_axioms(args, alg, mod, theory)
     _check_size(theory, (args.degree, args.degree + 1), alg, mod)
     mat = differential(alg, mod, theory, args.degree)
     if args.table:

@@ -23,7 +23,6 @@ from .complexes import (
     build_complex,
     cartan_weights,
     coordinate_weights,
-    differential,
     edge_maps,
 )
 from .linalg import (
@@ -181,35 +180,20 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
                             representatives=reps)
 
 
-def center_of_lie(alg: AlgebraSpec) -> list[tuple]:
-    """Basis of {a : {x, a} = 0 for all x} — degree-0 cocycles of the
-    bracket acting on the algebra itself."""
-    return kernel_basis(differential(alg, regular_module(alg), "ce", 0))
-
-
-def poisson_derivations(alg: AlgebraSpec) -> list[tuple]:
-    """Basis of the maps A -> A that are simultaneously multiplication
-    derivations and bracket derivations: the degree-1 poisson cocycles of the
-    regular module."""
-    return kernel_basis(differential(alg, regular_module(alg), "poisson", 1))
-
-
 # ---------------------------------------------------------------------------
 # Restricted (subcomplex) cohomology
 
 
-def type_cohomology(alg: AlgebraSpec, mod: ModuleSpec | None = None,
-                    which: str = "I", max_degree: int = 4) -> CohomologyReport:
-    """Cohomology of a distinguished subcomplex: corner-kernel wedge cochains
-    under the horizontal map ("I"), or first-horizontal-kernel tensor
-    cochains under the Hochschild map ("II").
+def type_cohomology(alg: AlgebraSpec, which: str = "I",
+                    max_degree: int = 4) -> CohomologyReport:
+    """Cohomology of a distinguished subcomplex of the regular module:
+    corner-kernel wedge cochains under the horizontal map ("I"), or
+    first-horizontal-kernel tensor cochains under the Hochschild map ("II").
 
     Each rank is that of the coboundary restricted to the degree-n basis,
     after checking that every image vector lies in the degree-(n+1) space.
     """
-    if mod is None:
-        mod = regular_module(alg)
-    maps = [edge_maps(alg, mod, which, n) for n in range(max_degree + 2)]
+    maps = [edge_maps(alg, which, n) for n in range(max_degree + 2)]
     bases = [kernel_basis(killer) for killer, _ in maps[:-1]]
     ranks = []
     for n, basis in enumerate(bases):
@@ -233,7 +217,7 @@ def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:
     multiderivations are the type-I space."""
     if not alg.is_commutative:
         raise StructuralError("the multiderivation complex needs a commutative algebra")
-    return replace(type_cohomology(alg, None, "I", max_degree), theory="lp")
+    return replace(type_cohomology(alg, "I", max_degree), theory="lp")
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +396,8 @@ def trivial_bracket_decomposition(alg: AlgebraSpec, max_degree: int = 4) -> dict
         raise StructuralError("the decomposition needs a commutative algebra")
     hh = cohomology_dims(alg, theory="hochschild", max_degree=max_degree).dims
     hp = cohomology_dims(alg, theory="poisson", max_degree=max_degree).dims
-    mod = regular_module(alg)
-    chi = [len(kernel_basis(edge_maps(alg, mod, "I", n)[0])) for n in range(max_degree + 1)]
+    killers = [edge_maps(alg, "I", n)[0] for n in range(max_degree + 1)]
+    chi = [killer.ncols - rank(killer) for killer in killers]
     rows = []
     all_ok = True
     for n in range(max_degree + 1):

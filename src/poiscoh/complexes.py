@@ -25,7 +25,7 @@ import itertools
 from functools import lru_cache
 from math import comb, lcm
 
-from .algebra import AlgebraSpec, ModuleSpec, StructuralError
+from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
 from .cochain import (
     CochainSpace,
     block_size,
@@ -364,11 +364,11 @@ def coordinate_weights(space: CochainSpace, alg_weights, mod_weights) -> list[in
 # Distinguished subcomplexes of the first row and first column
 
 
-def edge_maps(alg: AlgebraSpec, mod: ModuleSpec, which: str,
-              n: int) -> tuple[SparseMatrix, SparseMatrix]:
-    """``(killer, coboundary)`` of a distinguished subcomplex: its degree-n
-    space is the kernel of ``killer``, and it carries the restriction of the
-    full-block ``coboundary`` out of that space.
+def edge_maps(alg: AlgebraSpec, which: str, n: int) -> tuple[SparseMatrix, SparseMatrix]:
+    """``(killer, coboundary)`` of a distinguished subcomplex of the regular
+    module M = A: its degree-n space is the kernel of ``killer``, and it
+    carries the restriction of the full-block ``coboundary`` out of that
+    space.
 
     ``"I"``: wedge cochains killed by the corner map, carrying the horizontal
     differential (Hom(Lambda^0, M) = M has no corner map, so all of it).
@@ -376,6 +376,7 @@ def edge_maps(alg: AlgebraSpec, mod: ModuleSpec, which: str,
     the Hochschild differential.  Both are genuine subcomplexes because the
     corner square anticommutes and the mixed square commutes.
     """
+    mod = regular_module(alg)
     if which == "I":
         killer = delta_v(alg, mod, n) if n else SparseMatrix(0, mod.dim)
         return killer, delta_H(alg, mod, 0, n)

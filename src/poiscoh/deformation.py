@@ -95,20 +95,26 @@ class DeformationSeries:
         return DeformationSeries(self.algebra, self.mult_terms[:stop],
                                  self.bracket_terms[:stop])
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "mult_terms": [_table_to_triples(t) for t in self.mult_terms[1:]],
-            "bracket_terms": [_table_to_triples(t) for t in self.bracket_terms[1:]],
-        }
+
+def series_to_file_dict(series: DeformationSeries) -> dict:
+    """Self-contained JSON object: the base algebra, the sparse
+    ``[i, j, k, value]`` tables of orders >= 1 (order 0 always comes from
+    the algebra itself) and the ``order`` they reach."""
+    return {
+        "algebra": algebra_to_dict(series.algebra),
+        "order": series.order,
+        "mult_terms": [_table_to_triples(t) for t in series.mult_terms[1:]],
+        "bracket_terms": [_table_to_triples(t) for t in series.bracket_terms[1:]],
+    }
 
 
-def deformation_from_dict(alg: AlgebraSpec, data: dict) -> DeformationSeries:
-    """Series from a JSON object holding sparse ``[i, j, k, value]`` tables
-    for orders >= 1 (order 0 always comes from the algebra itself) and,
-    optionally, the ``order`` they reach."""
-    if not isinstance(data, dict):
-        raise StructuralError("deformation file must contain a JSON object")
+def series_from_file_dict(data: dict) -> DeformationSeries:
+    """Inverse of :func:`series_to_file_dict`; the algebra travels with the
+    terms so a series file needs no companion algebra file, and ``order``
+    may be left out."""
+    if not isinstance(data, dict) or "algebra" not in data:
+        raise StructuralError("series file must embed its algebra under 'algebra'")
+    alg = algebra_from_dict(data["algebra"])
     d = alg.dim
 
     def tables(key, order0):
@@ -123,22 +129,6 @@ def deformation_from_dict(alg: AlgebraSpec, data: dict) -> DeformationSeries:
     if type(order) is not int or order != series.order:  # no bools
         raise StructuralError(f"order must be {series.order}, the number of terms given")
     return series
-
-
-def series_to_file_dict(series: DeformationSeries) -> dict:
-    """Self-contained JSON object: the base algebra plus the series terms."""
-    payload = series.to_dict()
-    payload["algebra"] = algebra_to_dict(series.algebra)
-    return payload
-
-
-def series_from_file_dict(data: dict) -> DeformationSeries:
-    """Inverse of :func:`series_to_file_dict`; the algebra travels with the
-    terms so a series file needs no companion algebra file."""
-    if not isinstance(data, dict) or "algebra" not in data:
-        raise StructuralError("series file must embed its algebra under 'algebra'")
-    alg = algebra_from_dict(data["algebra"])
-    return deformation_from_dict(alg, data)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +349,6 @@ def is_poisson_3cocycle(alg: AlgebraSpec, f1, f2, f3) -> bool:
     return not any(mat.matvec(encode_obstruction(alg, f1, f2, f3)))
 
 
-def obstruction_is_closed(series: DeformationSeries, order: int | None = None) -> bool:
-    """The degree-3 encoding of the obstruction must always be a cocycle for
-    a valid partial; this evaluates that statement."""
-    return is_poisson_3cocycle(series.algebra, *obstruction_tables(series, order))
-
-
 # ---------------------------------------------------------------------------
 # Quantization in the bracket direction
 
@@ -407,18 +391,8 @@ def quantization_obstruction_check(alg: AlgebraSpec, max_order: int = 3) -> dict
 # Square-zero extensions
 
 
-def _module_basis_names(mod: ModuleSpec) -> tuple:
-    return tuple(f"u{p}" for p in range(mod.dim))
-
-
-def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> AlgebraSpec:
-    """The square-zero extension of the algebra by a poisson module, twisted
-    by a degree-2 cochain; see :func:`_validated_extension`."""
-    return _validated_extension(alg, mod, f1, f0)[0]
-
-
-def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
-                         f0) -> tuple[AlgebraSpec, ValidationReport]:
+def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1,
+                      f0) -> tuple[AlgebraSpec, ValidationReport]:
     """The square-zero extension of the algebra by a poisson module, twisted
     by a degree-2 cochain: f1 feeds tensor pairs, f0 feeds wedge pairs (the
     tables of :func:`poiscoh.algebra._extension_tables`).
@@ -437,7 +411,7 @@ def _validated_extension(alg: AlgebraSpec, mod: ModuleSpec, f1,
     require_alternating(f0, 0, 2, "the wedge part f0 must be antisymmetric")
     mult, bracket = _extension_tables(alg, mod, f1, f0)
     ext = AlgebraSpec.build(d + m, mult, alg.unit + (0,) * m, bracket,
-                            basis=alg.basis + _module_basis_names(mod))
+                            basis=alg.basis + tuple(f"u{p}" for p in range(m)))
     return ext, _require_valid(
         ext, "extension by a non-cocycle (or non-normalized) pair")
 

@@ -546,6 +546,54 @@ def test_a_module_needs_only_the_axioms_its_theory_reads(capsys, tmp_path, theor
     assert code == 1 and out == "" and err.startswith("error: the module fails its axioms")
 
 
+NIL3 = algebra_to_dict(builtin("nil3"))
+# nil3 with one bracket entry {1, x} = y too many, and nil3 with x x = y and
+# x y = 1, so that (x x) x = 0 but x (x x) = 1
+BROKEN_ALGEBRAS = {
+    "bracket": dict(NIL3, bracket=NIL3["bracket"] + [[0, 1, 2, "1"]]),
+    "product": dict(NIL3, mult=NIL3["mult"] + [[1, 1, 2, "1"], [1, 2, 0, "1"]]),
+}
+# the violations of the axioms each verb reads, as the error names them
+BROKEN_ALGEBRA_ERRORS = {
+    ("bracket", "dump"): "antisymmetry x2, jacobi x3, leibniz x1",
+    ("bracket", "cohomology"): "antisymmetry x2, jacobi x3, leibniz x1",
+    ("bracket", "cohomology --theory ce"): "antisymmetry x2, jacobi x3",
+    ("bracket", "lp"): "antisymmetry x2, jacobi x3, leibniz x1",
+    ("bracket", "extend"): "antisymmetry x2, jacobi x3, leibniz x1",
+    ("bracket", "quantize-check"): "antisymmetry x2, jacobi x3, leibniz x1",
+    ("product", "dump"): "associativity x5, leibniz x6",
+    ("product", "cohomology"): "associativity x5, leibniz x6",
+    ("product", "cohomology --theory hh"): "associativity x5",
+    ("product", "lp"): "associativity x5, leibniz x6",
+}
+
+
+@pytest.mark.parametrize("broken,verb", sorted(BROKEN_ALGEBRA_ERRORS))
+def test_a_failing_file_algebra_is_named_before_anything_is_built(capsys, tmp_path,
+                                                                  broken, verb):
+    """The algebra's violations of the axioms the verb reads are reported,
+    not a broken complex, a subcomplex that is not closed or a matrix that
+    is not a differential."""
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(BROKEN_ALGEBRAS[broken]))
+    extra = ("--what", "differential") if verb == "dump" else ()
+    code, out, err = run(capsys, *verb.split(), *extra, "--algebra", f"file:{path}")
+    assert code == 1 and out == ""
+    assert err == ("error: the algebra fails its axioms: violations: "
+                   f"{BROKEN_ALGEBRA_ERRORS[broken, verb]}\n")
+
+
+@pytest.mark.parametrize("broken,theory", [("bracket", "hh"), ("product", "ce")])
+def test_an_algebra_needs_only_the_axioms_its_theory_reads(capsys, tmp_path, broken, theory):
+    """Each broken algebra keeps the table the theory reads from nil3, so it
+    gives nil3's cohomology in that theory."""
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(BROKEN_ALGEBRAS[broken]))
+    runs = [run(capsys, "cohomology", "--theory", theory, "--algebra", source)
+            for source in ("builtin:nil3", f"file:{path}")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def test_extend_refuses_a_quasi_flavored_module(capsys, tmp_path):
     path = tmp_path / "quasi.json"
     path.write_text(json.dumps(dict(module_to_dict(regular_module(builtin("ut2"))),

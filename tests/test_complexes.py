@@ -46,9 +46,9 @@ def _unit(m, comp):
     return tuple(1 if k == comp else 0 for k in range(m))
 
 
-def _edge_basis(alg, mod, which, n):
+def _edge_basis(alg, which, n):
     """A basis of the degree-n space of a distinguished subcomplex."""
-    return kernel_basis(edge_maps(alg, mod, which, n)[0])
+    return kernel_basis(edge_maps(alg, which, n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,7 @@ def test_corner_map_matches_direct_evaluation(name, j, data):
 ))
 def test_multiderivation_space_dims(name, dims):
     alg = builtin(name)
-    mod = regular_module(alg)
-    got = tuple(len(_edge_basis(alg, mod, "I", n)) for n in range(len(dims)))
+    got = tuple(len(_edge_basis(alg, "I", n)) for n in range(len(dims)))
     assert got == dims
 
 
@@ -374,7 +373,7 @@ def test_lp_basis_elements_are_derivations_in_each_slot(name):
     alg = builtin(name)
     d = alg.dim
     for n in (1, 2):
-        for fvec in _edge_basis(alg, regular_module(alg), "I", n):
+        for fvec in _edge_basis(alg, "I", n):
             def f_at(word):
                 sgn, w = wedge_normalize(word)
                 if sgn == 0:
@@ -406,7 +405,7 @@ def test_lp_coboundary_preserves_multiderivations(name):
         constraints_next = delta_v(alg, mod, n + 1)
         d_n = delta_H(alg, mod, 0, n)
         d_next = delta_H(alg, mod, 0, n + 1)
-        for fvec in _edge_basis(alg, mod, "I", n):
+        for fvec in _edge_basis(alg, "I", n):
             img = d_n.matvec(fvec)
             assert not any(constraints_next.matvec(img))
             assert not any(d_next.matvec(img))
@@ -421,7 +420,7 @@ def test_sigma_embedding_is_a_chain_map(name):
     for n in range(3):
         d_full = differential(alg, mod, "poisson", n)
         d_lp = delta_H(alg, mod, 0, n)
-        for fvec in _edge_basis(alg, mod, "I", n):
+        for fvec in _edge_basis(alg, "I", n):
             lhs = d_full.matvec(sigma_embed(alg, n, fvec))
             rhs = sigma_embed(alg, n + 1, d_lp.matvec(fvec))
             assert tuple(lhs) == tuple(rhs)
@@ -441,11 +440,11 @@ def test_sigma_embed_rejects_wrong_width():
 def test_type_I_is_closed_under_its_coboundary(name):
     alg = builtin(name)
     mod = regular_module(alg)
-    assert len(_edge_basis(alg, mod, "I", 0)) == mod.dim
+    assert len(_edge_basis(alg, "I", 0)) == mod.dim
     for n in (1, 2):
         killer = delta_v(alg, mod, n + 1)
-        d_n = edge_maps(alg, mod, "I", n)[1]
-        for fvec in _edge_basis(alg, mod, "I", n):
+        d_n = edge_maps(alg, "I", n)[1]
+        for fvec in _edge_basis(alg, "I", n):
             assert not any(delta_v(alg, mod, n).matvec(fvec))
             assert not any(killer.matvec(d_n.matvec(fvec)))
 
@@ -456,8 +455,8 @@ def test_type_II_is_closed_under_its_coboundary(name):
     mod = regular_module(alg)
     for n in (1, 2):
         killer = delta_H(alg, mod, n + 1, 0)
-        d_n = edge_maps(alg, mod, "II", n)[1]
-        for fvec in _edge_basis(alg, mod, "II", n):
+        d_n = edge_maps(alg, "II", n)[1]
+        for fvec in _edge_basis(alg, "II", n):
             assert not any(delta_H(alg, mod, n, 0).matvec(fvec))
             assert not any(killer.matvec(d_n.matvec(fvec)))
 
@@ -465,15 +464,14 @@ def test_type_II_is_closed_under_its_coboundary(name):
 def test_type_coboundaries_are_the_edge_maps():
     alg = builtin("ut2")
     mod = regular_module(alg)
-    assert edge_maps(alg, mod, "I", 2) == (delta_v(alg, mod, 2), delta_H(alg, mod, 0, 2))
-    assert edge_maps(alg, mod, "II", 2) == (delta_H(alg, mod, 2, 0), delta_V(alg, mod, 2, 0))
+    assert edge_maps(alg, "I", 2) == (delta_v(alg, mod, 2), delta_H(alg, mod, 0, 2))
+    assert edge_maps(alg, "II", 2) == (delta_H(alg, mod, 2, 0), delta_V(alg, mod, 2, 0))
 
 
 def test_unknown_subcomplex_type():
     alg = builtin("ut2")
-    mod = regular_module(alg)
     with pytest.raises(StructuralError):
-        edge_maps(alg, mod, "III", 1)
+        edge_maps(alg, "III", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,16 @@ from poiscoh.deformation import (
     classical_limit,
     coboundary_pair,
     decode_pair,
-    deformation_from_dict,
     encode_pair,
     extension_algebra,
     first_order_deformations,
     is_poisson_2cocycle,
+    is_poisson_3cocycle,
     lift_step,
     lift_until,
     m2_family_is_associative,
     m2_product_family,
     m2_table3_series,
-    obstruction_is_closed,
     obstruction_tables,
     phi_family,
     quantization_first_order,
@@ -122,19 +121,20 @@ def test_truncated_and_extended():
 
 def test_series_dict_roundtrips():
     series = m2_table3_series(Fraction(3, 2), repaired=True)
-    data = series.to_dict()
-    back = deformation_from_dict(series.algebra, data)
+    data = series_to_file_dict(series)
+    back = series_from_file_dict(data)
     assert back == series
-    # and through the self-contained file form
-    blob = json.loads(json.dumps(series_to_file_dict(series)))
+    # and through JSON text
+    blob = json.loads(json.dumps(data))
     again = series_from_file_dict(blob)
     assert again == series
     with pytest.raises(StructuralError):
         series_from_file_dict({"order": 0})
+    embedded = data["algebra"]
     with pytest.raises(StructuralError):
-        deformation_from_dict(series.algebra, {"mult_terms": [[[0, 0, 0]]]})
+        series_from_file_dict({"algebra": embedded, "mult_terms": [[[0, 0, 0]]]})
     with pytest.raises(StructuralError):
-        deformation_from_dict(series.algebra, {"mult_terms": [[[0, 0, 9, "1"]]]})
+        series_from_file_dict({"algebra": embedded, "mult_terms": [[[0, 0, 9, "1"]]]})
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +366,12 @@ def test_random_partial_series_have_closed_obstructions(name):
     """Ten seeded random valid partials per base: every obstruction
     encodes to a degree-3 cocycle, and lifting (when possible) re-verifies."""
     for series in random_partials(name):
-        assert obstruction_is_closed(series)
+        assert is_poisson_3cocycle(series.algebra, *obstruction_tables(series))
         lifted = lift_step(series, _d2(series.algebra))
         if lifted is None:
             continue
         assert verify_deformation(lifted).ok
-        assert obstruction_is_closed(lifted)
+        assert is_poisson_3cocycle(lifted.algebra, *obstruction_tables(lifted))
 
 
 def _split_residuals(series, n):
@@ -572,7 +572,8 @@ def _dual_extension_inputs():
 def test_extension_algebra_validates():
     alg, mod, f1, f0 = _dual_extension_inputs()
     assert is_poisson_2cocycle(alg, f1, f0)
-    ext = extension_algebra(alg, mod, f1, f0)
+    ext, report = extension_algebra(alg, mod, f1, f0)
+    assert report.ok
     assert ext.dim == 4
     assert ext.basis == ("1", "x", "u0", "u1")
     # the twist really lands in the module part: x * x = u0
@@ -627,14 +628,14 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
         inputs.append((alg, _character_module(name), zero, zero))
     rng = random.Random(40)
     for alg, mod, f1, f0 in inputs:
-        base = extension_algebra(alg, mod, f1, f0)
+        base, _ = extension_algebra(alg, mod, f1, f0)
         moved_any = False
         for _ in range(4):
             h = _unit_killing_h(alg, mod.dim, rng)
             df1, df0 = coboundary_pair(alg, mod, h)
             moved_any = moved_any or any(v for row in df1 for vec in row for v in vec)
-            shifted = extension_algebra(alg, mod, _add_tables(f1, df1),
-                                        _add_tables(f0, df0))
+            shifted, _ = extension_algebra(alg, mod, _add_tables(f1, df1),
+                                           _add_tables(f0, df0))
             moved = transport(base, shift_basis_matrix(alg, mod, h))
             assert moved == shifted
         assert moved_any

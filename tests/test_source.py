@@ -48,17 +48,25 @@ def test_block_offsets_are_read_only_by_the_codec_and_the_assembly():
     assert readers == ["cochain.py", "complexes.py"]
 
 
+def _called(node) -> str | None:
+    """The name a call node calls, or None when ``node`` is not a call."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
 def test_rank_only_callers_use_linalg_rank():
     """``Echelon(...).rank`` builds pivot rows and free columns only to
-    count them; a caller that needs only the rank calls ``linalg.rank``,
-    whose pivot order is faster."""
+    count them, and ``len(kernel_basis(...))`` builds kernel vectors only to
+    count them; a caller that needs only the rank (or the nullity,
+    ``ncols - rank``) calls ``linalg.rank``, whose pivot order is faster."""
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr == "rank"
-             and isinstance(node.value, ast.Call)
-             and getattr(node.value.func, "attr", getattr(node.value.func, "id", None))
-             == "Echelon"]
+             if (isinstance(node, ast.Attribute) and node.attr == "rank"
+                 and _called(node.value) == "Echelon")
+             or (_called(node) == "len" and node.args
+                 and _called(node.args[0]) == "kernel_basis")]
     assert found == []
 
 
