@@ -404,6 +404,12 @@ _MODULE_CELLS = (
 )
 
 
+def require_module_over(alg: AlgebraSpec, mod: ModuleSpec) -> None:
+    """Refuse a module presented over an algebra of another dimension."""
+    if mod.algebra_dim != alg.dim:
+        raise StructuralError("module was presented over a different algebra dimension")
+
+
 def validate_module(alg: AlgebraSpec, mod: ModuleSpec) -> ValidationReport:
     """Exhaustively check the module axioms for ``mod`` over ``alg``.
 
@@ -424,8 +430,7 @@ def validate_module(alg: AlgebraSpec, mod: ModuleSpec) -> ValidationReport:
     parts of the order-0 residuals of the square-zero extension ``A + M``
     at triples with one module index (``_MODULE_CELLS``).
     """
-    if mod.algebra_dim != alg.dim:
-        raise StructuralError("module was presented over a different algebra dimension")
+    require_module_over(alg, mod)
     d, m = alg.dim, mod.dim
     violations: list[Violation] = []
     for p in range(m):

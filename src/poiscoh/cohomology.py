@@ -2,9 +2,9 @@
 
 Dimensions come from the rank-nullity bookkeeping
 ``dim H^n = dim C^n - rank d^n - rank d^(n-1)``, and representatives, when
-asked for, are kernel vectors filtered to be independent modulo the
-coboundary image; both are taken from the weight-zero subcomplex alone when
-a diagonal Lie action makes every other weight acyclic.  The module also
+asked for, are kernel vectors read off the rows of ``d^(n-1)`` at the free
+columns of ``d^n``; both are taken from the weight-zero subcomplex alone
+when a diagonal Lie action makes every other weight acyclic.  The module also
 computes cohomology of distinguished subcomplexes (multiderivations,
 corner/first-row kernels), spaces of equivariant maps, and a feasibility
 scan for the long exact sequence tying the three main theories together.
@@ -102,27 +102,17 @@ def _weight_zero_rows(matrix: SparseMatrix, row_weights, col_weights) -> SparseM
     return SparseMatrix.from_numerators(matrix.nrows, matrix.ncols, rows)
 
 
-def _image_columns(matrix: SparseMatrix) -> list[dict[int, int]]:
-    """The columns of the numerator matrix: the image columns, each scaled
-    by the same positive denominator."""
-    cols: dict[int, dict[int, int]] = {}
-    for r, row in matrix.numerators.items():
-        for c, v in row.items():
-            cols.setdefault(c, {})[r] = v
-    return [cols[c] for c in sorted(cols)]
-
-
-def _representatives(kernel: list[dict[int, int]], image_matrix: SparseMatrix | None,
-                     nrows: int) -> list[dict[int, int]]:
-    reducer = RowReducer(nrows)
-    if image_matrix is not None:
-        for col in _image_columns(image_matrix):
-            reducer.add(col)
-    reps = []
-    for vec in kernel:
-        if reducer.add(vec):
-            reps.append(vec)
-    return reps
+def _representatives(free: list[tuple[int, dict[int, int]]],
+                     image_matrix: SparseMatrix | None) -> list[dict[int, int]]:
+    """The vectors of ``free``, ``(free column, kernel vector)`` pairs in
+    increasing column order, that are independent modulo the image of
+    ``image_matrix``: the vector of ``f`` exactly when row ``f`` of
+    ``image_matrix`` lies in the span of its rows at the later free columns
+    (docs/decisions.md, section 10).  Without an image, every vector."""
+    if image_matrix is None:
+        return [vec for _, vec in free]
+    rows, reducer = image_matrix.numerators, RowReducer(image_matrix.ncols)
+    return [vec for f, vec in reversed(free) if not reducer.add(rows.get(f, {}))][::-1]
 
 
 def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
@@ -142,7 +132,8 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     since every other weight is acyclic, and the full ranks from the dims
     by rank-nullity.  Representatives are the weight-zero kernel vectors that
     are independent modulo the weight-zero image: the same vectors that
-    eliminating every row would pick (docs/decisions.md, section 6).
+    eliminating every row would pick (docs/decisions.md, section 6), read
+    off the rows of ``d^(n-1)`` at the weight-zero free columns (section 10).
     """
     if mod is None:
         mod = regular_module(alg)
@@ -153,18 +144,18 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
     weights = [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
                                   alg_weights, mod_weights)
                for n in range(max_degree + 2)]
-    kept = [_weight_zero_rows(m, weights[n + 1], weights[n]) for n, m in enumerate(mats)]
     zero_ranks, found = [], []
-    for n, restricted in enumerate(kept):
+    for n, mat in enumerate(mats):
+        restricted = _weight_zero_rows(mat, weights[n + 1], weights[n])
         if not representatives:
             zero_ranks.append(rank(restricted))
             continue
         echelon = Echelon(restricted)
         zero_ranks.append(echelon.rank)
-        kernel = [vec for c, vec in zip(echelon.free_cols, echelon.kernel_basis())
-                  if not weights[n][c]]
-        verify_kernel(mats[n], kernel)
-        found.append(_representatives(kernel, kept[n - 1] if n else None, space_dims[n]))
+        free = [(c, vec) for c, vec in zip(echelon.free_cols, echelon.kernel_basis())
+                if not weights[n][c]]
+        verify_kernel(mat, [vec for _, vec in free])
+        found.append(_representatives(free, mats[n - 1] if n else None))
     dims = _rank_nullity([w.count(0) for w in weights[:-1]], zero_ranks)
     ranks = _ranks_from_dims(mats, dims)
     reps = None
@@ -226,22 +217,21 @@ def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:
 
 def adjoint_action(alg: AlgebraSpec, indices: Sequence[int] | None = None):
     """Bracket action matrices of every algebra basis element, optionally
-    restricted to an invariant coordinate subspace.
+    restricted to an invariant coordinate subspace, given by distinct basis
+    indices.
 
     Returns a tuple of row-major matrices, one per basis element x, with
     column p holding the coordinates of {b_x, span_p}.
     """
     d = alg.dim
-    if indices is None:
-        indices = tuple(range(d))
-    else:
-        indices = tuple(indices)
-        for x in range(d):
-            for p in indices:
-                vec = alg.bracket[x][p]
-                if any(vec[k] and k not in indices for k in range(d)):
-                    raise StructuralError(
-                        "the chosen coordinates do not span a bracket-invariant subspace")
+    indices = tuple(range(d) if indices is None else indices)
+    if len(set(indices)) != len(indices) or not all(0 <= p < d for p in indices):
+        raise StructuralError(f"the chosen coordinates must be distinct indices in 0..{d - 1}")
+    for x in range(d):
+        for p in indices:
+            if any(k not in indices for k, _ in alg.bracket_pairs[x][p]):
+                raise StructuralError(
+                    "the chosen coordinates do not span a bracket-invariant subspace")
     pos = {k: t for t, k in enumerate(indices)}
     out = []
     for x in range(d):

@@ -25,7 +25,8 @@ import itertools
 from functools import lru_cache
 from math import comb, lcm
 
-from .algebra import AlgebraSpec, ModuleSpec, StructuralError, regular_module
+from .algebra import (AlgebraSpec, ModuleSpec, StructuralError, regular_module,
+                      require_module_over)
 from .cochain import (
     CochainSpace,
     block_size,
@@ -265,6 +266,7 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
     each block's numerators, rescaled to the common denominator, are written
     once at their offsets.
     """
+    require_module_over(alg, mod)
     if theory in ("poisson", "omega") and mod.flavor != "poisson":
         raise StructuralError(f"the {theory} theory needs a poisson-flavored module")
     src = CochainSpace.build(theory, degree, alg.dim, mod.dim)

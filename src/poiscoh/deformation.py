@@ -32,6 +32,7 @@ from .algebra import (
     builtin,
     ratio,
     regular_module,
+    require_module_over,
 )
 from .cochain import CochainSpace, decode, encode, require_alternating
 from .complexes import differential
@@ -403,6 +404,7 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1,
     :class:`AxiomError`.  Returns the extension with the (passing) report of
     its one validation.
     """
+    require_module_over(alg, mod)
     if mod.flavor != "poisson":
         raise StructuralError("the extension needs a poisson-flavored module")
     d, m = alg.dim, mod.dim

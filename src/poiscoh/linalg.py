@@ -599,9 +599,9 @@ class RowReducer:
 
     Stored rows are kept mutually reduced (each contains its own pivot column
     and no other row's), so testing a vector is a single pass over the pivot
-    columns it touches.  Used to pick cohomology representatives that are
-    independent modulo the coboundary image, and as a general independence
-    filter in tests.
+    columns it touches.  Used to pick cohomology representatives, by testing
+    the rows of the previous differential at the free columns, and as a
+    general independence filter in tests.
     """
 
     def __init__(self, ncols: int):

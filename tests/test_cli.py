@@ -28,6 +28,8 @@ from poiscoh.deformation import (
     verify_deformation,
 )
 
+from test_deformation import _character_module
+
 
 def run(capsys, *argv):
     """In-process invocation; returns (exit code, stdout, stderr)."""
@@ -645,13 +647,30 @@ COHOMOLOGY_SHA256 = {
     "m2-hp4-reps": ("cohomology --algebra builtin:m2 --theory hp --max-degree 4 "
                     "--representatives",
                     "4d33e1564905674b383052a057a3948e7206aaaf5fb7ade1a448e6fc760435f5"),
+    # representatives where no weight element exists (hochschild), on the
+    # omega and quasi layouts, and over a character module read from a file
+    # (digests captured while a reducer over the image columns picked them)
+    "m2-hh3-reps": ("cohomology --algebra builtin:m2 --theory hh --max-degree 3 "
+                    "--representatives",
+                    "f793e430be908271a8ac1aa02314e146b658822e3a49f8c025e3c73fa41da9cc"),
+    "m2-omega2-reps": ("cohomology --algebra builtin:m2 --theory omega --max-degree 2 "
+                       "--representatives",
+                       "8de9c0b26e4a25f48f487b85e062c43c36f598210f450340335910cecd5b4704"),
+    "nil3-quasi3-reps": ("cohomology --algebra builtin:nil3 --theory quasi --max-degree 3 "
+                         "--representatives",
+                         "ec645de90d9fda1b337fc16ac23ce80d77e5b2ef66003dde98f75cd886d57b52"),
+    "ut2-character-hp5-reps": ("cohomology --algebra builtin:ut2 --module file:{character} "
+                               "--theory hp --max-degree 5 --representatives",
+                               "b631424fb19b069bdc196ad7872e92021c79d423b50b77998e12ef25d357be7b"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(COHOMOLOGY_SHA256))
-def test_cohomology_bytes_are_pinned(capsys, case):
+def test_cohomology_bytes_are_pinned(capsys, tmp_path, case):
     argv, digest = COHOMOLOGY_SHA256[case]
-    code, out, err = run(capsys, *argv.split())
+    character = tmp_path / "character.json"
+    character.write_text(json.dumps(module_to_dict(_character_module("ut2"))))
+    code, out, err = run(capsys, *argv.format(character=character).split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -324,13 +324,19 @@ def _route_input(kind, name):
     return alg, _character_module(name) if kind == "character" else regular_module(alg)
 
 
+def _cochain_weights(alg, mod, theory, top):
+    """The coordinate weights of ``C^0`` .. ``C^(top + 1)``, all zero when
+    no weight element exists."""
+    cartan = cartan_weights(alg, mod, theory)
+    alg_weights, mod_weights = cartan[1:] if cartan else ((0,) * alg.dim, (0,) * mod.dim)
+    return [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
+                               alg_weights, mod_weights) for n in range(top + 2)]
+
+
 def _weight_zero_restrictions(alg, mod, theory, top):
     """Each ``d^n`` up to ``top`` cut to its weight-zero rows, as
     ``cohomology_dims`` eliminates it."""
-    cartan = cartan_weights(alg, mod, theory)
-    alg_weights, mod_weights = cartan[1:] if cartan else ((0,) * alg.dim, (0,) * mod.dim)
-    weights = [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
-                                  alg_weights, mod_weights) for n in range(top + 2)]
+    weights = _cochain_weights(alg, mod, theory, top)
     return [_weight_zero_rows(mat, weights[n + 1], weights[n])
             for n, mat in enumerate(build_complex(alg, mod, theory, top))]
 
@@ -371,6 +377,35 @@ def test_weight_zero_route_agrees_with_direct_elimination(kind, name, theory):
                                 for n in range(top + 1))
     assert report.representatives == _direct_representatives(mats, echelons)
     assert cohomology_dims(alg, mod, theory, top) == replace(report, representatives=None)
+
+
+@pytest.mark.parametrize("kind,name,theory", [
+    (kind, name, theory) for kind, name in _route_inputs() for theory in CARTAN_THEORIES])
+def test_representatives_reduce_one_image_row_per_free_column(monkeypatch, kind, name,
+                                                              theory):
+    """For each n >= 1, one ``RowReducer`` takes row ``f`` of ``d^(n-1)``
+    for each weight-zero free column ``f`` of ``d^n``, in decreasing ``f``,
+    and nothing else: no image column and no kernel vector."""
+    alg, mod = _route_input(kind, name)
+    top = _tier1_top(name, theory)
+    calls: dict[RowReducer, list] = {}
+    add = RowReducer.add
+
+    def counted(reducer, vec):
+        calls.setdefault(reducer, []).append(vec)
+        return add(reducer, vec)
+
+    monkeypatch.setattr(RowReducer, "add", counted)
+    cohomology_dims(alg, mod, theory, top, representatives=True)
+    monkeypatch.undo()
+    weights = _cochain_weights(alg, mod, theory, top)
+    mats = build_complex(alg, mod, theory, top)
+    expected = []
+    for n, kept in enumerate(_weight_zero_restrictions(alg, mod, theory, top)[1:], 1):
+        free = [f for f in Echelon(kept).free_cols if not weights[n][f]]
+        expected.append([mats[n - 1].numerators.get(f, {}) for f in reversed(free)])
+    assert list(calls.values()) == [rows for rows in expected if rows]
+    assert sum(map(len, expected)) > 0
 
 
 def test_weight_zero_route_leaves_the_differentials_as_built():
@@ -560,6 +595,16 @@ def test_adjoint_action_rejects_non_invariant_coordinates():
     alg = builtin("m2")
     with pytest.raises(StructuralError):
         adjoint_action(alg, (0, 1))  # {f, e} leaves the span of 1 and e
+
+
+@pytest.mark.parametrize("indices", [
+    (1, 1, 2, 3),  # repeated
+    (-1, 1, 2, 3),  # negative
+    (1, 2, 3, 7),  # out of range
+])
+def test_adjoint_action_rejects_bad_coordinates(indices):
+    with pytest.raises(StructuralError, match="distinct indices in 0..3"):
+        adjoint_action(builtin("m2"), indices)
 
 
 def test_action_arity_mismatches():

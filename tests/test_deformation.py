@@ -24,6 +24,7 @@ from poiscoh.algebra import (
     regular_module,
     validate_module,
 )
+from poiscoh.cohomology import cohomology_dims
 from poiscoh.complexes import differential
 from poiscoh.deformation import (
     DeformationSeries,
@@ -589,6 +590,29 @@ def test_extension_rejects_non_cocycles():
         extension_algebra(alg, mod, lopsided, f0)
     with pytest.raises(StructuralError):
         extension_algebra(alg, mod, lopsided, lopsided)  # f0 not antisymmetric
+
+
+def _zero_pair_table(alg, mod):
+    """The zero table of a bilinear map from ``alg`` to ``mod``."""
+    return [[[0] * mod.dim for _ in range(alg.dim)] for _ in range(alg.dim)]
+
+
+MISMATCHED_MODULE_CALLS = {
+    "differential": lambda alg, mod: differential(alg, mod, "poisson", 1),
+    "coboundary_pair": lambda alg, mod: coboundary_pair(
+        alg, mod, [[1] * mod.dim for _ in range(alg.dim)]),
+    "cohomology_dims": lambda alg, mod: cohomology_dims(alg, mod, "poisson", 2),
+    "extension_algebra": lambda alg, mod: extension_algebra(
+        alg, mod, _zero_pair_table(alg, mod), _zero_pair_table(alg, mod)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MISMATCHED_MODULE_CALLS))
+@pytest.mark.parametrize("alg_name,mod_name", [("ut2", "m2"), ("m2", "ut2")])
+def test_module_over_another_algebra_dimension_is_refused(call, alg_name, mod_name):
+    alg, mod = builtin(alg_name), regular_module(builtin(mod_name))
+    with pytest.raises(StructuralError, match="different algebra dimension"):
+        MISMATCHED_MODULE_CALLS[call](alg, mod)
 
 
 # one-dimensional modules on which basis a acts by chi[a] from both sides and
