@@ -1,13 +1,14 @@
 """Cohomology of the assembled complexes, with cross-checking utilities.
 
-Dimensions come from the rank-nullity bookkeeping
-``dim H^n = dim C^n - rank d^n - rank d^(n-1)``, and representatives, when
-asked for, are kernel vectors read off the rows of ``d^(n-1)`` at the free
-columns of ``d^n``; both are taken from the weight-zero subcomplex alone
-when a diagonal Lie action makes every other weight acyclic.  The module also
-computes cohomology of distinguished subcomplexes (multiderivations,
-corner/first-row kernels), spaces of equivariant maps, and a feasibility
-scan for the long exact sequence tying the three main theories together.
+One core, :func:`cohomology_of`, serves any list of differentials.  Its
+dimensions come from ``dim H^n = dim C^n - rank d^n - rank d^(n-1)``, and
+representatives, when asked for, are kernel vectors read off the rows of
+``d^(n-1)`` at the free columns of ``d^n``; both are taken from the
+weight-zero subcomplex alone when a diagonal Lie action makes every other
+weight acyclic.  The module also computes cohomology of distinguished
+subcomplexes (multiderivations, corner/first-row kernels), spaces of
+equivariant maps, and a feasibility scan for the long exact sequence tying
+the three main theories together.
 """
 
 from __future__ import annotations
@@ -64,25 +65,6 @@ class CohomologyReport:
         return out
 
 
-def _rank_nullity(space_dims, ranks) -> tuple[int, ...]:
-    """dim H^n = dim C^n - rank d^n - rank d^(n-1), for every n."""
-    return tuple(dim - ranks[n] - (ranks[n - 1] if n else 0)
-                 for n, dim in enumerate(space_dims))
-
-
-def _ranks_from_dims(mats, dims) -> tuple[int, ...]:
-    """rank d^n = dim C^n - dim H^n - rank d^(n-1), for every n: the inverse
-    of :func:`_rank_nullity`.  A rank outside ``[0, min(shape)]`` means the
-    dims were wrong, and raises ArithmeticError."""
-    ranks = []
-    for n, mat in enumerate(mats):
-        r = mat.ncols - dims[n] - (ranks[-1] if n else 0)
-        if not 0 <= r <= min(mat.nrows, mat.ncols):
-            raise ArithmeticError(f"rebuilt rank {r} of d^{n} is impossible")
-        ranks.append(r)
-    return tuple(ranks)
-
-
 def _weight_zero_rows(matrix: SparseMatrix, row_weights, col_weights) -> SparseMatrix:
     """The rows of weight zero of a differential, with the columns left as
     they are, so that columns of other weights are in no kept row: the
@@ -115,35 +97,25 @@ def _representatives(free: list[tuple[int, dict[int, int]]],
     return [vec for f, vec in reversed(free) if not reducer.add(rows.get(f, {}))][::-1]
 
 
-def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
-                    theory: str = "poisson", max_degree: int = 4,
-                    representatives: bool = False) -> CohomologyReport:
-    """Cohomology dimensions of one theory up to ``max_degree`` inclusive.
+def cohomology_of(mats: Sequence[SparseMatrix], weights=None,
+                  representatives: bool = False) -> tuple:
+    """``(space_dims, ranks, dims, representatives)``, in the field order of
+    :class:`CohomologyReport`, of the complex with differentials ``mats``,
+    ``d^0 .. d^N``, whose ``d o d = 0`` the caller has checked.
 
-    ``mod`` defaults to the algebra acting on itself.  The assembled
-    differentials are composed pairwise and checked to vanish before any
-    rank is trusted, and each kernel basis that representatives are picked
-    from is checked against its differential.
-
-    Only the weight-zero rows of each differential are eliminated, which is
-    all of them unless :func:`~poiscoh.complexes.cartan_weights` finds a
-    weight element.  The dims come from the weight-zero ranks (by
-    :func:`~poiscoh.linalg.rank` unless representatives are asked for),
-    since every other weight is acyclic, and the full ranks from the dims
-    by rank-nullity.  Representatives are the weight-zero kernel vectors that
-    are independent modulo the weight-zero image: the same vectors that
+    ``weights`` (one list per degree ``0 .. N+1``, None for all zero) must
+    make every nonzero weight acyclic: only the weight-zero rows are
+    eliminated, by :func:`~poiscoh.linalg.rank` unless representatives are
+    asked for, the dims come from weight-zero rank-nullity and the full
+    ranks from the dims.  Representatives, a dict of dense vectors per
+    degree or None, are the weight-zero kernel vectors, each checked against
+    the full ``d^n``, that are independent modulo the image: those that
     eliminating every row would pick (docs/decisions.md, section 6), read
     off the rows of ``d^(n-1)`` at the weight-zero free columns (section 10).
     """
-    if mod is None:
-        mod = regular_module(alg)
-    mats = build_complex(alg, mod, theory, max_degree)
     space_dims = tuple(m.ncols for m in mats)
-    cartan = cartan_weights(alg, mod, theory)
-    alg_weights, mod_weights = cartan[1:] if cartan else ((0,) * alg.dim, (0,) * mod.dim)
-    weights = [coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim),
-                                  alg_weights, mod_weights)
-               for n in range(max_degree + 2)]
+    if weights is None:
+        weights = [(0,) * dim for dim in space_dims] + [(0,) * mats[-1].nrows]
     zero_ranks, found = [], []
     for n, mat in enumerate(mats):
         restricted = _weight_zero_rows(mat, weights[n + 1], weights[n])
@@ -156,19 +128,43 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
                 if not weights[n][c]]
         verify_kernel(mat, [vec for _, vec in free])
         found.append(_representatives(free, mats[n - 1] if n else None))
-    dims = _rank_nullity([w.count(0) for w in weights[:-1]], zero_ranks)
-    ranks = _ranks_from_dims(mats, dims)
-    reps = None
-    if representatives:
-        reps = {}
-        for n, vecs in enumerate(found):
-            if len(vecs) != dims[n]:
-                raise ArithmeticError(
-                    f"representative count mismatch in degree {n}")
-            reps[n] = [dense_vector(vec, space_dims[n]) for vec in vecs]
-    return CohomologyReport(theory=theory, max_degree=max_degree,
-                            space_dims=space_dims, ranks=ranks, dims=dims,
-                            representatives=reps)
+    # dim H^n = dim C^n - rank d^n - rank d^(n-1) at weight zero, where the
+    # dims live; then the same identity read backwards gives the full ranks
+    dims, ranks = [], []
+    for n, mat in enumerate(mats):
+        dims.append(weights[n].count(0) - zero_ranks[n] - (zero_ranks[n - 1] if n else 0))
+        r = mat.ncols - dims[n] - (ranks[n - 1] if n else 0)
+        if not 0 <= r <= min(mat.nrows, mat.ncols):
+            raise ArithmeticError(f"rebuilt rank {r} of d^{n} is impossible")
+        ranks.append(r)
+    for n, vecs in enumerate(found):
+        if len(vecs) != dims[n]:
+            raise ArithmeticError(f"representative count mismatch in degree {n}")
+    reps = {n: [dense_vector(vec, space_dims[n]) for vec in vecs]
+            for n, vecs in enumerate(found)} if representatives else None
+    return space_dims, tuple(ranks), tuple(dims), reps
+
+
+def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
+                    theory: str = "poisson", max_degree: int = 4,
+                    representatives: bool = False) -> CohomologyReport:
+    """Cohomology dimensions of one theory up to ``max_degree`` inclusive.
+
+    ``mod`` defaults to the algebra acting on itself.  The assembled
+    differentials are composed pairwise and checked to vanish by
+    :func:`~poiscoh.complexes.build_complex`, and handed to
+    :func:`cohomology_of` with the coordinate weights of the element that
+    :func:`~poiscoh.complexes.cartan_weights` finds, if any.
+    """
+    if mod is None:
+        mod = regular_module(alg)
+    mats = build_complex(alg, mod, theory, max_degree)
+    cartan = cartan_weights(alg, mod, theory)
+    weights = None if cartan is None else [
+        coordinate_weights(CochainSpace.build(theory, n, alg.dim, mod.dim), *cartan[1:])
+        for n in range(max_degree + 2)]
+    return CohomologyReport(theory, max_degree,
+                            *cohomology_of(mats, weights, representatives))
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +177,20 @@ def type_cohomology(alg: AlgebraSpec, which: str = "I",
     corner-kernel wedge cochains under the horizontal map ("I"), or
     first-horizontal-kernel tensor cochains under the Hochschild map ("II").
 
-    Each rank is that of the coboundary restricted to the degree-n basis,
-    after checking that every image vector lies in the degree-(n+1) space.
+    Each image of the coboundary restricted to the degree-n basis is checked
+    to lie in the degree-(n+1) space, and :func:`cohomology_of` takes the
+    images, whose ranks and column counts are those of the subcomplex.
     """
+    if max_degree < 0:
+        raise StructuralError("degree must be nonnegative")
     maps = [edge_maps(alg, which, n) for n in range(max_degree + 2)]
-    bases = [kernel_basis(killer) for killer, _ in maps[:-1]]
-    ranks = []
-    for n, basis in enumerate(bases):
-        coboundary = maps[n][1]
-        img = coboundary.matmul(_columns(basis, coboundary.ncols))
+    images = []
+    for n, (killer, coboundary) in enumerate(maps[:-1]):
+        img = coboundary.matmul(_columns(kernel_basis(killer), coboundary.ncols))
         if not maps[n + 1][0].matmul(img).is_zero:
             raise ArithmeticError("subcomplex is not closed under its differential")
-        ranks.append(rank(img))
-    space_dims = tuple(len(b) for b in bases)
-    dims = _rank_nullity(space_dims, ranks)
-    return CohomologyReport(theory=f"type-{which}", max_degree=max_degree,
-                            space_dims=space_dims, ranks=tuple(ranks), dims=dims)
+        images.append(img)
+    return CohomologyReport(f"type-{which}", max_degree, *cohomology_of(images))
 
 
 def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:

@@ -299,6 +299,8 @@ def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
 
     The compositions multiply integer numerators only.
     """
+    if max_degree < 0:
+        raise StructuralError("degree must be nonnegative")
     mats = [differential(alg, mod, theory, n) for n in range(max_degree + 1)]
     for n in range(max_degree):
         if not mats[n + 1].matmul(mats[n]).is_zero:

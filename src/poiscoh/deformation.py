@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .cochain import CochainSpace, decode, encode, require_alternating
 from .complexes import differential
-from .linalg import SparseMatrix, kernel_basis, solve
+from .linalg import SparseMatrix, kernel_basis, rank, solve
 
 
 @dataclass(frozen=True)
@@ -418,6 +418,14 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1,
         ext, "extension by a non-cocycle (or non-normalized) pair")
 
 
+def _linear_map_table(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
+    """The exact d x m table ``h[j][q]`` of a linear map h : A -> M."""
+    h = tuple(tuple(ratio(v) for v in row) for row in h_table)
+    if len(h) != alg.dim or any(len(row) != mod.dim for row in h):
+        raise StructuralError(f"h must be a {alg.dim} x {mod.dim} table")
+    return h
+
+
 def coboundary_pair(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
     """The degree-2 coboundary d^1 h of a linear map h : A -> M, read off the
     assembled degree-1 differential and returned as the (tensor, wedge)
@@ -427,9 +435,7 @@ def coboundary_pair(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
     wedge part:  {a, h(b)} - {b, h(a)} - h({a, b})
     """
     d, m = alg.dim, mod.dim
-    h = tuple(tuple(ratio(v) for v in row) for row in h_table)
-    if len(h) != d or any(len(row) != m for row in h):
-        raise StructuralError(f"h must be a {d} x {m} table")
+    h = _linear_map_table(alg, mod, h_table)
     dh = differential(alg, mod, "poisson", 1).matvec(
         encode(CochainSpace.build("poisson", 1, d, m), {(0, 1): h}))
     tables = decode(CochainSpace.build("poisson", 2, d, m), dh)
@@ -439,20 +445,11 @@ def coboundary_pair(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
 def shift_basis_matrix(alg: AlgebraSpec, mod: ModuleSpec, h_table) -> tuple:
     """Change of basis of the extension space sending each algebra basis
     vector b_j to (b_j, h(b_j)) and fixing the module part; as columns."""
-    d, m = alg.dim, mod.dim
-    n = d + m
-    cols = []
-    for j in range(d):
-        col = [0] * n
-        col[j] = 1
-        for q in range(m):
-            col[d + q] = ratio(h_table[j][q])
-        cols.append(col)
-    for p in range(m):
-        col = [0] * n
-        col[d + p] = 1
-        cols.append(col)
-    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+    d, n = alg.dim, alg.dim + mod.dim
+    h = _linear_map_table(alg, mod, h_table)
+    # the identity, with the module coordinates of h(b_j) below it in column j
+    return tuple(tuple(h[c][r - d] if c < d <= r else int(r == c) for c in range(n))
+                 for r in range(n))
 
 
 def transport(spec: AlgebraSpec, matrix) -> AlgebraSpec:
@@ -462,19 +459,15 @@ def transport(spec: AlgebraSpec, matrix) -> AlgebraSpec:
     p = SparseMatrix.from_dense(matrix)
     if p.nrows != n or p.ncols != n:
         raise StructuralError(f"change of basis must be {n} x {n}")
+    if rank(p) != n:
+        raise StructuralError("change of basis is not invertible")
     cols = [tuple(matrix[r][c] for r in range(n)) for c in range(n)]
 
-    def to_new(vec):
-        sol = solve(p, vec)
-        if sol is None:
-            raise StructuralError("change of basis is not invertible")
-        return sol
-
     def new_table(pairs):
-        return [[to_new(_apply_pairs(pairs, cols[i], cols[j], n)) for j in range(n)]
+        return [[solve(p, _apply_pairs(pairs, cols[i], cols[j], n)) for j in range(n)]
                 for i in range(n)]
 
-    return AlgebraSpec.build(n, new_table(spec.mult_pairs), to_new(spec.unit),
+    return AlgebraSpec.build(n, new_table(spec.mult_pairs), solve(p, spec.unit),
                              new_table(spec.bracket_pairs), basis=spec.basis)
 
 

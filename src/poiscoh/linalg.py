@@ -517,6 +517,8 @@ def _columns(basis: Sequence, nrows: int) -> SparseMatrix:
             if len(vec) != nrows:
                 raise ValueError("vector length does not match column count")
             vec = dict(enumerate(vec))
+        elif vec and not 0 <= min(vec) <= max(vec) < nrows:
+            raise ValueError("vector index out of range")
         for c, v in vec.items():
             if v:
                 cols.setdefault(c, {})[j] = v
@@ -617,6 +619,8 @@ class RowReducer:
             if len(vec) != self.ncols:
                 raise ValueError("vector length does not match")
             vec = dict(enumerate(vec))
+        elif vec and not 0 <= min(vec) <= max(vec) < self.ncols:
+            raise ValueError("vector index out of range")
         return _int_row({c: v if type(v) is int else _as_exact(v) for c, v in vec.items()})
 
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:

@@ -22,10 +22,12 @@ from poiscoh.algebra import (
     trivial_bracket,
 )
 from poiscoh.cochain import CochainSpace
+from poiscoh import cohomology
 from poiscoh.cohomology import (
     _weight_zero_rows,
     adjoint_action,
     cohomology_dims,
+    cohomology_of,
     equivariant_hom,
     les_feasibility,
     lp_cohomology,
@@ -490,6 +492,100 @@ def test_weight_zero_restriction_refuses_a_map_that_moves_weights():
     mat = SparseMatrix(2, 2, {(0, 1): 1})
     with pytest.raises(ArithmeticError, match="moves the weight"):
         _weight_zero_rows(mat, [0, 1], [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# The cohomology core on complexes that are none of the theories
+
+
+# d^0: Q^2 -> Q^3, d^1: Q^3 -> Q^3, d^2: Q^3 -> Q^1, with d o d = 0 and a
+# fractional entry; every rank is 1, so every H^n has dimension 1
+HAND_COMPLEX = [
+    [[1, 0], [0, 0], [1, 0]],
+    [[1, 0, -1], [0, 0, 0], [Fraction(2, 3), 0, Fraction(-2, 3)]],
+    [[2, 3, -3]],
+]
+
+
+def test_cohomology_of_agrees_with_a_dense_oracle():
+    """Ranks, dims and representatives of a hand-built complex without
+    weights, each checked by dense elimination."""
+    mats = [SparseMatrix.from_dense(rows) for rows in HAND_COMPLEX]
+    space_dims, ranks, dims, reps = cohomology_of(mats, representatives=True)
+    dense_ranks = tuple(oracles.dense_rank(rows) for rows in HAND_COMPLEX)
+    assert space_dims == (2, 3, 3)
+    assert ranks == dense_ranks == (1, 1, 1)
+    assert dims == tuple(space_dims[n] - ranks[n] - (ranks[n - 1] if n else 0)
+                         for n in range(3)) == (1, 1, 1)
+    assert cohomology_of(mats) == (space_dims, ranks, dims, None)
+    assert sorted(reps) == [0, 1, 2]
+    for n, vecs in reps.items():
+        assert len(vecs) == dims[n]
+        for vec in vecs:
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in HAND_COMPLEX[n])
+        image = [list(col) for col in zip(*HAND_COMPLEX[n - 1])] if n else []
+        assert oracles.dense_rank(image + [list(v) for v in vecs]) == \
+            oracles.dense_rank(image) + dims[n]
+
+
+def test_every_report_runs_the_core_once(monkeypatch):
+    calls = []
+    core = cohomology.cohomology_of
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "cohomology_of", counted)
+    for name, dims in (("ut2", (1, 0, 1, 5)), ("kxk", (2, 0, 0, 6))):
+        for representatives in (False, True):
+            calls.clear()
+            report = cohomology_dims(builtin(name), max_degree=3,
+                                     representatives=representatives)
+            assert len(calls) == 1 and len(calls[0]) == 4, name
+            assert report.dims == dims
+    for which in ("I", "II"):
+        calls.clear()
+        type_cohomology(builtin("trivial2"), which, 2)
+        assert len(calls) == 1 and len(calls[0]) == 3, which
+    calls.clear()
+    lp_cohomology(builtin("kxk"), 2)
+    assert len(calls) == 1
+
+
+def test_the_core_refuses_an_impossible_rebuilt_rank():
+    """With weights under which the nonzero weights are not acyclic, the
+    weight-zero dims rebuild a full rank larger than the matrix allows:
+    here both columns of a zero 1 x 2 ``d^0`` have weight 1."""
+    with pytest.raises(ArithmeticError, match="rebuilt rank 2 of d\\^0 is impossible"):
+        cohomology_of([SparseMatrix(1, 2)], [[1, 1], [0]])
+
+
+def test_the_core_refuses_a_representative_count_mismatch():
+    """``d o d = 0`` is the caller's to check: the weight-zero part here is
+    ``Q -> Q -> Q`` by 1 and 1, whose rank-nullity gives ``dim H^1 = -1``,
+    while the weight-2 coordinates are acyclic, so every rebuilt rank is
+    possible and only the representative count is wrong."""
+    mats = [SparseMatrix.from_dense([[1], [0]]), SparseMatrix.from_dense([[1, 0], [0, 1]])]
+    weights = [[0], [0, 2], [0, 2]]
+    assert cohomology_of(mats, weights)[2] == (0, -1)
+    with pytest.raises(ArithmeticError, match="representative count mismatch in degree 1"):
+        cohomology_of(mats, weights, representatives=True)
+
+
+NEGATIVE_DEGREE_CALLS = {
+    "cohomology_dims": lambda: cohomology_dims(builtin("ut2"), max_degree=-1),
+    "type_cohomology": lambda: type_cohomology(builtin("ut2"), "I", -1),
+    "lp_cohomology": lambda: lp_cohomology(builtin("trivial2"), -1),
+    "trivial_bracket_decomposition": lambda: trivial_bracket_decomposition(
+        builtin("trivial2"), -1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NEGATIVE_DEGREE_CALLS))
+def test_a_negative_top_degree_is_refused(call):
+    with pytest.raises(StructuralError, match="degree must be nonnegative"):
+        NEGATIVE_DEGREE_CALLS[call]()
 
 
 # ---------------------------------------------------------------------------

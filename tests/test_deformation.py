@@ -697,6 +697,18 @@ def test_transport_requires_invertibility():
         transport(alg, [[1, 0], [1, 0]])
     with pytest.raises(StructuralError):
         transport(alg, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # singular, yet every product of m2 stays in its image
+    with pytest.raises(StructuralError, match="not invertible"):
+        transport(builtin("m2"), [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("call", [coboundary_pair, shift_basis_matrix])
+@pytest.mark.parametrize("h", [[[1, 2, 3, 99]] * 3, [[1, 2, 3]] * 5, [[1, 2]] * 3,
+                               [[1, 2, 3]] * 2])
+def test_linear_map_tables_must_be_d_by_m(call, h):
+    alg = builtin("ut2")
+    with pytest.raises(StructuralError, match="h must be a 3 x 3 table"):
+        call(alg, regular_module(alg), h)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,14 @@ def test_verify_kernel_takes_fractional_dense_and_sparse_vectors():
         verify_kernel(mat, [(1, 2)])
 
 
+@pytest.mark.parametrize("vec", [{7: 1}, {2: 1}, {-1: 1}, {0: 0, 5: 1}])
+def test_verify_kernel_refuses_out_of_range_sparse_indices(vec):
+    """A sparse index outside the columns is refused, as a dense vector of
+    the wrong length is, rather than dropped by the product."""
+    with pytest.raises(ValueError, match="out of range"):
+        verify_kernel(SparseMatrix(1, 2, {(0, 0): 1}), [vec])
+
+
 # ---------------------------------------------------------------------------
 # elimination per connected component
 
@@ -528,6 +536,16 @@ def test_row_reducer_add_reports_novelty():
     assert red.add([0, Fraction(1, 2), 0])
     assert not red.add([2, 3, 0])
     assert red.rank == 2
+
+
+@pytest.mark.parametrize("vec", [{5: 1}, {2: 1}, {-1: 1}, {0: 1, 9: 0}])
+def test_row_reducer_refuses_out_of_range_sparse_indices(vec):
+    red = RowReducer(2)
+    with pytest.raises(ValueError, match="out of range"):
+        red.add(vec)
+    with pytest.raises(ValueError, match="out of range"):
+        red.contains(vec)
+    assert red.rank == 0
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, 0.0])
