@@ -38,7 +38,7 @@ from .algebra import (
     validate_algebra,
     validate_module,
 )
-from .cochain import CochainSpace
+from .cochain import CochainSpace, block_size
 from .cohomology import cohomology_dims, lp_cohomology
 from .complexes import differential
 from .deformation import (
@@ -68,7 +68,7 @@ THEORY_AXIOMS = {
 
 
 # the largest cochain space ``cohomology`` and ``dump --what differential``
-# will build; m2 omega up to degree 4 builds one of 160000 coordinates
+# (or block ``lp``) will build; m2 omega up to degree 4 builds 160000
 MAX_SPACE_DIM = 10 ** 6
 
 
@@ -166,17 +166,20 @@ def _emit(args, data, table: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_size(what: str, size: int) -> None:
+    if size > MAX_SPACE_DIM:
+        raise CliError(f"{what} has {size} coordinates, above the limit of "
+                       f"{MAX_SPACE_DIM}; lower the degree")
+
+
 def _check_size(theory: str, degrees, alg: AlgebraSpec, mod: ModuleSpec) -> None:
     """Refuse, before any block is built, a run that builds the cochain
     spaces of ``degrees`` when one has more than ``MAX_SPACE_DIM``
     coordinates; the first such degree in walk order is named, so an
     increasing walk stops early however large the top degree."""
     for n in degrees:
-        size = CochainSpace.build(theory, n, alg.dim, mod.dim).dim
-        if size > MAX_SPACE_DIM:
-            raise CliError(f"the degree-{n} {theory} cochain space has {size} "
-                           f"coordinates, above the limit of {MAX_SPACE_DIM}; "
-                           f"lower the degree")
+        _refuse_size(f"the degree-{n} {theory} cochain space",
+                     CochainSpace.build(theory, n, alg.dim, mod.dim).dim)
 
 
 def _require_axioms(args, alg: AlgebraSpec, mod: ModuleSpec | None = None,
@@ -304,16 +307,18 @@ def cmd_cohomology(args) -> int:
 def cmd_lp(args) -> int:
     alg = _resolve(args.algebra)
     _require_axioms(args, alg, theory="lp")
-    report = lp_cohomology(alg, max_degree=args.max_degree)
-    payload = report.to_dict()
+    d = alg.dim
+    for n in range(1, args.max_degree + 2):  # the blocks of edge_maps("I", n)
+        for i, j in ((0, n), (2, n - 1)):
+            _refuse_size(f"the degree-{n} lp block ({i}, {j})", block_size(d, d, i, j))
+    payload = lp_cohomology(alg, max_degree=args.max_degree).to_dict()
     _emit(args, payload, _cohomology_table(payload))
     return 0
 
 
 def cmd_deform_check(args) -> int:
     series = _resolve(args.series)
-    order = args.order if args.order is not None else series.order
-    check = verify_deformation(series, max_order=order)
+    check = verify_deformation(series, max_order=args.order)
     payload = check.to_dict()
     _emit(args, payload, _deform_check_table(payload))
     return 0 if check.ok else 1

@@ -28,6 +28,28 @@ def _as_exact(value) -> Scalar:
     return value
 
 
+def _exact_vector(vec, n: int) -> dict[int, Scalar]:
+    """The nonzero entries ``{index: value}`` of a dense sequence of length
+    ``n`` or of a sparse dict with int indices in ``0..n-1``: the one intake
+    of every vector that enters this module.  Each entry that is not an int
+    goes through :func:`_as_exact`, zeros included, so ``0.0`` is refused."""
+    if isinstance(vec, dict):
+        if not all(type(i) is int and 0 <= i < n for i in vec):
+            raise ValueError(f"vector index out of range: indices are ints below {n}")
+        items = vec.items()
+    elif len(vec) != n:
+        raise ValueError(f"vector length {len(vec)} does not match {n}")
+    else:
+        items = enumerate(vec)
+    out = {}
+    for i, v in items:
+        if type(v) is not int:
+            v = _as_exact(v)
+        if v:
+            out[i] = v
+    return out
+
+
 def _ratio(num: int, den: int) -> Scalar:
     """``num / den`` as an int when it divides, else as a Fraction."""
     if den == 1:
@@ -167,13 +189,13 @@ class SparseMatrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def matvec(self, vec: Sequence) -> tuple:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
+    def matvec(self, vec) -> tuple:
+        """The product with a dense or sparse vector (see :func:`_exact_vector`)."""
+        get = _exact_vector(vec, self.ncols).get
         acc = [0] * self.nrows
         for r, row in self._rows.items():
             for c, v in row.items():
-                x = vec[c]
+                x = get(c)
                 if x:
                     acc[r] += v * x
         den = self._den
@@ -210,10 +232,8 @@ class SparseMatrix:
     def dump_text(self) -> str:
         """Stable text form: header ``nrows ncols nnz`` then one ``r c value``
         line per nonzero, sorted by (row, col)."""
-        lines = [f"{self.nrows} {self.ncols} {self.nnz}"]
-        for r, c, v in self.triples():
-            lines.append(f"{r} {c} {v}")
-        return "\n".join(lines) + "\n"
+        return "".join([f"{self.nrows} {self.ncols} {self.nnz}\n",
+                        *(f"{r} {c} {v}\n" for r, c, v in self.triples())])
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +254,10 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
 
 
 def _int_row(row: dict[int, Scalar]) -> dict[int, int]:
-    """The row scaled to integers by the lcm of its denominators, without
-    zeros, and divided by the gcd of its entries."""
+    """The row of nonzero entries scaled to integers by the lcm of its
+    denominators and divided by the gcd of its entries."""
     scale = denominator_lcm(row.values())
-    return _normalize_int_row({c: int(v * scale) for c, v in row.items() if v})
+    return _normalize_int_row({c: int(v * scale) for c, v in row.items()})
 
 
 def _integer_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
@@ -379,13 +399,11 @@ def dense_vector(vec: dict[int, Scalar], ncols: int) -> tuple:
     return tuple(dense)
 
 
-def _components(rows: dict[int, dict[int, int]],
-                skip_col: int | None = None) -> list[dict[int, dict[int, int]]]:
+def _components(rows: dict[int, dict[int, int]]) -> list[dict[int, dict[int, int]]]:
     """Split nonzero rows into the connected components of the bipartite
     row/column graph of their nonzero pattern, by union-find over the columns
-    in O(nnz).  ``skip_col`` joins nothing, so every row must hold some other
-    column.  Components come in order of their lowest row index, and each
-    keeps its rows in increasing row order."""
+    in O(nnz).  Components come in order of their lowest row index, and each
+    keeps its rows, the given dicts, in increasing row order."""
     parent: dict[int, int] = {}
 
     def find(c: int) -> int:
@@ -399,17 +417,15 @@ def _components(rows: dict[int, dict[int, int]],
     for row in rows.values():
         ra = None
         for c in row:
-            if c != skip_col:
-                rb = find(parent.setdefault(c, c))
-                if ra is None:
-                    ra = rb
-                elif rb != ra:
-                    parent[rb] = ra
+            rb = find(parent.setdefault(c, c))
+            if ra is None:
+                ra = rb
+            elif rb != ra:
+                parent[rb] = ra
     blocks: dict[int, dict[int, dict[int, int]]] = {}
     for rid in sorted(rows):
         row = rows[rid]
-        anchor = next(c for c in row if c != skip_col)
-        blocks.setdefault(find(anchor), {})[rid] = row
+        blocks.setdefault(find(next(iter(row))), {})[rid] = row
     return list(blocks.values())
 
 
@@ -509,19 +525,12 @@ def rank(matrix: SparseMatrix) -> int:
 
 
 def _columns(basis: Sequence, nrows: int) -> SparseMatrix:
-    """The vectors of ``basis`` (sparse ``{row: value}`` dicts or dense
-    sequences of length ``nrows``) as the columns of a sparse matrix."""
+    """The vectors of ``basis``, each read by :func:`_exact_vector` as one of
+    length ``nrows``, as the columns of a sparse matrix."""
     cols: dict[int, dict[int, Scalar]] = {}
     for j, vec in enumerate(basis):
-        if not isinstance(vec, dict):
-            if len(vec) != nrows:
-                raise ValueError("vector length does not match column count")
-            vec = dict(enumerate(vec))
-        elif vec and not 0 <= min(vec) <= max(vec) < nrows:
-            raise ValueError("vector index out of range")
-        for c, v in vec.items():
-            if v:
-                cols.setdefault(c, {})[j] = v
+        for c, v in _exact_vector(vec, nrows).items():
+            cols.setdefault(c, {})[j] = v
     den = denominator_lcm(v for row in cols.values() for v in row.values())
     if den > 1:
         cols = {c: {j: int(v * den) for j, v in row.items()} for c, row in cols.items()}
@@ -530,21 +539,16 @@ def _columns(basis: Sequence, nrows: int) -> SparseMatrix:
 
 def verify_kernel(matrix: SparseMatrix, basis: Sequence) -> None:
     """Raise ArithmeticError unless ``matrix`` kills every vector of
-    ``basis`` (sparse ``{col: value}`` dicts or dense sequences, normally of
-    integers).  One exact product with the basis as the columns of a sparse
-    matrix checks every row of every vector."""
+    ``basis``, by one exact product with the basis as the columns of a
+    sparse matrix (:func:`_columns`)."""
     if not matrix.matmul(_columns(basis, matrix.ncols)).is_zero:
         raise ArithmeticError("kernel vector failed verification")
 
 
 def kernel_basis(matrix: SparseMatrix) -> list[tuple]:
     """Basis of the right kernel {v : Mv = 0}, one dense vector per free
-    column.
-
-    Every returned vector is checked against the original matrix; a failure
-    here would mean the elimination itself is broken, so it raises
-    ArithmeticError in every interpreter mode.
-    """
+    column, checked by :func:`verify_kernel`: a failure would mean the
+    elimination itself is broken, and it raises in every interpreter mode."""
     basis = Echelon(matrix).kernel_basis()
     verify_kernel(matrix, basis)
     return [dense_vector(vec, matrix.ncols) for vec in basis]
@@ -553,45 +557,40 @@ def kernel_basis(matrix: SparseMatrix) -> list[tuple]:
 def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
     """One exact solution of ``M x = rhs``, or None when inconsistent.
 
-    Splits the augmented system ``M x - rhs*t = 0`` into the connected
-    components of ``M``'s rows, with the ``t`` column barred from pivoting
-    and from joining components.  Only the components holding a nonzero
-    right-hand-side entry are eliminated and back-substituted at t = 1, with
-    all free columns set to zero; a zero right-hand side eliminates nothing.
-    The other components would assign nothing and leave no leftovers, so
-    this is the solution one elimination over all augmented rows gives
-    (docs/decisions.md, section 8).  The result is checked with
+    The augmented system ``M x - rhs*t = 0`` splits into the connected
+    components of ``M``'s stored rows, which are only read; the ``t`` column
+    is barred from pivoting.  Only the components holding a nonzero
+    right-hand-side entry are copied, eliminated and back-substituted at
+    t = 1, with free columns zero, so a zero right-hand side copies nothing.
+    This is the solution one elimination over all augmented rows gives
+    (docs/decisions.md, section 8), and it is checked with
     :meth:`SparseMatrix.matvec` before it is returned.
     """
-    if len(rhs) != matrix.nrows:
-        raise ValueError("right-hand side length does not match row count")
+    b = _exact_vector(rhs, matrix.nrows)
+    stored = matrix.numerators
+    if any(r not in stored for r in b):
+        return None  # a zero row asks for a nonzero value
     sentinel = matrix.ncols
-    rows = matrix.numerator_rows()
-    touched = []  # rows with a nonzero right-hand-side entry
-    for r, b in enumerate(rhs):
-        # numerators are the matrix times its denominator, so the rhs is too;
-        # a fractional rhs entry scales its whole row to integers
-        b = _as_exact(b) * matrix.denominator
-        if b:
-            row = rows.setdefault(r, {})
-            if b.denominator > 1:
-                for c in row:
-                    row[c] *= b.denominator
-            row[sentinel] = -b.numerator
-            touched.append(r)
-    if any(len(rows[r]) == 1 for r in touched):
-        return None
     assign: dict[int, Scalar] = {sentinel: 1}
-    for block in _components(rows, sentinel) if touched else ():
-        if any(sentinel in row for row in block.values()):
-            pivots, leftovers = _eliminate(
-                {rid: _normalize_int_row(row) for rid, row in block.items()}, sentinel)
-            if leftovers:
-                return None
-            _back_substitute(pivots, assign)
-
-    solution = tuple(_as_exact(Fraction(assign.get(c, 0))) for c in range(matrix.ncols))
-    if matrix.matvec(solution) != tuple(rhs):
+    for block in _components(stored) if b else ():
+        if b.keys().isdisjoint(block):
+            continue
+        rows = {}
+        for r, row in block.items():
+            # numerators are the matrix times its denominator, so the rhs is
+            # too; a fractional rhs entry scales its whole row to integers
+            x = b.get(r, 0) * matrix.denominator
+            row = {c: v * x.denominator for c, v in row.items()}
+            if x:
+                row[sentinel] = -x.numerator
+            rows[r] = _normalize_int_row(row)
+        pivots, leftovers = _eliminate(rows, sentinel)
+        if leftovers:
+            return None
+        _back_substitute(pivots, assign)
+    del assign[sentinel]
+    solution = dense_vector({c: _as_exact(v) for c, v in assign.items()}, matrix.ncols)
+    if matrix.matvec(solution) != dense_vector(b, matrix.nrows):
         raise ArithmeticError("solve result failed verification")
     return solution
 
@@ -614,27 +613,20 @@ class RowReducer:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _intify(self, vec) -> dict[int, int]:
-        if not isinstance(vec, dict):
-            if len(vec) != self.ncols:
-                raise ValueError("vector length does not match")
-            vec = dict(enumerate(vec))
-        elif vec and not 0 <= min(vec) <= max(vec) < self.ncols:
-            raise ValueError("vector index out of range")
-        return _int_row({c: v if type(v) is int else _as_exact(v) for c, v in vec.items()})
-
-    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+    def _reduce(self, vec) -> dict[int, int]:
+        """``vec`` as an integer row, reduced against every stored row."""
+        row = _int_row(_exact_vector(vec, self.ncols))
         for pivot_col in sorted(set(row) & set(self._rows)):
             if pivot_col in row:
                 _cancel(row, self._rows[pivot_col], pivot_col)
         return row
 
     def contains(self, vec) -> bool:
-        return not self._reduce(self._intify(vec))
+        return not self._reduce(vec)
 
     def add(self, vec) -> bool:
         """Insert ``vec``; returns True when it enlarged the subspace."""
-        row = self._reduce(self._intify(vec))
+        row = self._reduce(vec)
         if not row:
             return False
         pivot_col = min(row)

@@ -16,9 +16,10 @@ from poiscoh.algebra import (
     load_module,
     module_to_dict,
     regular_module,
+    trivial_bracket,
     validate_module,
 )
-from poiscoh import complexes
+from poiscoh import cli, complexes
 from poiscoh.cli import MAX_SPACE_DIM, _check_size, main
 from poiscoh.complexes import differential
 from poiscoh.deformation import (
@@ -715,9 +716,37 @@ def test_largest_measured_run_passes_the_size_check():
 
 
 def test_lp_has_no_size_cap():
+    """The lp guard is on block sizes, not on the degree."""
     proc = spawn("lp", "--algebra", "builtin:sl2std", "--max-degree", "6")
     assert proc.returncode == 0 and proc.stderr == b""
     assert json.loads(proc.stdout)["dims"][:2] == [1, 0]
+
+
+def test_lp_refuses_oversized_blocks_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SPACE_DIM", 20)
+    blocks = (complexes.delta_H, complexes.delta_V, complexes.delta_v)
+    before = [block.cache_info().currsize for block in blocks]
+    code, out, err = run(capsys, "lp", "--algebra", "builtin:nil3", "--max-degree", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the degree-1 lp block (2, 0) has 27 coordinates")
+    assert "Traceback" not in err
+    assert [block.cache_info().currsize for block in blocks] == before
+
+
+def test_lp_of_k22_exits_at_once(capsys, tmp_path):
+    """k^22, 22 orthogonal idempotents and zero bracket: its degree-3 corner
+    target has 22**3 * comb(22, 2) coordinates."""
+    d = 22
+    idempotent = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    alg = trivial_bracket([[idempotent[i] if i == j else (0,) * d for j in range(d)]
+                           for i in range(d)], unit=(1,) * d)
+    path = tmp_path / "k22.json"
+    path.write_text(json.dumps(algebra_to_dict(alg)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lp", "--algebra", f"file:{path}", "--max-degree", "11")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert "the degree-3 lp block (2, 2) has 2459688 coordinates" in err
 
 
 def test_output_flag_matches_stdout_bytes(tmp_path):

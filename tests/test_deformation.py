@@ -186,6 +186,27 @@ def test_check_to_dict_is_deterministic_and_stringly_exact():
     assert all(isinstance(v, str) for v in sample["residual"])
 
 
+def test_negative_check_order_is_refused():
+    with pytest.raises(StructuralError, match="order must be nonnegative"):
+        verify_deformation(m2_table3_series(1), max_order=-1)
+
+
+def test_orders_past_twice_the_series_are_not_expanded(monkeypatch):
+    """Every splitting of an order above 2 * series.order reads a missing
+    term, so the check stops expanding there and still reports the order
+    asked for, with the failures of the full check."""
+    series = m2_table3_series(1)
+    calls = []
+    real = poiscoh.deformation._order_residuals
+    monkeypatch.setattr(poiscoh.deformation, "_order_residuals",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    check = verify_deformation(series, max_order=1000)
+    assert calls == list(range(2 * series.order + 1))
+    assert check.max_order == 1000
+    assert check.failures == verify_deformation(series, max_order=2 * series.order).failures
+    assert not check.ok
+
+
 def test_verification_matches_the_oracle_expansion():
     """Every residual the verifier reports must equal the brute-force
     order-by-order expansion, and vice versa."""

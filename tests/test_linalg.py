@@ -331,6 +331,46 @@ def test_verify_kernel_refuses_out_of_range_sparse_indices(vec):
         verify_kernel(SparseMatrix(1, 2, {(0, 0): 1}), [vec])
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 0.0])
+def test_every_vector_intake_rejects_non_exact_entries(bad):
+    """Dense or sparse, kernel check, product or right-hand side: a bool or
+    float entry is refused, zero or not, rather than computed with."""
+    mat = SparseMatrix.from_dense([[1, -1]])
+    for vec in ((bad, 1), {0: 1, 1: bad}):
+        with pytest.raises(TypeError):
+            verify_kernel(mat, [vec])
+        with pytest.raises(TypeError):
+            mat.matvec(vec)
+    for rhs in ((bad,), {0: bad}):
+        with pytest.raises(TypeError):
+            solve(mat, rhs)
+
+
+def test_every_vector_intake_refuses_non_integer_indices():
+    mat = SparseMatrix.from_dense([[1, 1]])
+    for call in (lambda: verify_kernel(mat, [{0.5: 1}]), lambda: mat.matvec({0.5: 1}),
+                 lambda: solve(SparseMatrix.from_dense([[1], [1]]), {0.5: 1})):
+        with pytest.raises(ValueError, match="out of range"):
+            call()
+
+
+def test_float_vectors_are_not_verified():
+    """A float vector that the matrix kills up to rounding, or a float index
+    that a range check lets through, is not reported as a kernel vector."""
+    with pytest.raises(TypeError):
+        verify_kernel(SparseMatrix.from_dense([[1, -1]]), [(0.5, 0.5)])
+    with pytest.raises(TypeError):
+        SparseMatrix.from_dense([[1, -1]]).matvec((0.5, 0.5))
+    with pytest.raises(ValueError):
+        verify_kernel(SparseMatrix.from_dense([[1, 1]]), [{0.5: 1}])
+
+
+def test_matvec_takes_sparse_vectors():
+    mat = SparseMatrix.from_dense([[1, 2], [Fraction(1, 2), -1], [0, 3]])
+    assert mat.matvec({1: Fraction(1, 3)}) == mat.matvec((0, Fraction(1, 3)))
+    assert mat.matvec({}) == (0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # elimination per connected component
 
@@ -470,6 +510,28 @@ def test_solve_matches_single_elimination(mat, data):
         assert single_elimination_solve(copied, confined) is None
 
 
+def test_solve_copies_only_the_components_it_eliminates(monkeypatch):
+    """The stored rows are read, never written, and a fractional right-hand
+    side touching one component hands ``_eliminate`` that component alone,
+    scaled to integers and given its sentinel entries."""
+    mat = SparseMatrix(3, 4, {(0, 0): 2, (0, 1): 3, (1, 1): 1, (2, 2): 1, (2, 3): -1})
+    before = mat.numerator_rows()
+    # no copy of every row either
+    monkeypatch.setattr(SparseMatrix, "numerator_rows", lambda self: pytest.fail("copied"))
+    seen = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda rows, skip: seen.append({r: dict(row) for r, row in rows.items()})
+                        or real(rows, skip))
+    sol = solve(mat, (0, Fraction(1, 2), 0))
+    assert mat.matvec(sol) == (0, Fraction(1, 2), 0)
+    assert mat.numerators == before
+    assert seen == [{0: {0: 2, 1: 3}, 1: {1: 2, 4: -1}}]
+    seen.clear()
+    assert solve(mat, (0, 0, 0)) == (0, 0, 0, 0)
+    assert seen == [] and mat.numerators == before
+
+
 def test_zero_right_hand_side_eliminates_nothing(monkeypatch):
     alg = builtin("m2")
     mat = differential(alg, regular_module(alg), "poisson", 2)
@@ -555,4 +617,11 @@ def test_row_reducer_rejects_non_exact_entries(bad):
         red.add([bad, 1])
     with pytest.raises(TypeError):
         red.add({0: 1, 1: bad})
+    with pytest.raises(TypeError):
+        red.contains([1, bad])
+    # a float index passes a range check, but is no index
+    with pytest.raises(ValueError, match="out of range"):
+        red.add({0.5: 1})
+    with pytest.raises(ValueError, match="out of range"):
+        red.contains({0.5: 1})
     assert red.rank == 0
