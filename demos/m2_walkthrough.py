@@ -10,13 +10,9 @@ repaired form.
 from fractions import Fraction
 
 from poiscoh import builtin, regular_module
-from poiscoh.cohomology import (
-    adjoint_action,
-    cohomology_dims,
-    equivariant_hom,
-    tensor_product_action,
-)
-from poiscoh.complexes import differential
+from poiscoh.cochain import CochainSpace, decode
+from poiscoh.cohomology import cohomology_dims
+from poiscoh.complexes import delta_H, differential
 from poiscoh.deformation import (
     is_poisson_2cocycle,
     m2_family_is_associative,
@@ -25,7 +21,7 @@ from poiscoh.deformation import (
     phi_family,
     verify_deformation,
 )
-from poiscoh.linalg import kernel_basis
+from poiscoh.linalg import SparseMatrix, kernel_basis, rank
 
 
 def banner(text):
@@ -44,9 +40,15 @@ print("  degree 2 is nonzero, so nontrivial first-order deformations exist;")
 print("  degree 3 is nonzero too, so obstructions have room to live")
 
 banner("equivariant pairings on the traceless part")
-ad = adjoint_action(alg, (1, 2, 3))
-basis = equivariant_hom(tensor_product_action(ad, ad), adjoint_action(alg))
-print(f"  dimension {len(basis)}: a trace direction and a bracket direction")
+# the equivariant maps A (x) A -> A are the kernel of delta_H(2, 0); the
+# words holding the unit span an invariant complement, since {1, a} = 0, so
+# restricting to the traceless words gives the maps sl2 (x) sl2 -> A
+space = CochainSpace.build("hochschild", 2, alg.dim, alg.dim)
+restricted = [[v for a in (1, 2, 3) for b in (1, 2, 3) for v in decode(space, vec)[2, 0][a][b]]
+              for vec in kernel_basis(delta_H(alg, mod, 2, 0))]
+span = SparseMatrix(len(restricted), 36, {(r, c): v for r, row in enumerate(restricted)
+                                          for c, v in enumerate(row) if v})
+print(f"  dimension {rank(span)}: a trace direction and a bracket direction")
 
 banner("which members of the product family are 2-cocycles")
 print("  family(nu, lam, mu) = nu on unit rows, (mu/6) tr + (lam/4) bracket")

@@ -191,6 +191,14 @@ class AlgebraSpec:
         if len(self.basis) != self.dim or len(set(self.basis)) != self.dim:
             raise StructuralError("basis names must be distinct and match dim")
 
+    # every block-cache lookup hashes its spec, so the fields are hashed once
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.basis, self.unit, self.mult, self.bracket))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @staticmethod
     def build(dim, mult, unit, bracket, basis=None) -> "AlgebraSpec":
         basis = tuple(basis) if basis is not None else tuple(f"b{i}" for i in range(dim))
@@ -258,6 +266,13 @@ class ModuleSpec:
             raise StructuralError("module and algebra dimensions must be positive")
         if self.flavor not in ("poisson", "quasi"):
             raise StructuralError(f"unknown module flavor {self.flavor!r}")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.algebra_dim, self.left, self.right, self.lie, self.flavor))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def build(dim, algebra_dim, left, right, lie, flavor="poisson") -> "ModuleSpec":

@@ -6,9 +6,9 @@ representatives, when asked for, are kernel vectors read off the rows of
 ``d^(n-1)`` at the free columns of ``d^n``; both are taken from the
 weight-zero subcomplex alone when a diagonal Lie action makes every other
 weight acyclic.  The module also computes cohomology of distinguished
-subcomplexes (multiderivations, corner/first-row kernels), spaces of
-equivariant maps, and a feasibility scan for the long exact sequence tying
-the three main theories together.
+subcomplexes (multiderivations, corner/first-row kernels) and a
+feasibility scan for the long exact sequence tying the three main theories
+together.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ def cohomology_of(mats: Sequence[SparseMatrix], weights=None,
             continue
         echelon = Echelon(restricted)
         zero_ranks.append(echelon.rank)
-        free = [(c, vec) for c, vec in zip(echelon.free_cols, echelon.kernel_basis())
-                if not weights[n][c]]
+        free = [(c, echelon.kernel_vector(c)) for c in echelon.free_cols if not weights[n][c]]
         verify_kernel(mat, [vec for _, vec in free])
         found.append(_representatives(free, mats[n - 1] if n else None))
     # dim H^n = dim C^n - rank d^n - rank d^(n-1) at weight zero, where the
@@ -203,82 +202,6 @@ def lp_cohomology(alg: AlgebraSpec, max_degree: int = 4) -> CohomologyReport:
     if not alg.is_commutative:
         raise StructuralError("the multiderivation complex needs a commutative algebra")
     return replace(type_cohomology(alg, "I", max_degree), theory="lp")
-
-
-# ---------------------------------------------------------------------------
-# Equivariant maps
-
-
-def adjoint_action(alg: AlgebraSpec, indices: Sequence[int] | None = None):
-    """Bracket action matrices of every algebra basis element, optionally
-    restricted to an invariant coordinate subspace, given by distinct basis
-    indices.
-
-    Returns a tuple of row-major matrices, one per basis element x, with
-    column p holding the coordinates of {b_x, span_p}.
-    """
-    d = alg.dim
-    indices = tuple(range(d) if indices is None else indices)
-    if len(set(indices)) != len(indices) or not all(0 <= p < d for p in indices):
-        raise StructuralError(f"the chosen coordinates must be distinct indices in 0..{d - 1}")
-    for x in range(d):
-        for p in indices:
-            if any(k not in indices for k, _ in alg.bracket_pairs[x][p]):
-                raise StructuralError(
-                    "the chosen coordinates do not span a bracket-invariant subspace")
-    pos = {k: t for t, k in enumerate(indices)}
-    out = []
-    for x in range(d):
-        mat = [[0] * len(indices) for _ in indices]
-        for t, p in enumerate(indices):
-            for k, c in alg.bracket_pairs[x][p]:
-                mat[pos[k]][t] = c
-        out.append(tuple(tuple(row) for row in mat))
-    return tuple(out)
-
-
-def tensor_product_action(first, second):
-    """Action on V (x) W out of actions on V and W, by the Leibniz rule
-    rho(x) = rho_V(x) (x) 1 + 1 (x) rho_W(x)."""
-    if len(first) != len(second):
-        raise StructuralError("actions are over different Lie algebras")
-    out = []
-    n1 = len(first[0]) if first else 0
-    n2 = len(second[0]) if second else 0
-    for x in range(len(first)):
-        mat = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-        a, b = first[x], second[x]
-        for u in range(n1):
-            for v in range(n2):
-                col = u * n2 + v
-                for r in range(n1):
-                    if a[r][u]:
-                        mat[r * n2 + v][col] += a[r][u]
-                for s in range(n2):
-                    if b[s][v]:
-                        mat[u * n2 + s][col] += b[s][v]
-        out.append(tuple(tuple(row) for row in mat))
-    return tuple(out)
-
-
-def equivariant_hom(source_action, target_action) -> list[tuple]:
-    """Basis of linear maps T with rho_target(x) T = T rho_source(x) for all
-    x, each returned as a row-major tuple of length dim(target)*dim(source)."""
-    if len(source_action) != len(target_action):
-        raise StructuralError("actions are over different Lie algebras")
-    nv = len(source_action[0]) if source_action else 0
-    nw = len(target_action[0]) if target_action else 0
-    entries = []
-    row = 0
-    for x in range(len(source_action)):
-        src, tgt = source_action[x], target_action[x]
-        for r in range(nw):
-            for c in range(nv):
-                # sum_k tgt[r][k] T[k][c] - sum_k T[r][k] src[k][c] = 0
-                entries += [((row, k * nv + c), tgt[r][k]) for k in range(nw) if tgt[r][k]]
-                entries += [((row, r * nv + k), -src[k][c]) for k in range(nv) if src[k][c]]
-                row += 1
-    return kernel_basis(SparseMatrix(row, nw * nv, entries))
 
 
 # ---------------------------------------------------------------------------

@@ -452,9 +452,11 @@ class Echelon:
     def __init__(self, matrix: SparseMatrix):
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        self._blocks = [_eliminate(block)[0]
-                        for block in _components(_integer_rows(matrix))]
-        self.pivot_cols = tuple(c for pivots in self._blocks for c, _ in pivots)
+        blocks = [_eliminate(block)[0] for block in _components(_integer_rows(matrix))]
+        self.pivot_cols = tuple(c for pivots in blocks for c, _ in pivots)
+        self._taken = set(self.pivot_cols)
+        # each column of a pivot row, to the pivot rows of its component
+        self._block_of = {c: pivots for pivots in blocks for _, row in pivots for c in row}
 
     @property
     def rank(self) -> int:
@@ -462,20 +464,20 @@ class Echelon:
 
     @property
     def free_cols(self) -> tuple[int, ...]:
-        taken = set(self.pivot_cols)
-        return tuple(c for c in range(self.ncols) if c not in taken)
+        return tuple(c for c in range(self.ncols) if c not in self._taken)
+
+    def kernel_vector(self, col: int) -> dict[int, int]:
+        """The normalized sparse integer kernel vector of free column
+        ``col``, back-substituted through the pivot rows of its own
+        component only; a column with no entries gives its unit vector.
+        Any other column raises ValueError."""
+        if not 0 <= col < self.ncols or col in self._taken:
+            raise ValueError(f"column {col} is not a free column")
+        return _normalize_exact_vec(_back_substitute(self._block_of.get(col, ()), {col: 1}))
 
     def kernel_basis(self) -> list[dict[int, int]]:
-        """One normalized sparse integer kernel vector per free column, each
-        back-substituted through the pivot rows of its own component only.
-        A column with no entries gives its unit vector."""
-        block_of: dict[int, list] = {}
-        for pivots in self._blocks:
-            for _, row in pivots:
-                for c in row:
-                    block_of[c] = pivots
-        return [_normalize_exact_vec(_back_substitute(block_of.get(free, ()), {free: 1}))
-                for free in self.free_cols]
+        """One kernel vector per free column, by :meth:`kernel_vector`."""
+        return [self.kernel_vector(col) for col in self.free_cols]
 
 
 def rank(matrix: SparseMatrix) -> int:

@@ -29,12 +29,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from poiscoh.algebra import builtin, regular_module, validate_algebra
+from poiscoh.cochain import CochainSpace, decode
 from poiscoh.cohomology import (
-    adjoint_action,
     cohomology_dims,
-    equivariant_hom,
     les_feasibility,
-    tensor_product_action,
     trivial_bracket_decomposition,
 )
 from poiscoh.complexes import delta_H, differential, edge_maps, sigma_embed
@@ -135,11 +133,19 @@ def test_criterion_3_matrix_algebra_dims():
 
 
 def test_criterion_4_equivariant_pairing_table():
+    """The equivariant maps A (x) A -> A are the kernel of delta_H(2, 0);
+    since {1, a} = 0, the words holding the unit span an invariant
+    complement of sl2 (x) sl2, so restricting that kernel to the traceless
+    words (a, b) in {e, f, h}^2 gives every equivariant map sl2 (x) sl2 -> A
+    (docs/decisions.md, section 11)."""
     alg = builtin("m2")
-    traceless = adjoint_action(alg, (1, 2, 3))
-    basis = equivariant_hom(tensor_product_action(traceless, traceless),
-                            adjoint_action(alg))
-    ok = len(basis) == 2
+    space = CochainSpace.build("hochschild", 2, alg.dim, alg.dim)
+    traceless = (1, 2, 3)
+    maps = [[[tuple(Fraction(v) for v in decode(space, vec)[2, 0][a][b])
+              for b in traceless] for a in traceless]
+            for vec in kernel_basis(delta_H(alg, regular_module(alg), 2, 0))]
+    ok = oracles.dense_rank([[v for row in T for image in row for v in image]
+                             for T in maps]) == 2
 
     def entry_table(lam, mu):
         z = (Fraction(0),) * 4
@@ -157,18 +163,14 @@ def test_criterion_4_equivariant_pairing_table():
 
     names = ("e", "f", "h")
     readings = []
-    for T in basis:  # row-major over target (4) x source (9)
-        def image(c):
-            return tuple(Fraction(T[r * 9 + c]) for r in range(4))
-
-        lam = -2 * image(2)[1]          # e (x) h -> -(lam/2) e
-        mu = 3 * image(8)[0]            # h (x) h -> (mu/3) 1
-        want = entry_table(Fraction(lam), Fraction(mu))
+    for T in maps:  # T[x][y]: the image of the traceless word (x, y)
+        lam = -2 * T[0][2][1]           # e (x) h -> -(lam/2) e
+        mu = 3 * T[2][2][0]             # h (x) h -> (mu/3) 1
+        want = entry_table(lam, mu)
         for x in range(3):
             for y in range(3):
-                got = image(x * 3 + y)
                 expect = tuple(Fraction(v) for v in want[names[x], names[y]])
-                ok = ok and got == expect
+                ok = ok and T[x][y] == expect
         readings.append((lam, mu))
     ok = ok and oracles.dense_rank([list(r) for r in readings]) == 2
     assert _verdict("4", "equivariant pairings: dimension 2 and every table "

@@ -98,6 +98,30 @@ def test_builtin_cache_returns_same_object():
     assert builtin("ut2") is builtin("ut2")
 
 
+def test_specs_hash_their_fields_once(monkeypatch):
+    """Every block-cache lookup hashes its algebra and module, so a spec
+    hashes its structure constants once: equal specs built separately hash
+    equal, and hashing one again touches none of its Fractions."""
+    diag = [[Fraction(3, 2) if r == c else 0 for c in range(4)] for r in range(4)]
+    diag[2][2] = Fraction(-2, 3)
+    alg, again = transport(builtin("m2"), diag), transport(builtin("m2"), diag)
+    mod, mod_again = regular_module(alg), regular_module(again)
+    assert alg is not again and alg == again and hash(alg) == hash(again)
+    assert mod is not mod_again and mod == mod_again and hash(mod) == hash(mod_again)
+    assert any(isinstance(v, Fraction) and v.denominator > 1
+               for row in alg.mult for vec in row for v in vec)
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(value):
+        calls.append(value)
+        return fraction_hash(value)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert hash(alg) == hash(again) and hash(mod) == hash(mod_again)
+    assert calls == []
+
+
 def test_unknown_builtin_lists_names():
     with pytest.raises(StructuralError, match="ut2"):
         builtin("no-such-algebra")

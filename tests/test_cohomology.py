@@ -21,17 +21,14 @@ from poiscoh.algebra import (
     regular_module,
     trivial_bracket,
 )
-from poiscoh.cochain import CochainSpace
-from poiscoh import cohomology
+from poiscoh.cochain import CochainSpace, decode
+from poiscoh import cohomology, linalg
 from poiscoh.cohomology import (
     _weight_zero_rows,
-    adjoint_action,
     cohomology_dims,
     cohomology_of,
-    equivariant_hom,
     les_feasibility,
     lp_cohomology,
-    tensor_product_action,
     trivial_bracket_decomposition,
     type_cohomology,
 )
@@ -410,6 +407,31 @@ def test_representatives_reduce_one_image_row_per_free_column(monkeypatch, kind,
     assert sum(map(len, expected)) > 0
 
 
+@pytest.mark.parametrize("kind,name,theory", [
+    (kind, name, theory) for kind, name in _route_inputs() for theory in CARTAN_THEORIES])
+def test_representatives_back_substitute_only_weight_zero_free_columns(monkeypatch, kind,
+                                                                      name, theory):
+    """``cohomology_dims`` back-substitutes one kernel vector per
+    weight-zero free column of each restricted ``d^n``, and none for the
+    free columns of other weights, which it would only drop."""
+    alg, mod = _route_input(kind, name)
+    top = _tier1_top(name, theory)
+    calls = []
+    back_substitute = linalg._back_substitute
+
+    def counted(pivots, assign):
+        calls.append(dict(assign))
+        return back_substitute(pivots, assign)
+
+    monkeypatch.setattr(linalg, "_back_substitute", counted)
+    cohomology_dims(alg, mod, theory, top, representatives=True)
+    monkeypatch.undo()
+    weights = _cochain_weights(alg, mod, theory, top)
+    expected = [{f: 1} for n, kept in enumerate(_weight_zero_restrictions(alg, mod, theory, top))
+                for f in Echelon(kept).free_cols if not weights[n][f]]
+    assert calls == expected
+
+
 def test_weight_zero_route_leaves_the_differentials_as_built():
     """Neither the cached blocks nor an assembled matrix the restriction
     reads are written by the weight-zero route."""
@@ -639,19 +661,40 @@ def test_zero_bracket_type_complexes_have_known_meaning():
 
 
 # ---------------------------------------------------------------------------
-# Equivariant maps over the 2x2 matrix algebra
+# Equivariant maps: the kernel of delta_H(i, 0)
+
+
+@pytest.mark.parametrize("name,i", itertools.product(sorted(BUILTINS), range(3)))
+def test_equivariant_maps_are_the_kernel_of_delta_H(name, i):
+    """The Lie action on Hom(A^(x)i, A) is delta_H(i, 0), so its kernel is
+    the space of equivariant maps: it has the dimension of the common
+    kernel of the oracle's L_x over every basis x, and each L_x kills it."""
+    alg = builtin(name)
+    mod = regular_module(alg)
+    actions = [oracles.lie_derivative([(i, 0)], alg.bracket, mod.lie, mod.dim, x)
+               for x in range(alg.dim)]
+    ncols = actions[0][0]
+    stacked = [[Fraction(0)] * ncols for _ in range(alg.dim * ncols)]
+    for x, (_, entries) in enumerate(actions):
+        for (r, c), v in entries.items():
+            stacked[x * ncols + r][c] = v
+    basis = kernel_basis(delta_H(alg, mod, i, 0))
+    assert len(basis) == ncols - oracles.dense_rank(stacked)
+    for _, entries in actions:
+        assert all(not v for vec in basis for v in oracles.dict_matvec(entries, vec, ncols))
 
 
 def test_equivariant_pairings_on_m2():
     """Maps sl2 (x) sl2 -> M2 commuting with the bracket action form a
     two-parameter family: a trace part landing on the unit and a bracket
-    part landing on the traceless piece."""
+    part landing on the traceless piece.  They are the equivariant maps
+    A (x) A -> A, the kernel of delta_H(2, 0), restricted to the traceless
+    words: the words holding the unit span an invariant complement."""
     alg = builtin("m2")
-    ad = adjoint_action(alg, (1, 2, 3))
-    full = adjoint_action(alg)
-    pair = tensor_product_action(ad, ad)
-    basis = equivariant_hom(pair, full)
-    assert len(basis) == 2
+    space = CochainSpace.build("hochschild", 2, alg.dim, alg.dim)
+    maps = [[decode(space, vec)[2, 0][x][y] for x in (1, 2, 3) for y in (1, 2, 3)]
+            for vec in kernel_basis(delta_H(alg, regular_module(alg), 2, 0))]
+    assert oracles.dense_rank([[v for image in T for v in image] for T in maps]) == 2
 
     trace = [[0] * 3 for _ in range(3)]
     trace[0][1] = trace[1][0] = 1
@@ -668,48 +711,17 @@ def test_equivariant_pairings_on_m2():
                 out.append(tuple(vec))
         return out
 
-    for T in basis:
-        # T is row-major over (target 4) x (source 9); read the parameters off
-        # the two entries that determine them, then demand a full match
-        columns = [[T[r * 9 + c] for r in range(4)] for c in range(9)]
-        lam = 2 * columns[2][1]        # image of e (x) h is -(lam/2) e
-        lam = -lam
-        mu = 3 * columns[8][0]         # image of h (x) h is (mu/3) 1
-        want = expected(lam, mu)
-        assert [tuple(col) for col in columns] == want, (lam, mu)
-
-    # the two parameter readings are independent across the basis
     readings = []
-    for T in basis:
-        lam = -2 * T[1 * 9 + 2]
-        mu = 3 * T[0 * 9 + 8]
+    for T in maps:
+        # T lists the images of the nine traceless words (x, y); read the
+        # parameters off the two entries that determine them, then demand
+        # a full match
+        lam = -2 * T[2][1]             # image of e (x) h is -(lam/2) e
+        mu = 3 * T[8][0]               # image of h (x) h is (mu/3) 1
+        assert [tuple(image) for image in T] == expected(lam, mu), (lam, mu)
         readings.append((lam, mu))
+    # the two parameter readings are independent across the basis
     assert oracles.dense_rank([list(r) for r in readings]) == 2
-
-
-def test_adjoint_action_rejects_non_invariant_coordinates():
-    alg = builtin("m2")
-    with pytest.raises(StructuralError):
-        adjoint_action(alg, (0, 1))  # {f, e} leaves the span of 1 and e
-
-
-@pytest.mark.parametrize("indices", [
-    (1, 1, 2, 3),  # repeated
-    (-1, 1, 2, 3),  # negative
-    (1, 2, 3, 7),  # out of range
-])
-def test_adjoint_action_rejects_bad_coordinates(indices):
-    with pytest.raises(StructuralError, match="distinct indices in 0..3"):
-        adjoint_action(builtin("m2"), indices)
-
-
-def test_action_arity_mismatches():
-    alg = builtin("m2")
-    ad3 = adjoint_action(alg, (1, 2, 3))
-    with pytest.raises(StructuralError):
-        tensor_product_action(ad3, ad3[:2])
-    with pytest.raises(StructuralError):
-        equivariant_hom(ad3, ad3[:2])
 
 
 # ---------------------------------------------------------------------------

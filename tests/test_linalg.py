@@ -304,6 +304,11 @@ def test_echelon_pivots_and_free_cols_partition():
     ech = Echelon(mat)
     assert ech.rank == 2
     assert sorted(ech.pivot_cols + ech.free_cols) == [0, 1, 2]
+    # a kernel vector is asked for one free column at a time, and only for one
+    assert ech.kernel_basis() == [ech.kernel_vector(c) for c in ech.free_cols]
+    for col in ech.pivot_cols + (-1, 3):
+        with pytest.raises(ValueError, match="not a free column"):
+            ech.kernel_vector(col)
 
 
 def test_kernel_of_zero_matrix_is_identity_basis():
