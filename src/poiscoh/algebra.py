@@ -119,47 +119,45 @@ def _apply_pairs(pairs, u, v, out_dim: int) -> tuple:
     return tuple(acc)
 
 
-def _order_residuals(mult_terms, bracket_terms, n: int, splittings=None,
+def _order_residuals(mult_pairs, bracket_pairs, n: int, splittings=None,
                      triples=None) -> tuple:
     """Order-n residuals (F1, F2, F3) of associativity, Leibniz and Jacobi
     at basis triples (a, b, c) of the series ``m = sum m_p t^p``,
-    ``l = sum l_p t^p`` (tuples of tables, missing terms read as zero),
-    summed over the splittings p + q = n with p in ``splittings`` (distinct;
-    all of 0..n by default):
+    ``l = sum l_p t^p``, given by the sparse pairs (:func:`_pairs`) of its
+    terms (missing terms read as zero), summed over the splittings
+    p + q = n with p in ``splittings`` (distinct; all of 0..n by default):
 
         F1 = m_p(m_q(a, b), c) - m_p(a, m_q(b, c))
         F2 = l_p(m_q(a, b), c) - m_p(a, l_q(b, c)) - m_p(l_q(a, c), b)
         F3 = l_p(l_q(a, b), c) + l_p(l_q(b, c), a) + l_p(l_q(c, a), b)
 
-    Each is a dict ``{(a, b, c): vector}`` over ``triples`` (distinct; all
-    of them in index order by default).  At order 0 these are the Poisson
-    axioms of ``(m_0, l_0)`` themselves.  The splittings ``range(1, n)``
-    leave the part built from terms 1..n-1 alone: the order-n obstruction;
-    ``(0, n)`` are the two that read the order-n terms.
-
-    Only the terms the splittings read are converted to sparse pairs, and a
-    splitting is skipped when one side's mult and bracket terms are both
-    zero: every product in it would vanish.
+    Each is a dict ``{(a, b, c): vector}`` of the nonzero vectors only, in
+    the order of ``triples`` (distinct; all of them in index order by
+    default).  At order 0 these are the Poisson axioms of ``(m_0, l_0)``
+    themselves.  The splittings ``range(1, n)`` leave the part built from
+    terms 1..n-1 alone: the order-n obstruction; ``(0, n)`` are the two
+    that read the order-n terms.  A splitting is skipped when one side's
+    mult and bracket terms are both zero: every product in it would vanish.
     """
-    d = len(mult_terms[0])
+    d = len(mult_pairs[0])
     zero = (((),) * d,) * d  # the sparse pairs of the zero table
+
+    def side(k):
+        mk, lk = (pairs[k] if k < len(pairs) else zero
+                  for pairs in (mult_pairs, bracket_pairs))
+        return (mk, lk) if mk != zero or lk != zero else None
+
     if splittings is None:
         splittings = range(n + 1)
-    sides = {}
-    for k in {k for p in splittings for k in (p, n - p)}:
-        mk, lk = (_pairs(terms[k]) if k < len(terms) else zero
-                  for terms in (mult_terms, bracket_terms))
-        sides[k] = (mk, lk) if mk != zero or lk != zero else None
-    basis = [((i, 1),) for i in range(d)]
     if triples is None:
-        triples = list(itertools.product(range(d), repeat=3))
-    f1, f2, f3 = ({t: [0] * d for t in triples} for _ in range(3))
-    for p in splittings:
-        if sides[p] is None or sides[n - p] is None:
-            continue
-        (mp, lp), (mq, lq) = sides[p], sides[n - p]
-        for a, b, c in triples:
-            r1, r2, r3 = f1[a, b, c], f2[a, b, c], f3[a, b, c]
+        triples = itertools.product(range(d), repeat=3)
+    splits = [(side(p), side(n - p)) for p in splittings]
+    splits = [split for split in splits if None not in split]
+    basis = [((i, 1),) for i in range(d)]
+    out = ({}, {}, {})
+    for a, b, c in triples:
+        r1, r2, r3 = [0] * d, [0] * d, [0] * d
+        for (mp, lp), (mq, lq) in splits:
             _add_pairs(r1, mp, mq[a][b], basis[c])
             _add_pairs(r1, mp, basis[a], mq[b][c], -1)
             _add_pairs(r2, lp, mq[a][b], basis[c])
@@ -167,7 +165,10 @@ def _order_residuals(mult_terms, bracket_terms, n: int, splittings=None,
             _add_pairs(r2, mp, lq[a][c], basis[b], -1)
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                 _add_pairs(r3, lp, lq[x][y], basis[z])
-    return tuple({t: tuple(vec) for t, vec in f.items()} for f in (f1, f2, f3))
+        for f, r in zip(out, (r1, r2, r3)):
+            if any(r):
+                f[a, b, c] = tuple(r)
+    return out
 
 
 @dataclass(frozen=True)
@@ -363,11 +364,11 @@ def validate_algebra(alg: AlgebraSpec) -> ValidationReport:
             if skew != zero:
                 violations.append(Violation("antisymmetry", (i, j), skew))
 
-    assoc, leibniz, jacobi = _order_residuals((alg.mult,), (alg.bracket,), 0)
-    for cell in assoc:
+    assoc, leibniz, jacobi = _order_residuals((alg.mult_pairs,), (alg.bracket_pairs,), 0)
+    for cell in sorted({*assoc, *leibniz, *jacobi}):
         for axiom, residuals in (("associativity", assoc), ("jacobi", jacobi),
                                  ("leibniz", leibniz)):
-            if any(residuals[cell]):
+            if cell in residuals:
                 violations.append(Violation(axiom, cell, residuals[cell]))
 
     checked = ("unit", "antisymmetry", "associativity", "jacobi", "leibniz")
@@ -460,13 +461,13 @@ def validate_module(alg: AlgebraSpec, mod: ModuleSpec) -> ValidationReport:
     mult, bracket = _extension_tables(alg, mod, zero, zero)
     # the triples with one module index, u last, first and in the middle
     abu = [(a, b, d + p) for a, b, p in itertools.product(range(d), range(d), range(m))]
-    residuals = _order_residuals((mult,), (bracket,), 0, triples=abu
+    residuals = _order_residuals((_pairs(mult),), (_pairs(bracket),), 0, triples=abu
                                  + [(u, a, b) for a, b, u in abu]
                                  + [(a, u, b) for a, b, u in abu])
     for i, j, u in abu:
         at = {"a": i, "b": j, "u": u}
         for axiom, f, cell, sign in cells:
-            residual = residuals[f][tuple(at[c] for c in cell)][d:]
+            residual = residuals[f].get(tuple(at[c] for c in cell), ())[d:]
             if any(residual):
                 violations.append(Violation(axiom, (i, j, u - d),
                                             tuple(sign * v for v in residual)))

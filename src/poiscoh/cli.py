@@ -143,18 +143,11 @@ def _resolve(source: Source, alg: AlgebraSpec | None = None,
     return _cocycle_pair(data, alg, mod)
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON-serializable: {obj!r}")
-
-
 def _emit(args, data, table: str | None = None) -> None:
     if getattr(args, "table", False) and table is not None:
         text = table if table.endswith("\n") else table + "\n"
     else:
-        text = json.dumps(data, indent=2, sort_keys=True,
-                          default=_json_default) + "\n"
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -173,8 +166,8 @@ def _refuse_size(what: str, size: int) -> None:
 
 
 def _check_size(theory: str, degrees, alg: AlgebraSpec, mod: ModuleSpec) -> None:
-    """Refuse, before any block is built, a run that builds the cochain
-    spaces of ``degrees`` when one has more than ``MAX_SPACE_DIM``
+    """Refuse, before any block is built or file validated, a run that builds
+    the cochain spaces of ``degrees`` when one has more than ``MAX_SPACE_DIM``
     coordinates; the first such degree in walk order is named, so an
     increasing walk stops early however large the top degree."""
     for n in degrees:
@@ -290,8 +283,8 @@ def cmd_cohomology(args) -> int:
     alg = _resolve(args.algebra)
     mod = _resolve(args.module, alg)
     theory = THEORY_ALIASES[args.theory]
-    _require_axioms(args, alg, mod, theory)
     _check_size(theory, range(args.max_degree + 2), alg, mod)
+    _require_axioms(args, alg, mod, theory)
     report = cohomology_dims(alg, mod, theory=theory, max_degree=args.max_degree,
                              representatives=args.representatives)
     payload = report.to_dict()
@@ -306,11 +299,11 @@ def cmd_cohomology(args) -> int:
 
 def cmd_lp(args) -> int:
     alg = _resolve(args.algebra)
-    _require_axioms(args, alg, theory="lp")
     d = alg.dim
     for n in range(1, args.max_degree + 2):  # the blocks of edge_maps("I", n)
         for i, j in ((0, n), (2, n - 1)):
             _refuse_size(f"the degree-{n} lp block ({i}, {j})", block_size(d, d, i, j))
+    _require_axioms(args, alg, theory="lp")
     payload = lp_cohomology(alg, max_degree=args.max_degree).to_dict()
     _emit(args, payload, _cohomology_table(payload))
     return 0
@@ -412,8 +405,8 @@ def cmd_dump(args) -> int:
         return 0
     # differential matrix in the exact-linalg dump format
     theory = THEORY_ALIASES[args.theory]
-    _require_axioms(args, alg, mod, theory)
     _check_size(theory, (args.degree, args.degree + 1), alg, mod)
+    _require_axioms(args, alg, mod, theory)
     mat = differential(alg, mod, theory, args.degree)
     if args.table:
         _emit(args, None, mat.dump_text())

@@ -10,7 +10,8 @@ attached to degree-2 cochains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -45,12 +46,16 @@ class DeformationSeries:
 
     ``mult_terms[n]`` and ``bracket_terms[n]`` are the order-n coefficient
     tables; index 0 always repeats the base algebra's own tables.  Terms
-    beyond the stored order read as zero.
+    beyond the stored order read as zero.  ``mult_pairs`` and
+    ``bracket_pairs`` hold the sparse pairs of the same terms, each made
+    once, when its term joins the series.
     """
 
     algebra: AlgebraSpec
     mult_terms: tuple
     bracket_terms: tuple
+    mult_pairs: tuple = field(compare=False, repr=False)
+    bracket_pairs: tuple = field(compare=False, repr=False)
 
     @staticmethod
     def build(alg: AlgebraSpec, mult_terms, bracket_terms) -> "DeformationSeries":
@@ -68,7 +73,7 @@ class DeformationSeries:
         bt = bt + tuple(_zero_table(d) for _ in range(width - len(bt)))
         for k, t in enumerate(bt):
             require_alternating(t, 0, 2, f"bracket_terms[{k}] is not antisymmetric")
-        return DeformationSeries(alg, mt, bt)
+        return DeformationSeries(alg, mt, bt, tuple(map(_pairs, mt)), tuple(map(_pairs, bt)))
 
     @property
     def order(self) -> int:
@@ -87,14 +92,17 @@ class DeformationSeries:
         l_n = _freeze_table(l_table, d, d, d, f"bracket_terms[{n}]")
         require_alternating(l_n, 0, 2, f"bracket_terms[{n}] is not antisymmetric")
         return DeformationSeries(self.algebra, self.mult_terms + (m_n,),
-                                 self.bracket_terms + (l_n,))
+                                 self.bracket_terms + (l_n,),
+                                 self.mult_pairs + (_pairs(m_n),),
+                                 self.bracket_pairs + (_pairs(l_n),))
 
     def truncated(self, order: int) -> "DeformationSeries":
         if order < 0:
             raise StructuralError("order must be nonnegative")
         stop = min(order, self.order) + 1
         return DeformationSeries(self.algebra, self.mult_terms[:stop],
-                                 self.bracket_terms[:stop])
+                                 self.bracket_terms[:stop], self.mult_pairs[:stop],
+                                 self.bracket_pairs[:stop])
 
 
 def series_to_file_dict(series: DeformationSeries) -> dict:
@@ -136,12 +144,6 @@ def series_from_file_dict(data: dict) -> DeformationSeries:
 # Order-by-order axiom verification
 
 SAMPLE_LIMIT = 3  # residual samples kept per failing axiom and order
-
-
-def _nonzero_cells(residuals) -> list:
-    """``((a, b, c), vec)`` for every nonzero vector of a residual map, in
-    index order."""
-    return [(cell, vec) for cell, vec in residuals.items() if any(vec)]
 
 
 @dataclass(frozen=True)
@@ -208,15 +210,14 @@ def verify_deformation(series: DeformationSeries,
     unital = True
 
     for n in range(min(max_order, 2 * series.order) + 1):
-        tables = _order_residuals(series.mult_terms, series.bracket_terms, n)
+        tables = _order_residuals(series.mult_pairs, series.bracket_pairs, n)
         for axiom, table in zip(("associativity", "leibniz", "jacobi"), tables):
-            violations = _nonzero_cells(table)
-            if violations:
+            if table:
                 failures.append(ResidualRecord(
-                    axiom=axiom, order=n, count=len(violations),
-                    samples=tuple(violations[:SAMPLE_LIMIT])))
+                    axiom=axiom, order=n, count=len(table),
+                    samples=tuple(itertools.islice(table.items(), SAMPLE_LIMIT))))
         if 1 <= n <= series.order and unital:
-            mp = _pairs(series.mult_terms[n])
+            mp = series.mult_pairs[n]
             unital = all(_apply_pairs(mp, alg.unit, basis[a], d) == zero
                          and _apply_pairs(mp, basis[a], alg.unit, d) == zero
                          for a in range(d))
@@ -281,10 +282,11 @@ def obstruction_tables(series: DeformationSeries, order: int | None = None, *,
             raise StructuralError(
                 f"the series is not a deformation through order {n - 1}; "
                 "obstructions are undefined")
-    residuals = _order_residuals(series.mult_terms, series.bracket_terms, n, range(1, n))
-    basis = range(series.algebra.dim)
-    return tuple(tuple(tuple(tuple(f[a, b, c] for c in basis) for b in basis) for a in basis)
-                 for f in residuals)
+    residuals = _order_residuals(series.mult_pairs, series.bracket_pairs, n, range(1, n))
+    d = series.algebra.dim
+    basis, zero = range(d), (0,) * d
+    return tuple(tuple(tuple(tuple(f.get((a, b, c), zero) for c in basis) for b in basis)
+                       for a in basis) for f in residuals)
 
 
 def encode_obstruction(alg: AlgebraSpec, f1, f2, f3) -> tuple:
@@ -316,9 +318,12 @@ def lift_step(series: DeformationSeries, d2: SparseMatrix, *, validate: bool = T
         return None
     m_n, l_n = decode_pair(alg, sol)
     lifted = series.extended(m_n, l_n)
-    outer = _order_residuals(lifted.mult_terms, lifted.bracket_terms, n, (0, n))
+    outer = _order_residuals(lifted.mult_pairs, lifted.bracket_pairs, n, (0, n))
+    zero = (0,) * alg.dim
+    # every cell, not just those of the sparse outer: inner alone may not vanish
     for f_inner, f_outer in zip(inner, outer):
-        for (a, b, c), vec in f_outer.items():
+        for a, b, c in itertools.product(range(alg.dim), repeat=3):
+            vec = f_outer.get((a, b, c), zero)
             if any(x + y for x, y in zip(f_inner[a][b][c], vec)):
                 raise ArithmeticError(f"lifted series fails the axioms at order {n}")
     return lifted
@@ -524,8 +529,7 @@ def m2_product_family(nu, lam, mu) -> tuple:
 
 
 def m2_family_is_associative(nu, lam, mu) -> bool:
-    assoc = _order_residuals((m2_product_family(nu, lam, mu),), (_zero_table(4),), 0)[0]
-    return not _nonzero_cells(assoc)
+    return not _order_residuals((_pairs(m2_product_family(nu, lam, mu)),), (), 0)[0]
 
 
 def phi_family(alg: AlgebraSpec, nu, lam) -> tuple:

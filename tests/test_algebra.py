@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,22 @@ def test_validation_matches_the_direct_axiom_expansion(alg):
     got = [(v.axiom, v.indices, v.residual) for v in validate_algebra(alg).violations
            if v.axiom in ("associativity", "jacobi", "leibniz")]
     assert got == expected
+
+
+def test_validation_memory_does_not_grow_with_the_triples():
+    """Validating k^20 (20 orthogonal idempotents, zero bracket) holds only
+    its nonzero residual cells, none here, never a table over all d^3."""
+    d = 20
+    idempotent = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    alg = trivial_bracket([[idempotent[i] if i == j else (0,) * d for j in range(d)]
+                           for i in range(d)], unit=(1,) * d)
+    tracemalloc.start()
+    try:
+        assert validate_algebra(alg).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_standard_poisson_from_commutator():

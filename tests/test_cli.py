@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from poiscoh.algebra import (
+    AlgebraSpec,
     algebra_to_dict,
     builtin,
     load_module,
@@ -697,8 +698,17 @@ def test_version_flag():
       "--max-degree", "6"), 2560000),
     (("dump", "--what", "differential", "--algebra", "builtin:m2",
       "--theory", "hh", "--degree", "9"), 1048576),
+    # k^60 is sized before it is validated, which alone takes seconds
+    (("cohomology", "--algebra", "file:{k60}", "--max-degree", "4"), 27973200),
 ))
-def test_oversized_cochain_space_is_refused_before_building(capsys, argv, size):
+def test_oversized_cochain_space_is_refused_before_building(capsys, tmp_path, argv, size):
+    if "file:{k60}" in argv:  # 60 orthogonal idempotents, zero bracket, not validated
+        d, path = 60, tmp_path / "k60.json"
+        idempotent = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+        path.write_text(json.dumps(algebra_to_dict(AlgebraSpec.build(
+            d, [[idempotent[i] if i == j else (0,) * d for j in range(d)] for i in range(d)],
+            (1,) * d, [[(0,) * d] * d] * d))))
+        argv = tuple(arg.format(k60=path) for arg in argv)
     blocks = (complexes.delta_H, complexes.delta_V, complexes.delta_v)
     before = [block.cache_info().currsize for block in blocks]
     start = time.perf_counter()

@@ -397,12 +397,18 @@ def test_random_partial_series_have_closed_obstructions(name):
 
 
 def _split_residuals(series, n):
-    """The inner splittings plus the outer ones {0, n}, summed cell by cell."""
-    inner = _order_residuals(series.mult_terms, series.bracket_terms, n, range(1, n))
-    outer = _order_residuals(series.mult_terms, series.bracket_terms, n, (0, n))
-    return tuple({cell: tuple(x + y for x, y in zip(vec, f_outer[cell]))
-                  for cell, vec in f_inner.items()}
-                 for f_inner, f_outer in zip(inner, outer))
+    """The inner splittings plus the outer ones {0, n}, summed cell by cell,
+    zero sums dropped."""
+    inner = _order_residuals(series.mult_pairs, series.bracket_pairs, n, range(1, n))
+    outer = _order_residuals(series.mult_pairs, series.bracket_pairs, n, (0, n))
+    zero = (0,) * series.algebra.dim
+    sums = []
+    for f_inner, f_outer in zip(inner, outer):
+        cells = {cell: tuple(x + y for x, y in zip(f_inner.get(cell, zero),
+                                                   f_outer.get(cell, zero)))
+                 for cell in sorted({*f_inner, *f_outer})}
+        sums.append({cell: vec for cell, vec in cells.items() if any(vec)})
+    return tuple(sums)
 
 
 def test_inner_and_outer_splittings_make_the_full_residual():
@@ -411,8 +417,36 @@ def test_inner_and_outer_splittings_make_the_full_residual():
     lifted, _ = lift_until(m2_table3_series(1, repaired=True).truncated(1), 8)
     for series in (lifted, *random_partials("ut2"), *random_partials("trivial2")):
         for n in range(1, 9):
-            full = _order_residuals(series.mult_terms, series.bracket_terms, n)
+            full = _order_residuals(series.mult_pairs, series.bracket_pairs, n)
             assert _split_residuals(series, n) == full
+
+
+@pytest.mark.parametrize("name", ("ut2", "trivial2"))
+def test_residuals_hold_only_nonzero_cells_in_triple_order(name):
+    """The kernel returns the nonzero vectors alone, in index order, for the
+    full residual, the inner splittings and the outer ones."""
+    for series in random_partials(name):
+        for n in range(2 * series.order + 2):
+            for splittings in (None, range(1, n), {0, n}):
+                for table in _order_residuals(series.mult_pairs, series.bracket_pairs,
+                                              n, splittings):
+                    assert all(any(vec) for vec in table.values())
+                    assert list(table) == sorted(table)
+
+
+def test_a_lift_converts_each_appended_term_once(monkeypatch):
+    """Lifting to order 20 makes the sparse pairs of each new table once,
+    when it joins the series, and never again for lower terms."""
+    series = m2_table3_series(1, repaired=True).truncated(1)
+    lift_until(series, 2)  # warm the algebra's cached pairs and d^2
+    calls = []
+    for module in (poiscoh.algebra, poiscoh.deformation):
+        real = module._pairs
+        monkeypatch.setattr(module, "_pairs",
+                            lambda table, real=real: calls.append(1) or real(table))
+    lifted, obstructed_at = lift_until(series, 20)
+    assert obstructed_at is None and lifted.order == 20
+    assert len(calls) == 2 * (20 - series.order)  # one mult and one bracket table
 
 
 def test_a_wrong_order_fails_its_own_check(monkeypatch):
@@ -431,6 +465,13 @@ def test_a_wrong_order_fails_its_own_check(monkeypatch):
     monkeypatch.setattr(poiscoh.deformation, "decode_pair", doubled)
     with pytest.raises(ArithmeticError, match="at order 2"):
         quantization_obstruction_check(alg, 4)
+    with pytest.raises(ArithmeticError, match="at order 2"):
+        lift_step(series, _d2(alg))
+
+    # a zero continuation leaves every outer cell zero: only the cells where
+    # the inner residual alone is nonzero can fail
+    monkeypatch.setattr(poiscoh.deformation, "decode_pair",
+                        lambda base, coeffs: (_zero_table(base.dim),) * 2)
     with pytest.raises(ArithmeticError, match="at order 2"):
         lift_step(series, _d2(alg))
 
