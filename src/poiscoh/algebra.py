@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
+from .linalg import SparseMatrix, solve
+
 
 class StructuralError(ValueError):
     """Malformed presentation: bad shapes, out-of-range indices, non-exact
@@ -508,6 +510,39 @@ def regular_module(alg: AlgebraSpec) -> ModuleSpec:
     d = alg.dim
     right = tuple(tuple(alg.mult[p][a] for p in range(d)) for a in range(d))
     return ModuleSpec(d, d, left=alg.mult, right=right, lie=alg.bracket)
+
+
+def separability_idempotent(alg: AlgebraSpec) -> tuple | None:
+    """Coefficients ``e[p * d + q]`` of ``e = sum e_pq b_p (x) b_q`` with
+    ``mu(e) = sum e_pq b_p b_q = 1`` and ``(a (x) 1) e = e (1 (x) a)`` for
+    every basis a, by one exact solve with ``d^2`` unknowns; None when the
+    algebra is not separable.  Then ``HH^(>=1)(A, N) = 0`` for every
+    bimodule N (docs/decisions.md, section 12).  A solution that fails the
+    conditions when they are applied to it raises ArithmeticError."""
+    d = alg.dim
+    mult, top = alg.mult_pairs, d ** 3
+
+    def conditions(e: dict) -> dict:
+        """Row ``(a * d + r) * d + s`` holds the ``b_r (x) b_s`` coefficient
+        of ``a e - e a``, row ``d^3 + k`` the ``b_k`` one of ``mu(e)``."""
+        out: dict[int, Fraction] = {}
+        for pq, c in e.items():
+            p, q = divmod(pq, d)
+            cells = [(top + k, v) for k, v in mult[p][q]]
+            for a in range(d):
+                cells += [((a * d + r) * d + q, v) for r, v in mult[a][p]]
+                cells += [((a * d + p) * d + s, -v) for s, v in mult[q][a]]
+            for row, v in cells:
+                out[row] = out.get(row, 0) + c * v
+        return {row: v for row, v in out.items() if v}
+
+    unit = {top + k: c for k, c in enumerate(alg.unit) if c}
+    matrix = SparseMatrix(top + d, d * d, {(row, col): v for col in range(d * d)
+                                            for row, v in conditions({col: 1}).items()})
+    e = solve(matrix, unit)
+    if e is not None and conditions(dict(enumerate(e))) != unit:
+        raise ArithmeticError("the separability idempotent fails its conditions")
+    return e
 
 
 # ---------------------------------------------------------------------------

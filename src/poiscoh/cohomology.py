@@ -25,6 +25,7 @@ from .complexes import (
     cartan_weights,
     coordinate_weights,
     edge_maps,
+    separable_subcomplex,
 )
 from .linalg import (
     Echelon,
@@ -97,6 +98,19 @@ def _representatives(free: list[tuple[int, dict[int, int]]],
     return [vec for f, vec in reversed(free) if not reducer.add(rows.get(f, {}))][::-1]
 
 
+def _rebuilt_ranks(space_dims: Sequence[int], dims: Sequence[int]) -> tuple[int, ...]:
+    """The ranks of ``d^0 .. d^N`` from ``dim C^0 .. C^(N+1)`` and
+    ``dim H^0 .. H^N``, by ``dim H^n = dim C^n - rank d^n - rank d^(n-1)``
+    read backwards; a rank that ``d^n`` cannot have raises ArithmeticError."""
+    ranks: list[int] = []
+    for n, dim in enumerate(dims):
+        r = space_dims[n] - dim - (ranks[-1] if n else 0)
+        if not 0 <= r <= min(space_dims[n], space_dims[n + 1]):
+            raise ArithmeticError(f"rebuilt rank {r} of d^{n} is impossible")
+        ranks.append(r)
+    return tuple(ranks)
+
+
 def cohomology_of(mats: Sequence[SparseMatrix], weights=None,
                   representatives: bool = False) -> tuple:
     """``(space_dims, ranks, dims, representatives)``, in the field order of
@@ -129,19 +143,15 @@ def cohomology_of(mats: Sequence[SparseMatrix], weights=None,
         found.append(_representatives(free, mats[n - 1] if n else None))
     # dim H^n = dim C^n - rank d^n - rank d^(n-1) at weight zero, where the
     # dims live; then the same identity read backwards gives the full ranks
-    dims, ranks = [], []
-    for n, mat in enumerate(mats):
-        dims.append(weights[n].count(0) - zero_ranks[n] - (zero_ranks[n - 1] if n else 0))
-        r = mat.ncols - dims[n] - (ranks[n - 1] if n else 0)
-        if not 0 <= r <= min(mat.nrows, mat.ncols):
-            raise ArithmeticError(f"rebuilt rank {r} of d^{n} is impossible")
-        ranks.append(r)
+    dims = tuple(weights[n].count(0) - zero_ranks[n] - (zero_ranks[n - 1] if n else 0)
+                 for n in range(len(mats)))
+    ranks = _rebuilt_ranks(space_dims + (mats[-1].nrows,), dims)
     for n, vecs in enumerate(found):
         if len(vecs) != dims[n]:
             raise ArithmeticError(f"representative count mismatch in degree {n}")
     reps = {n: [dense_vector(vec, space_dims[n]) for vec in vecs]
             for n, vecs in enumerate(found)} if representatives else None
-    return space_dims, tuple(ranks), tuple(dims), reps
+    return space_dims, ranks, dims, reps
 
 
 def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
@@ -149,14 +159,23 @@ def cohomology_dims(alg: AlgebraSpec, mod: ModuleSpec | None = None,
                     representatives: bool = False) -> CohomologyReport:
     """Cohomology dimensions of one theory up to ``max_degree`` inclusive.
 
-    ``mod`` defaults to the algebra acting on itself.  The assembled
-    differentials are composed pairwise and checked to vanish by
-    :func:`~poiscoh.complexes.build_complex`, and handed to
-    :func:`cohomology_of` with the coordinate weights of the element that
+    ``mod`` defaults to the algebra acting on itself.  Poisson and omega
+    dims of a separable algebra come from the small
+    :func:`~poiscoh.complexes.separable_subcomplex`, and the full ranks from
+    them.  Otherwise the differentials of
+    :func:`~poiscoh.complexes.build_complex` go to :func:`cohomology_of`
+    with the coordinate weights of the element that
     :func:`~poiscoh.complexes.cartan_weights` finds, if any.
     """
     if mod is None:
         mod = regular_module(alg)
+    small = None if representatives else separable_subcomplex(alg, mod, theory, max_degree)
+    if small is not None:
+        dims = cohomology_of(small)[2]
+        space_dims = tuple(CochainSpace.build(theory, n, alg.dim, mod.dim).dim
+                           for n in range(max_degree + 2))
+        return CohomologyReport(theory, max_degree, space_dims[:-1],
+                                _rebuilt_ranks(space_dims, dims), dims)
     mats = build_complex(alg, mod, theory, max_degree)
     cartan = cartan_weights(alg, mod, theory)
     weights = None if cartan is None else [

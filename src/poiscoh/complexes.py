@@ -22,11 +22,12 @@ shows that the untwisted assembly fails.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
 from .algebra import (AlgebraSpec, ModuleSpec, StructuralError, regular_module,
-                      require_module_over)
+                      require_module_over, separability_idempotent)
 from .cochain import (
     CochainSpace,
     block_size,
@@ -36,7 +37,7 @@ from .cochain import (
     wedge_normalize,
     wedge_rank,
 )
-from .linalg import SparseMatrix, denominator_lcm
+from .linalg import Echelon, SparseMatrix, _columns, denominator_lcm
 
 SIGN_CONVENTION = "horizontal-(-1)^i"
 
@@ -176,7 +177,7 @@ def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     """
     d, m = alg.dim, mod.dim
     if j:
-        return _wedge_copies(delta_V(alg, mod, i, 0), comb(d, j), m)
+        return _wedge_copies(delta_V(alg, mod, i, 0), comb(d, j), m, m)
     scale, (left, right, mult) = _integer_tables(mod.left_pairs, mod.right_pairs,
                                                  alg.mult_pairs)
     last_sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
@@ -208,16 +209,16 @@ def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
                                         rows, scale)
 
 
-def _wedge_copies(block: SparseMatrix, copies: int, m: int) -> SparseMatrix:
+def _wedge_copies(block: SparseMatrix, copies: int, m: int, n: int) -> SparseMatrix:
     """A map on tensor-word cells with a wedge spectator: one copy of
-    ``block`` per wedge word, at flat index ``(cell * copies + wedge) * m +
-    component`` on both sides."""
+    ``block`` per wedge word, at ``(cell * copies + wedge) * width + component``,
+    where a cell is m components wide on the row side and n on the column side."""
     rows = {}
     for r, row in block.numerators.items():
         r0 = (r - r % m) * copies + r % m
-        shifted = [((c - c % m) * copies + c % m, v) for c, v in row.items()]
-        for w in range(0, copies * m, m):
-            rows[r0 + w] = {c0 + w: v for c0, v in shifted}
+        shifted = [((c - c % n) * copies + c % n, v) for c, v in row.items()]
+        for wr, wc in zip(range(0, copies * m, m), range(0, copies * n, n)):
+            rows[r0 + wr] = {c0 + wc: v for c0, v in shifted}
     return SparseMatrix.from_numerators(block.nrows * copies, block.ncols * copies, rows,
                                         block.denominator)
 
@@ -252,6 +253,38 @@ def delta_v(alg: AlgebraSpec, mod: ModuleSpec, j: int) -> SparseMatrix:
     return delta_V(alg, mod, 1, j - 1).matmul(_polarisation(alg.dim, mod.dim, j))
 
 
+def _require_inputs(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int) -> None:
+    """Refuse a negative degree, a module over another algebra dimension,
+    and for poisson and omega a module that is not poisson-flavored."""
+    if degree < 0:
+        raise StructuralError("degree must be nonnegative")
+    require_module_over(alg, mod)
+    if theory in ("poisson", "omega") and mod.flavor != "poisson":
+        raise StructuralError(f"the {theory} theory needs a poisson-flavored module")
+
+
+def _paste(parts, nrows: int, ncols: int) -> SparseMatrix:
+    """The matrix of ``(block, row offset, column offset, sign)`` parts: every
+    entry belongs to one part, and is written once over the common denominator."""
+    den = lcm(*(block.denominator for block, *_ in parts))
+    rows: dict[int, dict[int, int]] = {}
+    for block, row_off, col_off, sign in parts:
+        f = sign * (den // block.denominator)
+        for r, row in block.numerators.items():
+            rows.setdefault(r + row_off, {}).update(
+                {c + col_off: v * f for c, v in row.items()})
+    return SparseMatrix.from_numerators(nrows, ncols, rows, den)
+
+
+def _require_complex(mats: list[SparseMatrix], what: str) -> list[SparseMatrix]:
+    """``mats``, once every ``d^(n+1) o d^n`` is checked to vanish; one
+    that does not raises ArithmeticError."""
+    for n in range(len(mats) - 1):
+        if not mats[n + 1].matmul(mats[n]).is_zero:
+            raise ArithmeticError(f"{what} is not a complex at degree {n}")
+    return mats
+
+
 def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
                  degree: int) -> SparseMatrix:
     """The assembled total differential C^degree -> C^(degree+1) of a theory.
@@ -261,14 +294,8 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
     to the poisson assembly alone (the quasi layout contains the same target
     block but its differential is purely bicomplex).  ``delta_H`` out of
     tensor width i carries the sign ``(-1)**i``.
-
-    Every entry belongs to exactly one (source block, target block) pair, so
-    each block's numerators, rescaled to the common denominator, are written
-    once at their offsets.
     """
-    require_module_over(alg, mod)
-    if theory in ("poisson", "omega") and mod.flavor != "poisson":
-        raise StructuralError(f"the {theory} theory needs a poisson-flavored module")
+    _require_inputs(alg, mod, theory, degree)
     src = CochainSpace.build(theory, degree, alg.dim, mod.dim)
     tgt = CochainSpace.build(theory, degree + 1, alg.dim, mod.dim)
     parts = []  # (block, row offset, column offset, sign)
@@ -283,29 +310,68 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
             parts.append((delta_V(alg, mod, i, j), tgt.block_offsets[i + 1, j], col_off, 1))
         if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
             parts.append((delta_v(alg, mod, j), tgt.block_offsets[2, j - 1], col_off, 1))
-    den = lcm(*(block.denominator for block, *_ in parts))
-    rows: dict[int, dict[int, int]] = {}
-    for block, row_off, col_off, sign in parts:
-        f = sign * (den // block.denominator)
-        for r, row in block.numerators.items():
-            rows.setdefault(r + row_off, {}).update(
-                {c + col_off: v * f for c, v in row.items()})
-    return SparseMatrix.from_numerators(tgt.dim, src.dim, rows, den)
+    return _paste(parts, tgt.dim, src.dim)
 
 
 def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
                   max_degree: int) -> list[SparseMatrix]:
-    """Differentials d^0 .. d^max_degree of a theory, with d o d checked.
+    """Differentials d^0 .. d^max_degree of a theory, with d o d checked."""
+    _require_inputs(alg, mod, theory, max_degree)
+    return _require_complex([differential(alg, mod, theory, n) for n in range(max_degree + 1)],
+                            f"{theory} assembly")
 
-    The compositions multiply integer numerators only.
-    """
-    if max_degree < 0:
-        raise StructuralError("degree must be nonnegative")
-    mats = [differential(alg, mod, theory, n) for n in range(max_degree + 1)]
-    for n in range(max_degree):
-        if not mats[n + 1].matmul(mats[n]).is_zero:
-            raise ArithmeticError(f"{theory} assembly is not a complex at degree {n}")
-    return mats
+
+def separable_subcomplex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
+                         max_degree: int) -> list[SparseMatrix] | None:
+    """Differentials d^0 .. d^max_degree of a subcomplex with the cohomology
+    of the poisson or omega complex; None, once the input passes the checks
+    of :func:`build_complex`, for another theory or an algebra that is not
+    separable.
+
+    With ``Z = Z^2(A, M) = ker delta_V(2, 0)``, degree n is the ``Z``-valued
+    part of the (2, n - 2) block (of (2, n) for omega) and, for poisson, the
+    (0, n) block; ``HH^(>=3)`` of a separable algebra vanishes, so the
+    quotient is acyclic (docs/decisions.md, section 12).  Coordinates on
+    ``Z (x) Lambda^j`` are ``wedge * dim Z + k`` on the kernel basis, read
+    off by a checked left inverse; every image into it is checked to lie in
+    it, and d o d = 0 is checked."""
+    _require_inputs(alg, mod, theory, max_degree)
+    if theory not in ("poisson", "omega") or separability_idempotent(alg) is None:
+        return None
+    d, m = alg.dim, mod.dim
+    cocycles = Echelon(delta_V(alg, mod, 2, 0))
+    basis = [cocycles.kernel_vector(f) for f in cocycles.free_cols]
+    z = len(basis)
+    embed = _columns(basis, block_size(d, m, 2, 0))
+    # each kernel vector vanishes at every other free column
+    coords = SparseMatrix(z, embed.nrows, {(k, f): Fraction(1, basis[k][f])
+                                           for k, f in enumerate(cocycles.free_cols)})
+    if coords.matmul(embed) != SparseMatrix(z, z, {(k, k): 1 for k in range(z)}):
+        raise ArithmeticError("the coordinates on Z^2 are not a left inverse of its basis")
+
+    def into_z(j, image):
+        """``image``, rows in the (2, j) block, in coordinates on Z (x) Lambda^j."""
+        out = _wedge_copies(coords, comb(d, j), z, m).matmul(image)
+        if _wedge_copies(embed, comb(d, j), m, z).matmul(out) != image:
+            raise ArithmeticError(f"an image leaves Z^2 (x) Lambda^{j}")
+        return out
+
+    def width(j):  # of Z (x) Lambda^j
+        return z * comb(d, j) if j >= 0 else 0
+
+    poisson = theory == "poisson"
+    mats = []
+    for n in range(max_degree + 1):
+        j = n - 2 if poisson else n  # wedge width of the Z part of degree n
+        head = (block_size(d, m, 0, n), block_size(d, m, 0, n + 1)) if poisson else (0, 0)
+        parts = [(delta_H(alg, mod, 0, n), 0, 0, 1)] if poisson else []
+        if poisson and n:
+            parts.append((into_z(n - 1, delta_v(alg, mod, n)), head[1], 0, 1))
+        if j >= 0:
+            lifted = delta_H(alg, mod, 2, j).matmul(_wedge_copies(embed, comb(d, j), m, z))
+            parts.append((into_z(j + 1, lifted), head[1], head[0], 1))
+        mats.append(_paste(parts, head[1] + width(j + 1), head[0] + width(j)))
+    return _require_complex(mats, f"separable {theory} subcomplex")
 
 
 # ---------------------------------------------------------------------------
