@@ -386,27 +386,40 @@ def _require_valid(alg: AlgebraSpec, why: str) -> ValidationReport:
     return report
 
 
-def _extension_tables(alg: AlgebraSpec, mod: ModuleSpec, f1, f0) -> tuple:
-    """Multiplication and bracket tables of the square-zero extension
-    ``A + M`` (basis ``b_0..b_{d-1}, u_0..u_{m-1}``) twisted by the
-    ``d x d`` tables of module vectors ``f1`` and ``f0``:
+def _extension_pairs(alg: AlgebraSpec, mod: ModuleSpec, f1=None, f0=None) -> tuple:
+    """Sparse multiplication and bracket pairs (:func:`_pairs`) of the
+    square-zero extension ``A + M`` (basis ``b_0..b_{d-1}, u_0..u_{m-1}``),
+    read off the pairs of the algebra and the module, twisted by the
+    ``d x d`` tables of module vectors ``f1`` and ``f0`` (none when omitted):
 
         (a, x)(a', x') = (aa', a.x' + x.a' + f1(a, a'))
         {(a, x), (a', x')} = ({a, a'}, {a, x'} - {a', x} + f0(a, a'))
     """
     d, m = alg.dim, mod.dim
-    zero_a, zero_row = (0,) * d, ((0,) * (d + m),) * m
 
-    def table(base, twist, into_m, from_m):
+    def into_m(pairs, sign=1):
+        return tuple((d + k, sign * c) for k, c in pairs)
+
+    def table(base, twist, by_a, by_u, sign):
         return tuple(
-            [tuple(base[i][j] + twist[i][j] for j in range(d))
-             + tuple(zero_a + into_m[i][p] for p in range(m)) for i in range(d)]
-            + [tuple(zero_a + from_m[a][p] for a in range(d)) + zero_row
+            [tuple(base[i][j] + (into_m(_sparse(twist[i][j])) if twist else ())
+                   for j in range(d)) + tuple(into_m(by_a[i][p]) for p in range(m))
+             for i in range(d)]
+            + [tuple(into_m(by_u[a][p], sign) for a in range(d)) + ((),) * m
                for p in range(m)])
 
-    minus_lie = tuple(tuple(tuple(-v for v in vec) for vec in row) for row in mod.lie)
-    return (table(alg.mult, f1, mod.left, mod.right),
-            table(alg.bracket, f0, mod.lie, minus_lie))
+    return (table(alg.mult_pairs, f1, mod.left_pairs, mod.right_pairs, 1),
+            table(alg.bracket_pairs, f0, mod.lie_pairs, mod.lie_pairs, -1))
+
+
+def _dense_table(pairs, n: int) -> tuple:
+    """The table of n-vectors whose sparse pairs are ``pairs``."""
+    def vec(sparse):
+        out = [0] * n
+        for k, c in sparse:
+            out[k] = c
+        return tuple(out)
+    return tuple(tuple(vec(sparse) for sparse in row) for row in pairs)
 
 
 # Each non-unit module axiom at (a, b, u) = (b_i, b_j, u_p) is the M part of
@@ -459,14 +472,15 @@ def validate_module(alg: AlgebraSpec, mod: ModuleSpec) -> ValidationReport:
                 violations.append(Violation(axiom, (p,), _vsub(got, u_p)))
 
     cells = _MODULE_CELLS if mod.flavor == "poisson" else _MODULE_CELLS[:-1]
-    zero = ((_zero(m),) * d,) * d
-    mult, bracket = _extension_tables(alg, mod, zero, zero)
-    # the triples with one module index, u last, first and in the middle
-    abu = [(a, b, d + p) for a, b, p in itertools.product(range(d), range(d), range(m))]
-    residuals = _order_residuals((_pairs(mult),), (_pairs(bracket),), 0, triples=abu
-                                 + [(u, a, b) for a, b, u in abu]
-                                 + [(a, u, b) for a, b, u in abu])
-    for i, j, u in abu:
+    mult, bracket = _extension_pairs(alg, mod)
+
+    def abu():  # the triples with one module index, u last
+        return ((a, b, d + p) for a, b, p in itertools.product(range(d), range(d), range(m)))
+
+    # u last, first and in the middle, streamed: only nonzero cells are kept
+    residuals = _order_residuals((mult,), (bracket,), 0, triples=itertools.chain(
+        abu(), ((u, a, b) for a, b, u in abu()), ((a, u, b) for a, b, u in abu())))
+    for i, j, u in abu():
         at = {"a": i, "b": j, "u": u}
         for axiom, f, cell, sign in cells:
             residual = residuals[f].get(tuple(at[c] for c in cell), ())[d:]

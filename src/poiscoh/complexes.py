@@ -22,9 +22,10 @@ shows that the untwisted assembly fails.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from functools import update_wrapper
+from math import comb, gcd, lcm
 
 from .algebra import (AlgebraSpec, ModuleSpec, StructuralError, regular_module,
                       require_module_over, separability_idempotent)
@@ -63,7 +64,58 @@ def _add(row: dict[int, int], col: int, value: int) -> None:
         del row[col]
 
 
-@lru_cache(maxsize=None)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _PairCache:
+    """The values ``build(alg, mod, key)`` of one block builder, kept for one
+    (algebra, module) pair: the last one that any of these caches was asked
+    for.  Pairs compare by value, as ``lru_cache`` keys do, and an equal pair
+    is served the objects first held; a call that names another pair drops
+    every cache's values.  ``cache_info`` and ``cache_clear`` are those of an
+    unbounded ``lru_cache``, with hits and misses counted across pair
+    switches (docs/decisions.md, section 13)."""
+
+    _pair: tuple | None = None  # the (alg, mod) every cache's values belong to
+    _caches: list[_PairCache] = []
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build = build
+        self._values: dict = {}
+        self._hits = self._misses = 0
+        _PairCache._caches.append(self)
+
+    def __call__(self, alg: AlgebraSpec, mod: ModuleSpec, key: int):
+        if _PairCache._pair != (alg, mod):
+            for cache in _PairCache._caches:
+                cache._values.clear()
+            _PairCache._pair = (alg, mod)
+        value = self._values.get(key)
+        if value is None:
+            self._misses += 1
+            value = self._values[key] = self._build(*_PairCache._pair, key)
+        else:
+            self._hits += 1
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, None, len(self._values))
+
+    def cache_clear(self) -> None:
+        """Drop this cache's values and counts; the other caches keep theirs."""
+        self._values.clear()
+        self._hits = self._misses = 0
+
+
+@_PairCache
+def _action(alg: AlgebraSpec, mod: ModuleSpec, i: int) -> tuple[SparseMatrix, int, tuple]:
+    """``(delta_H(i, 0), scale, bracket)``: the block with the scale and the
+    integer bracket table of every ``delta_H(i, j)`` of the pair."""
+    scale, (lie, bracket) = _integer_tables(mod.lie_pairs, alg.bracket_pairs)
+    return _induced_action(alg.dim, mod.dim, i, scale, lie, bracket), scale, bracket
+
+
 def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     """Horizontal block map (i, j) -> (i, j+1), verbatim (no assembly sign).
 
@@ -77,19 +129,18 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     ``(tensor_rank * comb(d, j) + wedge_rank) * m + component``.
 
     At j = 0 the wedge is one letter x and there are no pair terms, so the
-    block is the action itself: row ``(n, x)`` is row n of the action of x.
-    For j > 0 each x's action is read off that cached (i, 0) block, and
-    each target wedge adds its pair terms as one diagonal
-    (docs/decisions.md, section 9).
+    block is the action itself: row ``(n, x)`` is row n of the action of x,
+    kept in the pair's cache.  For j > 0 each x's action is read off that
+    cached (i, 0) block, and each target wedge adds its pair terms as one
+    diagonal (docs/decisions.md, section 9); the block is kept nowhere.
     """
+    if not j:
+        return _action(alg, mod, i)[0]
     d, m = alg.dim, mod.dim
     nrows, ncols = block_size(d, m, i, j + 1), block_size(d, m, i, j)
     if not (nrows and ncols):
         return SparseMatrix(nrows, ncols)
-    scale, (lie, bracket) = _integer_tables(mod.lie_pairs, alg.bracket_pairs)
-    if j == 0:
-        return _induced_action(d, m, i, scale, lie, bracket)
-    base = delta_H(alg, mod, i, 0)
+    base, scale, bracket = _action(alg, mod, i)
     f = scale // base.denominator
     c0, c1 = comb(d, j), comb(d, j + 1)
     # flat index of coordinate n of N at wedge rank 0, in the target / source
@@ -130,6 +181,9 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     return SparseMatrix.from_numerators(nrows, ncols, rows, scale)
 
 
+delta_H.cache_info, delta_H.cache_clear = _action.cache_info, _action.cache_clear
+
+
 def _induced_action(d: int, m: int, i: int, scale: int, lie, bracket) -> SparseMatrix:
     """``delta_H(i, 0)``: the Lie action of each basis element x on the
     induced module Hom(A^(x)i, M), coordinate ``n = tensor_rank * m +
@@ -162,22 +216,27 @@ def _induced_action(d: int, m: int, i: int, scale: int, lie, bracket) -> SparseM
                                         rows, scale)
 
 
-@lru_cache(maxsize=None)
 def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     """Vertical block map (i, j) -> (i+1, j), verbatim.
 
     The Hochschild coboundary in the tensor slots with the wedge slot along
     for the ride: left action of the first argument, alternating inner
     merges, and a signed right action of the last argument.  The (i, 0)
-    block is built one tensor word at a time: its head, tail and merged
-    words are read off the word's rank, the merges of each word are summed
-    once and fanned out to its m component rows, and the two actions are
-    added to those rows.  For j > 0 the block is one copy of the (i, 0)
-    block per j-wedge, index-remapped.
+    block is kept in the pair's cache; for j > 0 the block is one copy of
+    it per j-wedge, index-remapped, and is kept nowhere.
     """
-    d, m = alg.dim, mod.dim
     if j:
-        return _wedge_copies(delta_V(alg, mod, i, 0), comb(d, j), m, m)
+        return _wedge_copies(delta_V(alg, mod, i, 0), comb(alg.dim, j), mod.dim, mod.dim)
+    return _hochschild(alg, mod, i)
+
+
+@_PairCache
+def _hochschild(alg: AlgebraSpec, mod: ModuleSpec, i: int) -> SparseMatrix:
+    """``delta_V(i, 0)``, built one tensor word at a time: its head, tail
+    and merged words are read off the word's rank, the merges of each word
+    are summed once and fanned out to its m component rows, and the two
+    actions are added to those rows."""
+    d, m = alg.dim, mod.dim
     scale, (left, right, mult) = _integer_tables(mod.left_pairs, mod.right_pairs,
                                                  alg.mult_pairs)
     last_sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
@@ -207,6 +266,9 @@ def delta_V(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
                 rows[row0 + q] = row
     return SparseMatrix.from_numerators(block_size(d, m, i + 1, 0), block_size(d, m, i, 0),
                                         rows, scale)
+
+
+delta_V.cache_info, delta_V.cache_clear = _hochschild.cache_info, _hochschild.cache_clear
 
 
 def _wedge_copies(block: SparseMatrix, copies: int, m: int, n: int) -> SparseMatrix:
@@ -239,7 +301,7 @@ def _polarisation(d: int, m: int, j: int) -> SparseMatrix:
                                         rows)
 
 
-@lru_cache(maxsize=None)
+@_PairCache
 def delta_v(alg: AlgebraSpec, mod: ModuleSpec, j: int) -> SparseMatrix:
     """Corner block map (0, j) -> (2, j-1), verbatim.
 
@@ -265,14 +327,24 @@ def _require_inputs(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int)
 
 def _paste(parts, nrows: int, ncols: int) -> SparseMatrix:
     """The matrix of ``(block, row offset, column offset, sign)`` parts: every
-    entry belongs to one part, and is written once over the common denominator."""
-    den = lcm(*(block.denominator for block, *_ in parts))
+    entry belongs to one part, and is written once over the common
+    denominator.  ``parts`` may be a generator, and each block is let go
+    before the next is drawn; the rows written so far are rescaled when a
+    block's denominator does not divide theirs."""
+    den = 1
     rows: dict[int, dict[int, int]] = {}
     for block, row_off, col_off, sign in parts:
+        g = block.denominator // gcd(den, block.denominator)
+        if g > 1:
+            for row in rows.values():
+                for c in row:
+                    row[c] *= g
+            den *= g
         f = sign * (den // block.denominator)
         for r, row in block.numerators.items():
             rows.setdefault(r + row_off, {}).update(
                 {c + col_off: v * f for c, v in row.items()})
+        del block  # before the next part is built
     return SparseMatrix.from_numerators(nrows, ncols, rows, den)
 
 
@@ -293,24 +365,26 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
     themselves; the only theory-specific rule is that the corner map belongs
     to the poisson assembly alone (the quasi layout contains the same target
     block but its differential is purely bicomplex).  ``delta_H`` out of
-    tensor width i carries the sign ``(-1)**i``.
+    tensor width i carries the sign ``(-1)**i``.  Each ``j >= 1`` block is
+    built, pasted and let go before the next is built.
     """
     _require_inputs(alg, mod, theory, degree)
     src = CochainSpace.build(theory, degree, alg.dim, mod.dim)
     tgt = CochainSpace.build(theory, degree + 1, alg.dim, mod.dim)
-    parts = []  # (block, row offset, column offset, sign)
-    for i, j in src.blocks:
-        if src.block_size(i, j) == 0:
-            continue
-        col_off = src.block_offsets[i, j]
-        if (i, j + 1) in tgt.block_offsets:
-            parts.append((delta_H(alg, mod, i, j), tgt.block_offsets[i, j + 1], col_off,
-                          -1 if i % 2 else 1))
-        if (i + 1, j) in tgt.block_offsets:
-            parts.append((delta_V(alg, mod, i, j), tgt.block_offsets[i + 1, j], col_off, 1))
-        if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
-            parts.append((delta_v(alg, mod, j), tgt.block_offsets[2, j - 1], col_off, 1))
-    return _paste(parts, tgt.dim, src.dim)
+
+    def parts():  # (block, row offset, column offset, sign), built one at a time
+        for i, j in src.blocks:
+            if src.block_size(i, j) == 0:
+                continue
+            col_off = src.block_offsets[i, j]
+            if (i, j + 1) in tgt.block_offsets:
+                yield (delta_H(alg, mod, i, j), tgt.block_offsets[i, j + 1], col_off,
+                       -1 if i % 2 else 1)
+            if (i + 1, j) in tgt.block_offsets:
+                yield delta_V(alg, mod, i, j), tgt.block_offsets[i + 1, j], col_off, 1
+            if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
+                yield delta_v(alg, mod, j), tgt.block_offsets[2, j - 1], col_off, 1
+    return _paste(parts(), tgt.dim, src.dim)
 
 
 def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,

@@ -20,7 +20,8 @@ from .algebra import (
     StructuralError,
     ValidationReport,
     _apply_pairs,
-    _extension_tables,
+    _dense_table,
+    _extension_pairs,
     _freeze_table,
     _order_residuals,
     _pairs,
@@ -404,7 +405,7 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1,
                       f0) -> tuple[AlgebraSpec, ValidationReport]:
     """The square-zero extension of the algebra by a poisson module, twisted
     by a degree-2 cochain: f1 feeds tensor pairs, f0 feeds wedge pairs (the
-    tables of :func:`poiscoh.algebra._extension_tables`).
+    pairs of :func:`poiscoh.algebra._extension_pairs`).
 
     The module must be poisson-flavored.  The result must satisfy all
     Poisson axioms (which is exactly the degree-2 cocycle condition on
@@ -419,7 +420,8 @@ def extension_algebra(alg: AlgebraSpec, mod: ModuleSpec, f1,
     f1 = _freeze_table(f1, d, d, m, "f1")
     f0 = _freeze_table(f0, d, d, m, "f0")
     require_alternating(f0, 0, 2, "the wedge part f0 must be antisymmetric")
-    mult, bracket = _extension_tables(alg, mod, f1, f0)
+    mult, bracket = (_dense_table(pairs, d + m)
+                     for pairs in _extension_pairs(alg, mod, f1, f0))
     ext = AlgebraSpec.build(d + m, mult, alg.unit + (0,) * m, bracket,
                             basis=alg.basis + tuple(f"u{p}" for p in range(m)))
     return ext, _require_valid(

@@ -216,6 +216,25 @@ def test_validation_memory_does_not_grow_with_the_triples():
     assert peak < 1 << 20
 
 
+def test_module_validation_memory_does_not_grow_with_the_extension():
+    """The regular module of k^30 validates from the sparse pairs of the
+    square-zero extension, with its triples streamed: no dense table of
+    (d + m)-vectors over all (d + m)^2 cells, and no list of the 3 d^2 m
+    triples."""
+    d = 30
+    idempotent = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    alg = trivial_bracket([[idempotent[i] if i == j else (0,) * d for j in range(d)]
+                           for i in range(d)], unit=(1,) * d)
+    mod = regular_module(alg)
+    tracemalloc.start()
+    try:
+        assert validate_module(alg, mod).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_standard_poisson_from_commutator():
     alg = builtin("m2")
     again = standard_poisson(alg.mult, alg.unit, basis=alg.basis)

@@ -21,7 +21,7 @@ from poiscoh.algebra import (
     regular_module,
     trivial_bracket,
 )
-from poiscoh.cochain import CochainSpace, decode
+from poiscoh.cochain import THEORIES, CochainSpace, decode
 from poiscoh import cohomology, linalg
 from poiscoh.cohomology import (
     _weight_zero_rows,
@@ -508,6 +508,27 @@ def test_elimination_never_writes_a_shared_row():
             for j in range(1, alg.dim + 1):
                 block(alg, mod, i, j)
     assert [mat.dump_text() for mat in bases] == texts
+
+
+def test_assembly_never_writes_a_cached_row():
+    """The assembly builds each j >= 1 block from the cached (i, 0) blocks
+    and pastes every block at the common scale of the differential: every
+    cached block and corner map keeps its bytes, and the assembly reads no
+    block but these."""
+    alg = _rescaled_m2()
+    mod = regular_module(alg)
+    _clear_block_caches()
+    cached = ([delta_H(alg, mod, i, 0) for i in range(6)]
+              + [delta_V(alg, mod, i, 0) for i in range(6)]
+              + [delta_v(alg, mod, j) for j in range(1, 5)])
+    assert any(mat.denominator > 1 for mat in cached)
+    texts = [mat.dump_text() for mat in cached]
+    misses = [block.cache_info().misses for block in (delta_H, delta_V, delta_v)]
+    for theory in THEORIES:
+        for n in range(4):
+            differential(alg, mod, theory, n)
+    assert [block.cache_info().misses for block in (delta_H, delta_V, delta_v)] == misses
+    assert [mat.dump_text() for mat in cached] == texts
 
 
 def test_weight_zero_restriction_refuses_a_map_that_moves_weights():

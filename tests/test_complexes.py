@@ -501,3 +501,82 @@ def test_rescaled_differential_dump_is_pinned(name, theory, degree):
     assert mat.denominator > 1
     digest = hashlib.sha256(mat.dump_text().encode()).hexdigest()
     assert digest == RESCALED_DUMPS[name, theory, degree]
+
+
+# ---------------------------------------------------------------------------
+# What the block caches hold
+
+BLOCK_CACHES = (delta_H, delta_V, delta_v)
+
+
+def _lookups():
+    return [cache.cache_info().hits + cache.cache_info().misses for cache in BLOCK_CACHES]
+
+
+def test_block_caches_hold_one_pairs_i0_blocks():
+    """The caches keep the (i, 0) blocks of delta_H and delta_V and the
+    corner blocks of the last (algebra, module) pair asked for; the j >= 1
+    blocks are built for the differential and kept nowhere."""
+    for cache in BLOCK_CACHES:
+        cache.cache_clear()
+    alg = builtin("ut2")
+    mod = regular_module(alg)
+    d = alg.dim
+    # omega degree n is the (i, n + 2 - i) blocks, i >= 2; through n = 4
+    # the nonempty ones have i = 2 .. 6, and each reads delta_H(i, 0) and
+    # delta_V(i, 0)
+    used = {i for n in range(5) for i, j in CochainSpace.build("omega", n, d, d).blocks
+            if comb(d, j)}
+    assert used == set(range(2, 7))
+    for n in range(5):
+        differential(alg, mod, "omega", n)
+    assert [cache.cache_info().currsize for cache in BLOCK_CACHES] == [len(used), len(used), 0]
+    before = _lookups()
+
+    # sl2std poisson d^2 reads delta_H(0, 2) and delta_H(2, 0), so the (0, 0)
+    # and (2, 0) actions; delta_V(2, 0); and the corner map delta_v(2), which
+    # reads delta_V(1, 0)
+    alg = builtin("sl2std")
+    differential(alg, regular_module(alg), "poisson", 2)
+    assert [cache.cache_info().currsize for cache in BLOCK_CACHES] == [2, 2, 1]
+    assert all(now >= then for now, then in zip(_lookups(), before))
+    # the kept blocks are sl2std's: asking for them again only hits
+    misses = [cache.cache_info().misses for cache in BLOCK_CACHES]
+    mod = regular_module(alg)  # a fresh module equal by value
+    for i in (0, 2):
+        delta_H(alg, mod, i, 0)
+    for i in (1, 2):
+        delta_V(alg, mod, i, 0)
+    delta_v(alg, mod, 2)
+    assert [cache.cache_info().misses for cache in BLOCK_CACHES] == misses
+    assert all(cache.cache_info().maxsize is None for cache in BLOCK_CACHES)
+
+
+def test_direct_j_blocks_are_built_from_the_cached_i0_block():
+    """delta_H(i, j) and delta_V(i, j) for j >= 1 are built from the cached
+    (i, 0) block: one lookup of it each, and nothing more kept."""
+    for cache in BLOCK_CACHES:
+        cache.cache_clear()
+    alg = builtin("m2")
+    mod = regular_module(alg)
+    first = delta_H(alg, mod, 1, 2), delta_V(alg, mod, 1, 2)
+    assert [cache.cache_info()[:2] for cache in BLOCK_CACHES] == [(0, 1), (0, 1), (0, 0)]
+    assert (delta_H(alg, mod, 1, 2), delta_V(alg, mod, 1, 2)) == first
+    assert [cache.cache_info() for cache in BLOCK_CACHES] == [(1, 1, None, 1)] * 2 + [
+        (0, 0, None, 0)]
+
+
+def test_clearing_one_block_cache_keeps_the_others():
+    """cache_clear drops one cache's values and counts, as lru_cache's does;
+    the other caches keep theirs for the same pair."""
+    for cache in BLOCK_CACHES:
+        cache.cache_clear()
+    alg = builtin("m2")
+    mod = regular_module(alg)
+    differential(alg, mod, "poisson", 2)
+    kept = [cache.cache_info() for cache in BLOCK_CACHES]
+    delta_H.cache_clear()
+    assert [cache.cache_info() for cache in BLOCK_CACHES] == [(0, 0, None, 0)] + kept[1:]
+    delta_V(alg, mod, 1, 0)
+    assert delta_V.cache_info() == kept[1]._replace(hits=kept[1].hits + 1)
+    assert delta_v.cache_info() == kept[2]
