@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -105,9 +106,10 @@ def _pairs(table) -> tuple:
     return tuple(tuple(_sparse(vec) for vec in row) for row in table)
 
 
-def _add_pairs(acc: list, pairs, u, v, sign: int = 1) -> None:
+def _add_pairs(acc, pairs, u, v, sign: int = 1) -> None:
     """``acc += sign * P(u, v)`` in place, for the bilinear map P whose sparse
-    structure constants are ``pairs``, on sparse vectors ``u`` and ``v``."""
+    structure constants are ``pairs``, on sparse vectors ``u`` and ``v``;
+    ``acc`` is a list or a ``defaultdict(int)`` indexed by coordinate."""
     for i, x in u:
         row = pairs[i]
         for j, y in v:
@@ -157,19 +159,23 @@ def _order_residuals(mult_pairs, bracket_pairs, n: int, splittings=None,
     splits = [split for split in splits if None not in split]
     basis = [((i, 1),) for i in range(d)]
     out = ({}, {}, {})
+    # the touched cells of each residual, emptied after every triple
+    sums = r1, r2, r3 = defaultdict(int), defaultdict(int), defaultdict(int)
     for a, b, c in triples:
-        r1, r2, r3 = [0] * d, [0] * d, [0] * d
         for (mp, lp), (mq, lq) in splits:
             _add_pairs(r1, mp, mq[a][b], basis[c])
             _add_pairs(r1, mp, basis[a], mq[b][c], -1)
             _add_pairs(r2, lp, mq[a][b], basis[c])
             _add_pairs(r2, mp, basis[a], lq[b][c], -1)
             _add_pairs(r2, mp, lq[a][c], basis[b], -1)
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                _add_pairs(r3, lp, lq[x][y], basis[z])
-        for f, r in zip(out, (r1, r2, r3)):
-            if any(r):
-                f[a, b, c] = tuple(r)
+            _add_pairs(r3, lp, lq[a][b], basis[c])
+            _add_pairs(r3, lp, lq[b][c], basis[a])
+            _add_pairs(r3, lp, lq[c][a], basis[b])
+        if r1 or r2 or r3:
+            for f, r in zip(out, sums):
+                if any(r.values()):
+                    f[a, b, c] = tuple([r.get(k, 0) for k in range(d)])
+                r.clear()
     return out
 
 
@@ -480,7 +486,8 @@ def validate_module(alg: AlgebraSpec, mod: ModuleSpec) -> ValidationReport:
     # u last, first and in the middle, streamed: only nonzero cells are kept
     residuals = _order_residuals((mult,), (bracket,), 0, triples=itertools.chain(
         abu(), ((u, a, b) for a, b, u in abu()), ((a, u, b) for a, b, u in abu())))
-    for i, j, u in abu():
+    # only stored (nonzero) residuals can be violations: with none, skip the scan
+    for i, j, u in abu() if any(residuals) else ():
         at = {"a": i, "b": j, "u": u}
         for axiom, f, cell, sign in cells:
             residual = residuals[f].get(tuple(at[c] for c in cell), ())[d:]

@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .algebra import (
@@ -476,7 +477,10 @@ def _verb(subs, func, summary: str):
     return sub
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: parsing reads it
+    and never changes it."""
     parser = argparse.ArgumentParser(
         prog="poiscoh",
         description="Exact cohomology and deformation computations for "

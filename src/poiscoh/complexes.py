@@ -25,7 +25,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import update_wrapper
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .algebra import (AlgebraSpec, ModuleSpec, StructuralError, regular_module,
                       require_module_over, separability_idempotent)
@@ -130,9 +130,9 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
 
     At j = 0 the wedge is one letter x and there are no pair terms, so the
     block is the action itself: row ``(n, x)`` is row n of the action of x,
-    kept in the pair's cache.  For j > 0 each x's action is read off that
-    cached (i, 0) block, and each target wedge adds its pair terms as one
-    diagonal (docs/decisions.md, section 9); the block is kept nowhere.
+    kept in the pair's cache.  For j > 0 the block is written by
+    :func:`_write_horizontal` from that cached (i, 0) block and is kept
+    nowhere.
     """
     if not j:
         return _action(alg, mod, i)[0]
@@ -140,17 +140,29 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
     nrows, ncols = block_size(d, m, i, j + 1), block_size(d, m, i, j)
     if not (nrows and ncols):
         return SparseMatrix(nrows, ncols)
-    base, scale, bracket = _action(alg, mod, i)
-    f = scale // base.denominator
+    action = _action(alg, mod, i)
+    rows: dict[int, dict[int, int]] = {}
+    _write_horizontal(rows, action, d, m, i, j, 0, 0, 1)
+    return SparseMatrix.from_numerators(nrows, ncols, rows, action[1])
+
+
+def _write_horizontal(rows: dict, action: tuple, d: int, m: int, i: int, j: int,
+                      row_off: int, col_off: int, f: int) -> None:
+    """Write ``f`` times the numerators of ``delta_H(i, j)``, j > 0, over the
+    scale of ``action = _action(alg, mod, i)``, into ``rows`` at the given
+    offsets.  Each x's action is read off the cached (i, 0) block, and each
+    target wedge adds its pair terms as one diagonal (docs/decisions.md,
+    section 9)."""
+    base, scale, bracket = action
+    g = f * (scale // base.denominator)
     c0, c1 = comb(d, j), comb(d, j + 1)
     # flat index of coordinate n of N at wedge rank 0, in the target / source
     span = range(block_size(d, m, i, 0))
-    row_at = [(n - n % m) * c1 + n % m for n in span]
-    col_at = [(n - n % m) * c0 + n % m for n in span]
-    # row (n, x) of the (i, 0) block, at source wedge rank 0 and at scale
-    action = {r: [(col_at[c], v * f) for c, v in row.items()]
+    row_at = [(n - n % m) * c1 + n % m + row_off for n in span]
+    col_at = [(n - n % m) * c0 + n % m + col_off for n in span]
+    # row (n, x) of the (i, 0) block, at source wedge rank 0 and at f times scale
+    action = {r: [(col_at[c], v * g) for c, v in row.items()]
               for r, row in base.numerators.items()}
-    rows = {}
     for wrank, wedge in enumerate(itertools.combinations(range(d), j + 1)):
         row_w = wrank * m
         terms = [(x * m, -1 if l_pos % 2 else 1,
@@ -165,20 +177,23 @@ def delta_H(alg: AlgebraSpec, mod: ModuleSpec, i: int, j: int) -> SparseMatrix:
                 if wsgn:
                     col_w = wedge_rank(word, d) * m
                     diagonal[col_w] = diagonal.get(col_w, 0) + sgn * wsgn * c
-        diagonal = [(col_w, c) for col_w, c in diagonal.items() if c]
+        diagonal = [(col_w, c * f) for col_w, c in diagonal.items() if c]
         for n in span:
             q = n % m
             cell = (n - q) * d + q  # row (n, x) of the (i, 0) block is cell + x * m
-            row = {}
+            key = row_at[n] + row_w
+            row = rows.get(key)
+            fresh = row is None
+            if fresh:
+                row = {}
             # the omitted letters differ, so the terms fill disjoint columns
             for x_m, sgn, col_w in terms:
                 for c, v in action.get(cell + x_m, ()):
                     row[c + col_w] = sgn * v
             for col_w, c in diagonal:
                 _add(row, col_at[n] + col_w, c)
-            if row:
-                rows[row_at[n] + row_w] = row
-    return SparseMatrix.from_numerators(nrows, ncols, rows, scale)
+            if fresh and row:
+                rows[key] = row
 
 
 delta_H.cache_info, delta_H.cache_clear = _action.cache_info, _action.cache_clear
@@ -273,16 +288,44 @@ delta_V.cache_info, delta_V.cache_clear = _hochschild.cache_info, _hochschild.ca
 
 def _wedge_copies(block: SparseMatrix, copies: int, m: int, n: int) -> SparseMatrix:
     """A map on tensor-word cells with a wedge spectator: one copy of
-    ``block`` per wedge word, at ``(cell * copies + wedge) * width + component``,
-    where a cell is m components wide on the row side and n on the column side."""
-    rows = {}
-    for r, row in block.numerators.items():
-        r0 = (r - r % m) * copies + r % m
-        shifted = [((c - c % n) * copies + c % n, v) for c, v in row.items()]
-        for wr, wc in zip(range(0, copies * m, m), range(0, copies * n, n)):
-            rows[r0 + wr] = {c0 + wc: v for c0, v in shifted}
+    ``block`` per wedge word (see :func:`_write_copies`)."""
+    rows: dict[int, dict[int, int]] = {}
+    _write_copies(rows, block, copies, m, n, 0, 0, 1)
     return SparseMatrix.from_numerators(block.nrows * copies, block.ncols * copies, rows,
                                         block.denominator)
+
+
+def _write_copies(rows: dict, block: SparseMatrix, copies: int, m: int, n: int,
+                  row_off: int, col_off: int, f: int) -> None:
+    """Write ``f`` times the numerators of one copy of ``block`` per wedge
+    word into ``rows`` at the given offsets: entry ``(r, c)`` of copy w at
+    ``(cell * copies + w) * width + component``, where a cell is m
+    components wide on the row side and n on the column side."""
+    get = rows.get
+    for r, row in block.numerators.items():
+        r0 = (r - r % m) * copies + r % m + row_off
+        shifted = []
+        for c, v in row.items():
+            shifted.append(((c - c % n) * copies + c % n + col_off, v * f))
+        for wr, wc in zip(range(r0, r0 + copies * m, m), range(0, copies * n, n)):
+            out = get(wr)
+            if out is None:
+                out = rows[wr] = {}
+            for c, v in shifted:
+                out[c + wc] = v
+
+
+def _write(rows: dict, block: SparseMatrix, row_off: int, col_off: int, f: int) -> None:
+    """Write ``f`` times the numerators of ``block`` into ``rows`` at the
+    given offsets."""
+    get = rows.get
+    for r, row in block.numerators.items():
+        r += row_off
+        out = get(r)
+        if out is None:
+            out = rows[r] = {}
+        for c, v in row.items():
+            out[c + col_off] = v * f
 
 
 def _polarisation(d: int, m: int, j: int) -> SparseMatrix:
@@ -325,26 +368,21 @@ def _require_inputs(alg: AlgebraSpec, mod: ModuleSpec, theory: str, degree: int)
         raise StructuralError(f"the {theory} theory needs a poisson-flavored module")
 
 
+def _block_part(block: SparseMatrix, row_off: int, col_off: int, sign: int = 1) -> tuple:
+    """The :func:`_paste` part of a built block, at the given offsets."""
+    return block.denominator, sign, _write, (block, row_off, col_off)
+
+
 def _paste(parts, nrows: int, ncols: int) -> SparseMatrix:
-    """The matrix of ``(block, row offset, column offset, sign)`` parts: every
-    entry belongs to one part, and is written once over the common
-    denominator.  ``parts`` may be a generator, and each block is let go
-    before the next is drawn; the rows written so far are rescaled when a
-    block's denominator does not divide theirs."""
-    den = 1
+    """The matrix of ``(denominator, sign, writer, arguments)`` parts: the
+    common denominator, the lcm of the parts', is fixed first, then each
+    writer writes its entries once, ``writer(rows, *arguments, factor)``,
+    at sign times the factor that brings its denominator to the common one.
+    Every entry belongs to one part."""
+    den = lcm(*(part[0] for part in parts))
     rows: dict[int, dict[int, int]] = {}
-    for block, row_off, col_off, sign in parts:
-        g = block.denominator // gcd(den, block.denominator)
-        if g > 1:
-            for row in rows.values():
-                for c in row:
-                    row[c] *= g
-            den *= g
-        f = sign * (den // block.denominator)
-        for r, row in block.numerators.items():
-            rows.setdefault(r + row_off, {}).update(
-                {c + col_off: v * f for c, v in row.items()})
-        del block  # before the next part is built
+    for part_den, sign, writer, args in parts:
+        writer(rows, *args, sign * (den // part_den))
     return SparseMatrix.from_numerators(nrows, ncols, rows, den)
 
 
@@ -365,26 +403,39 @@ def differential(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
     themselves; the only theory-specific rule is that the corner map belongs
     to the poisson assembly alone (the quasi layout contains the same target
     block but its differential is purely bicomplex).  ``delta_H`` out of
-    tensor width i carries the sign ``(-1)**i``.  Each ``j >= 1`` block is
-    built, pasted and let go before the next is built.
+    tensor width i carries the sign ``(-1)**i``.  The cached (i, 0) blocks
+    and corner maps are copied in; each ``j >= 1`` block is written straight
+    into the assembled rows from its cached (i, 0) block, and is never built
+    on its own (docs/decisions.md, section 13).
     """
     _require_inputs(alg, mod, theory, degree)
-    src = CochainSpace.build(theory, degree, alg.dim, mod.dim)
-    tgt = CochainSpace.build(theory, degree + 1, alg.dim, mod.dim)
-
-    def parts():  # (block, row offset, column offset, sign), built one at a time
-        for i, j in src.blocks:
-            if src.block_size(i, j) == 0:
-                continue
-            col_off = src.block_offsets[i, j]
-            if (i, j + 1) in tgt.block_offsets:
-                yield (delta_H(alg, mod, i, j), tgt.block_offsets[i, j + 1], col_off,
-                       -1 if i % 2 else 1)
-            if (i + 1, j) in tgt.block_offsets:
-                yield delta_V(alg, mod, i, j), tgt.block_offsets[i + 1, j], col_off, 1
-            if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
-                yield delta_v(alg, mod, j), tgt.block_offsets[2, j - 1], col_off, 1
-    return _paste(parts(), tgt.dim, src.dim)
+    d, m = alg.dim, mod.dim
+    src = CochainSpace.build(theory, degree, d, m)
+    tgt = CochainSpace.build(theory, degree + 1, d, m)
+    parts = []
+    for i, j in src.blocks:
+        if src.block_size(i, j) == 0:
+            continue
+        col_off = src.block_offsets[i, j]
+        if (i, j + 1) in tgt.block_offsets and tgt.block_size(i, j + 1):
+            row_off, sign = tgt.block_offsets[i, j + 1], -1 if i % 2 else 1
+            if not j:
+                parts.append(_block_part(delta_H(alg, mod, i, 0), row_off, col_off, sign))
+            else:
+                action = _action(alg, mod, i)
+                parts.append((action[1], sign, _write_horizontal,
+                              (action, d, m, i, j, row_off, col_off)))
+        if (i + 1, j) in tgt.block_offsets:
+            row_off, block = tgt.block_offsets[i + 1, j], delta_V(alg, mod, i, 0)
+            if not j:
+                parts.append(_block_part(block, row_off, col_off))
+            else:
+                parts.append((block.denominator, 1, _write_copies,
+                              (block, comb(d, j), m, m, row_off, col_off)))
+        if theory == "poisson" and i == 0 and j >= 1 and (2, j - 1) in tgt.block_offsets:
+            parts.append(_block_part(delta_v(alg, mod, j), tgt.block_offsets[2, j - 1],
+                                     col_off))
+    return _paste(parts, tgt.dim, src.dim)
 
 
 def build_complex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
@@ -438,12 +489,12 @@ def separable_subcomplex(alg: AlgebraSpec, mod: ModuleSpec, theory: str,
     for n in range(max_degree + 1):
         j = n - 2 if poisson else n  # wedge width of the Z part of degree n
         head = (block_size(d, m, 0, n), block_size(d, m, 0, n + 1)) if poisson else (0, 0)
-        parts = [(delta_H(alg, mod, 0, n), 0, 0, 1)] if poisson else []
+        parts = [_block_part(delta_H(alg, mod, 0, n), 0, 0)] if poisson else []
         if poisson and n:
-            parts.append((into_z(n - 1, delta_v(alg, mod, n)), head[1], 0, 1))
+            parts.append(_block_part(into_z(n - 1, delta_v(alg, mod, n)), head[1], 0))
         if j >= 0:
             lifted = delta_H(alg, mod, 2, j).matmul(_wedge_copies(embed, comb(d, j), m, z))
-            parts.append((into_z(j + 1, lifted), head[1], head[0], 1))
+            parts.append(_block_part(into_z(j + 1, lifted), head[1], head[0]))
         mats.append(_paste(parts, head[1] + width(j + 1), head[0] + width(j)))
     return _require_complex(mats, f"separable {theory} subcomplex")
 

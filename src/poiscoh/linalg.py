@@ -205,22 +205,36 @@ class SparseMatrix:
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         """The exact product: numerators multiplied one row at a time,
-        denominators multiplied, then one reduction to canonical form."""
+        denominators multiplied, then one reduction to canonical form.  A
+        row's sums start as the first row of ``other`` it reaches, scaled;
+        a row whose sums all cancel is dropped before it is filtered."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
         rows: dict[int, dict[int, int]] = {}
         brows = other._rows
         for r, arow in self._rows.items():
             acc: dict[int, int] = {}
+            items = iter(arow.items())
+            for c, v in items:
+                brow = brows.get(c)
+                if brow:
+                    for k, w in brow.items():
+                        acc[k] = v * w
+                    break
+            else:
+                continue  # the row reaches no stored row of other
             get = acc.get
-            for c, v in arow.items():
+            for c, v in items:
                 brow = brows.get(c)
                 if brow:
                     for k, w in brow.items():
                         acc[k] = get(k, 0) + v * w
-            row = {k: v for k, v in acc.items() if v}
-            if row:
-                rows[r] = row
+            sums = acc.values()
+            if 0 in sums:  # some sums cancelled
+                if not any(sums):
+                    continue
+                acc = {k: v for k, v in acc.items() if v}
+            rows[r] = acc
         return SparseMatrix.from_numerators(self.nrows, other.ncols, rows,
                                             self._den * other._den)
 

@@ -344,6 +344,22 @@ def test_dump_series_requires_a_series_source():
 # exit codes, streams, environment
 
 
+def test_one_parser_serves_every_call(capsys):
+    """main builds its parser once per process; a usage error on it leaves
+    the next call's output, exit code and streams as a first call's."""
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, "dump", "--what", "algebra", "--algebra", "builtin:ut2")
+    for argv, message in ((["dump", "--what", "series"], "needs --series"),
+                          (["cohomology", "--algebra", "builtin:ut2", "--max-degree", "-1"],
+                           "--max-degree")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "usage: poiscoh" in err and message in err
+    assert run(capsys, "dump", "--what", "algebra", "--algebra", "builtin:ut2") == first
+    assert cli.build_parser.cache_info().currsize == 1
+
+
 def test_usage_errors_exit_2():
     for argv in (
         [],                                         # verb required

@@ -138,6 +138,25 @@ def test_matmul_stores_nothing_when_every_sum_cancels():
     assert prod.entries == {} and prod.is_zero
 
 
+def test_matmul_rows_start_from_the_first_row_they_reach():
+    """Each row's sums start as the first row of b it reaches, scaled: a
+    row whose sums all cancel is followed by one that reaches the same rows
+    of b, one row reaches only an empty row of b, and one cancels in one
+    column only.  The product is stored in canonical form."""
+    b = SparseMatrix.from_dense([[2, -1, 0], [4, -2, 0], [0, 0, 0], [0, 5, 3]])
+    a = SparseMatrix.from_dense([
+        [Fraction(3, 2), 0, 0, 2],  # 3/2 b0 + 2 b3
+        [2, -1, 0, 0],  # 2 b0 - b1 = 0
+        [5, 3, 0, 0],  # the same rows of b again
+        [0, 0, 7, 0],  # only the empty row of b
+        [-2, 1, 0, -1],  # column 0 cancels
+    ])
+    prod = a.matmul(b)
+    assert prod == SparseMatrix.from_dense(
+        [[3, Fraction(17, 2), 6], [0, 0, 0], [22, -11, 0], [0, 0, 0], [0, -5, -3]])
+    assert sorted(prod.numerators) == [0, 2, 4]
+
+
 def test_dump_text_format():
     mat = SparseMatrix.from_dense([[Fraction(1, 2), 0], [0, -2]])
     lines = mat.dump_text().splitlines()
