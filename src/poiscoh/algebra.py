@@ -14,7 +14,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 from .linalg import SparseMatrix, solve
@@ -200,14 +200,6 @@ class AlgebraSpec:
         if len(self.basis) != self.dim or len(set(self.basis)) != self.dim:
             raise StructuralError("basis names must be distinct and match dim")
 
-    # every block-cache lookup hashes its spec, so the fields are hashed once
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.dim, self.basis, self.unit, self.mult, self.bracket))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @staticmethod
     def build(dim, mult, unit, bracket, basis=None) -> "AlgebraSpec":
         basis = tuple(basis) if basis is not None else tuple(f"b{i}" for i in range(dim))
@@ -275,13 +267,6 @@ class ModuleSpec:
             raise StructuralError("module and algebra dimensions must be positive")
         if self.flavor not in ("poisson", "quasi"):
             raise StructuralError(f"unknown module flavor {self.flavor!r}")
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.dim, self.algebra_dim, self.left, self.right, self.lie, self.flavor))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def build(dim, algebra_dim, left, right, lie, flavor="poisson") -> "ModuleSpec":
@@ -669,17 +654,14 @@ BUILTINS: dict[str, tuple[str, Callable[[], AlgebraSpec]]] = {
     "nil3": ("K[x,y]/(x,y)^2 with {x,y} = x; commutative local, nonzero bracket", _build_nil3),
 }
 
-_builtin_cache: dict[str, AlgebraSpec] = {}
 
-
+@cache
 def builtin(name: str) -> AlgebraSpec:
-    """Look up a built-in algebra by registry name."""
+    """Look up a built-in algebra by registry name; each is built once."""
     if name not in BUILTINS:
         raise StructuralError(
             f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}")
-    if name not in _builtin_cache:
-        _builtin_cache[name] = BUILTINS[name][1]()
-    return _builtin_cache[name]
+    return BUILTINS[name][1]()
 
 
 # ---------------------------------------------------------------------------

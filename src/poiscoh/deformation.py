@@ -303,30 +303,21 @@ def lift_step(series: DeformationSeries, d2: SparseMatrix, *, validate: bool = T
 
     ``d2`` is ``differential(alg, regular_module(alg), "poisson", 2)`` of
     the series' algebra; the caller assembles it, so that a loop over
-    orders assembles it once.  The new order n is checked from its own
-    residual: the inner splittings that gave the obstruction F, plus the
-    two outer ones p = 0 and p = n that read (m_n, l_n), are the whole
-    order-n residual (docs/decisions.md, section 8).  A cell that does not
-    vanish raises :class:`ArithmeticError`.  Lower orders are checked only
-    by ``validate``.
+    orders assembles it once.  The new order n is checked as
+    :func:`verify_deformation` checks it, by the full order-n residual,
+    not by the obstruction solved for (docs/decisions.md, section 8); a
+    surviving cell raises :class:`ArithmeticError`.  Lower orders are
+    checked only by ``validate``.
     """
     alg = series.algebra
     n = series.order + 1
-    inner = obstruction_tables(series, n, validate=validate)
-    target = encode_obstruction(alg, *inner)
+    target = encode_obstruction(alg, *obstruction_tables(series, n, validate=validate))
     sol = solve(d2, target)
     if sol is None:
         return None
-    m_n, l_n = decode_pair(alg, sol)
-    lifted = series.extended(m_n, l_n)
-    outer = _order_residuals(lifted.mult_pairs, lifted.bracket_pairs, n, (0, n))
-    zero = (0,) * alg.dim
-    # every cell, not just those of the sparse outer: inner alone may not vanish
-    for f_inner, f_outer in zip(inner, outer):
-        for a, b, c in itertools.product(range(alg.dim), repeat=3):
-            vec = f_outer.get((a, b, c), zero)
-            if any(x + y for x, y in zip(f_inner[a][b][c], vec)):
-                raise ArithmeticError(f"lifted series fails the axioms at order {n}")
+    lifted = series.extended(*decode_pair(alg, sol))
+    if any(_order_residuals(lifted.mult_pairs, lifted.bracket_pairs, n)):
+        raise ArithmeticError(f"lifted series fails the axioms at order {n}")
     return lifted
 
 

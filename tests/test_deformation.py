@@ -412,8 +412,9 @@ def _split_residuals(series, n):
 
 
 def test_inner_and_outer_splittings_make_the_full_residual():
-    """The order-n check of :func:`lift_step` reads the inner residuals it
-    solved for plus p in {0, n}: together the full order-n residual."""
+    """The kernel's splittings add up: the inner ones 1..n-1 plus p in
+    {0, n} give the full order-n residual.  :func:`lift_step` no longer
+    relies on this; it checks each order with the full residual."""
     lifted, _ = lift_until(m2_table3_series(1, repaired=True).truncated(1), 8)
     for series in (lifted, *random_partials("ut2"), *random_partials("trivial2")):
         for n in range(1, 9):
@@ -468,10 +469,26 @@ def test_a_wrong_order_fails_its_own_check(monkeypatch):
     with pytest.raises(ArithmeticError, match="at order 2"):
         lift_step(series, _d2(alg))
 
-    # a zero continuation leaves every outer cell zero: only the cells where
-    # the inner residual alone is nonzero can fail
+    # a zero continuation fails wherever the obstruction alone is nonzero
     monkeypatch.setattr(poiscoh.deformation, "decode_pair",
                         lambda base, coeffs: (_zero_table(base.dim),) * 2)
+    with pytest.raises(ArithmeticError, match="at order 2"):
+        lift_step(series, _d2(alg))
+
+
+def test_a_wrong_obstruction_fails_the_order_check(monkeypatch):
+    """The order check does not trust the obstruction it solved for: with
+    zero tables in place of the nonzero order-2 obstruction of the sl2std
+    semiclassical series, the zero continuation solves them and the full
+    order-2 residual catches it."""
+    alg = builtin("sl2std")
+    m1, l1 = quantization_first_order(alg)
+    series = DeformationSeries.build(alg, (alg.mult, m1), (alg.bracket, l1))
+    assert any(any(vec) for f in obstruction_tables(series, 2)
+               for plane in f for row in plane for vec in row)
+    zero = (_zero_table(alg.dim),) * alg.dim  # d x d x d of d-vectors
+    monkeypatch.setattr(poiscoh.deformation, "obstruction_tables",
+                        lambda *args, **kwargs: (zero, zero, zero))
     with pytest.raises(ArithmeticError, match="at order 2"):
         lift_step(series, _d2(alg))
 
