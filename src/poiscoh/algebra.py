@@ -129,7 +129,7 @@ def _order_residuals(mult_pairs, bracket_pairs, n: int, splittings=None,
     at basis triples (a, b, c) of the series ``m = sum m_p t^p``,
     ``l = sum l_p t^p``, given by the sparse pairs (:func:`_pairs`) of its
     terms (missing terms read as zero), summed over the splittings
-    p + q = n with p in ``splittings`` (distinct; all of 0..n by default):
+    p + q = n with p in ``splittings`` (a container; all of 0..n by default):
 
         F1 = m_p(m_q(a, b), c) - m_p(a, m_q(b, c))
         F2 = l_p(m_q(a, b), c) - m_p(a, l_q(b, c)) - m_p(l_q(a, c), b)
@@ -140,8 +140,8 @@ def _order_residuals(mult_pairs, bracket_pairs, n: int, splittings=None,
     default).  At order 0 these are the Poisson axioms of ``(m_0, l_0)``
     themselves.  The splittings ``range(1, n)`` leave the part built from
     terms 1..n-1 alone: the order-n obstruction; ``(0, n)`` are the two
-    that read the order-n terms.  A splitting is skipped when one side's
-    mult and bracket terms are both zero: every product in it would vanish.
+    that read the order-n terms.  Only the p with p and n - p inside the
+    longer series are tried, in ascending order, skipping any with a zero side.
     """
     d = len(mult_pairs[0])
     zero = (((),) * d,) * d  # the sparse pairs of the zero table
@@ -151,11 +151,11 @@ def _order_residuals(mult_pairs, bracket_pairs, n: int, splittings=None,
                   for pairs in (mult_pairs, bracket_pairs))
         return (mk, lk) if mk != zero or lk != zero else None
 
-    if splittings is None:
-        splittings = range(n + 1)
     if triples is None:
         triples = itertools.product(range(d), repeat=3)
-    splits = [(side(p), side(n - p)) for p in splittings]
+    w = max(len(mult_pairs), len(bracket_pairs))
+    splits = [(side(p), side(n - p)) for p in range(max(0, n - w + 1), min(n, w - 1) + 1)
+              if splittings is None or p in splittings]
     splits = [split for split in splits if None not in split]
     basis = [((i, 1),) for i in range(d)]
     out = ({}, {}, {})

@@ -76,7 +76,7 @@ def _weight_zero_rows(matrix: SparseMatrix, row_weights, col_weights) -> SparseM
     if not any(row_weights) and not any(col_weights):
         return matrix
     rows = {}
-    for r, row in matrix.numerators.items():
+    for r, row in matrix._rows.items():
         w = row_weights[r]
         if any(col_weights[c] != w for c in row):
             raise ArithmeticError(f"the differential moves the weight of row {r}")
@@ -94,7 +94,7 @@ def _representatives(free: list[tuple[int, dict[int, int]]],
     (docs/decisions.md, section 10).  Without an image, every vector."""
     if image_matrix is None:
         return [vec for _, vec in free]
-    rows, reducer = image_matrix.numerators, RowReducer(image_matrix.ncols)
+    rows, reducer = image_matrix._rows, RowReducer(image_matrix.ncols)
     return [vec for f, vec in reversed(free) if not reducer.add(rows.get(f, {}))][::-1]
 
 

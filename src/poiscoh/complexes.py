@@ -162,7 +162,7 @@ def _write_horizontal(rows: dict, action: tuple, d: int, m: int, i: int, j: int,
     col_at = [(n - n % m) * c0 + n % m + col_off for n in span]
     # row (n, x) of the (i, 0) block, at source wedge rank 0 and at f times scale
     action = {r: [(col_at[c], v * g) for c, v in row.items()]
-              for r, row in base.numerators.items()}
+              for r, row in base._rows.items()}
     for wrank, wedge in enumerate(itertools.combinations(range(d), j + 1)):
         row_w = wrank * m
         terms = [(x * m, -1 if l_pos % 2 else 1,
@@ -302,7 +302,7 @@ def _write_copies(rows: dict, block: SparseMatrix, copies: int, m: int, n: int,
     ``(cell * copies + w) * width + component``, where a cell is m
     components wide on the row side and n on the column side."""
     get = rows.get
-    for r, row in block.numerators.items():
+    for r, row in block._rows.items():
         r0 = (r - r % m) * copies + r % m + row_off
         shifted = []
         for c, v in row.items():
@@ -319,7 +319,7 @@ def _write(rows: dict, block: SparseMatrix, row_off: int, col_off: int, f: int) 
     """Write ``f`` times the numerators of ``block`` into ``rows`` at the
     given offsets."""
     get = rows.get
-    for r, row in block.numerators.items():
+    for r, row in block._rows.items():
         r += row_off
         out = get(r)
         if out is None:

@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 Scalar = int | Fraction
 
@@ -72,10 +71,10 @@ class SparseMatrix:
     numerator}}`` over one positive denominator.  Zero numerators and empty
     rows are never stored, and the denominator is the smallest one that
     makes every entry an integer, so equal matrices store equal pairs.
-    ``entries``, indexing, ``triples`` and the other accessors show the
-    rational values."""
+    The accessors show the rational values or fresh copies, never a live
+    row, and the shape is read-only."""
 
-    __slots__ = ("nrows", "ncols", "_rows", "_den")
+    __slots__ = ("_nrows", "_ncols", "_rows", "_den")
 
     def __init__(self, nrows: int, ncols: int, entries=()):
         """The matrix with exact ``entries`` (a ``{(row, col): value}``
@@ -84,8 +83,7 @@ class SparseMatrix:
         is built."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.nrows = nrows
-        self.ncols = ncols
+        self._nrows, self._ncols = nrows, ncols
         sums: dict[tuple[int, int], Scalar] = {}
         for (r, c), v in entries.items() if isinstance(entries, dict) else entries:
             self._check_index(r, c)
@@ -135,21 +133,22 @@ class SparseMatrix:
         return _ratio(self._rows.get(r, {}).get(c, 0), self._den)
 
     def _check_index(self, r, c):
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError(f"entry ({r}, {c}) outside {self.nrows} x {self.ncols}")
+        if not (0 <= r < self._nrows and 0 <= c < self._ncols):
+            raise IndexError(f"entry ({r}, {c}) outside {self._nrows} x {self._ncols}")
 
     @property
-    def entries(self) -> Mapping[tuple[int, int], Scalar]:
-        """Read-only view of the nonzero entries as rationals, keyed by
-        ``(row, col)`` (built on each call)."""
-        return MappingProxyType({(r, c): _ratio(v, self._den)
-                                 for r, row in self._rows.items() for c, v in row.items()})
+    def nrows(self) -> int:
+        return self._nrows
 
     @property
-    def numerators(self) -> Mapping[int, dict[int, int]]:
-        """Read-only view of the nonzero numerator rows; the row dicts are
-        the live ones and must not be modified."""
-        return MappingProxyType(self._rows)
+    def ncols(self) -> int:
+        return self._ncols
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Scalar]:
+        """The nonzero entries as rationals, in a fresh ``{(row, col): value}`` dict."""
+        return {(r, c): _ratio(v, self._den)
+                for r, row in self._rows.items() for c, v in row.items()}
 
     @property
     def denominator(self) -> int:
@@ -165,20 +164,20 @@ class SparseMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
-                and self.nrows == other.nrows
-                and self.ncols == other.ncols
+                and self._nrows == other._nrows
+                and self._ncols == other._ncols
                 and self._den == other._den
                 and self._rows == other._rows)
 
     def __repr__(self):
-        return f"<SparseMatrix {self.nrows}x{self.ncols}, {self.nnz} nonzero>"
+        return f"<SparseMatrix {self._nrows}x{self._ncols}, {self.nnz} nonzero>"
 
     def triples(self) -> list[tuple[int, int, Scalar]]:
         return [(r, c, _ratio(row[c], self._den))
                 for r, row in sorted(self._rows.items()) for c in sorted(row)]
 
     def to_dense(self) -> list[list[Scalar]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
+        out = [[0] * self._ncols for _ in range(self._nrows)]
         for r, c, v in self.triples():
             out[r][c] = v
         return out
@@ -191,8 +190,8 @@ class SparseMatrix:
 
     def matvec(self, vec) -> tuple:
         """The product with a dense or sparse vector (see :func:`_exact_vector`)."""
-        get = _exact_vector(vec, self.ncols).get
-        acc = [0] * self.nrows
+        get = _exact_vector(vec, self._ncols).get
+        acc = [0] * self._nrows
         for r, row in self._rows.items():
             for c, v in row.items():
                 x = get(c)
@@ -208,7 +207,7 @@ class SparseMatrix:
         denominators multiplied, then one reduction to canonical form.  A
         row's sums start as the first row of ``other`` it reaches, scaled;
         a row whose sums all cancel is dropped before it is filtered."""
-        if self.ncols != other.nrows:
+        if self._ncols != other._nrows:
             raise ValueError("inner dimensions do not match")
         rows: dict[int, dict[int, int]] = {}
         brows = other._rows
@@ -235,18 +234,18 @@ class SparseMatrix:
                     continue
                 acc = {k: v for k, v in acc.items() if v}
             rows[r] = acc
-        return SparseMatrix.from_numerators(self.nrows, other.ncols, rows,
+        return SparseMatrix.from_numerators(self._nrows, other._ncols, rows,
                                             self._den * other._den)
 
     def scaled_integer_copy(self) -> "SparseMatrix":
         """The numerator matrix (this one times its denominator): same rank,
         same kernel, integer entries."""
-        return SparseMatrix.from_numerators(self.nrows, self.ncols, self.numerator_rows())
+        return SparseMatrix.from_numerators(self._nrows, self._ncols, self.numerator_rows())
 
     def dump_text(self) -> str:
         """Stable text form: header ``nrows ncols nnz`` then one ``r c value``
         line per nonzero, sorted by (row, col)."""
-        return "".join([f"{self.nrows} {self.ncols} {self.nnz}\n",
+        return "".join([f"{self._nrows} {self._ncols} {self.nnz}\n",
                         *(f"{r} {c} {v}\n" for r, c, v in self.triples())])
 
 
@@ -583,7 +582,7 @@ def solve(matrix: SparseMatrix, rhs: Sequence) -> tuple | None:
     :meth:`SparseMatrix.matvec` before it is returned.
     """
     b = _exact_vector(rhs, matrix.nrows)
-    stored = matrix.numerators
+    stored = matrix._rows
     if any(r not in stored for r in b):
         return None  # a zero row asks for a nonzero value
     sentinel = matrix.ncols

@@ -347,7 +347,7 @@ def _direct_representatives(mats, echelons):
     for n, (mat, echelon) in enumerate(zip(mats, echelons)):
         reducer = RowReducer(mat.ncols)
         image: dict[int, dict[int, int]] = {}
-        for r, row in (mats[n - 1].numerators.items() if n else ()):
+        for r, row in (mats[n - 1].numerator_rows().items() if n else ()):
             for c, v in row.items():
                 image.setdefault(c, {})[r] = v
         for c in sorted(image):
@@ -402,7 +402,8 @@ def test_representatives_reduce_one_image_row_per_free_column(monkeypatch, kind,
     expected = []
     for n, kept in enumerate(_weight_zero_restrictions(alg, mod, theory, top)[1:], 1):
         free = [f for f in Echelon(kept).free_cols if not weights[n][f]]
-        expected.append([mats[n - 1].numerators.get(f, {}) for f in reversed(free)])
+        image = mats[n - 1].numerator_rows()
+        expected.append([image.get(f, {}) for f in reversed(free)])
     assert list(calls.values()) == [rows for rows in expected if rows]
     assert sum(map(len, expected)) > 0
 
@@ -451,8 +452,8 @@ def test_weight_zero_route_leaves_the_differentials_as_built():
         before = (mat.denominator, mat.numerator_rows())
         kept = _weight_zero_rows(mat, weights[n + 1], weights[n])
         assert (mat.denominator, mat.numerator_rows()) == before
-        assert set(kept.numerators) == {r for r in mat.numerators if not weights[n + 1][r]}
-        assert all(kept.numerators[r] is mat.numerators[r] for r in kept.numerators)
+        assert set(kept._rows) == {r for r in mat._rows if not weights[n + 1][r]}
+        assert all(kept._rows[r] is mat._rows[r] for r in kept._rows)
         assert _weight_zero_rows(mat, [0] * mat.nrows, [0] * mat.ncols) is mat
 
 
@@ -485,7 +486,7 @@ def test_elimination_never_writes_a_shared_row():
 
     def reduce_rows(mat):
         reducer = RowReducer(mat.ncols)
-        for row in mat.numerators.values():
+        for row in mat._rows.values():  # the live rows, as _representatives reads them
             reducer.add(row)
         return reducer.rank
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -433,6 +434,25 @@ def test_residuals_hold_only_nonzero_cells_in_triple_order(name):
                                               n, splittings):
                     assert all(any(vec) for vec in table.values())
                     assert list(table) == sorted(table)
+
+
+def test_residual_kernel_tries_only_splittings_of_stored_terms():
+    """A term past the series reads as zero, so only the p with p and n - p
+    inside the series are tried: the order-10^5 obstruction of an order-1
+    series traces under 1 MB, and the order-10^9 one is zero."""
+    series = m2_table3_series(1, repaired=True)
+    n = 10**5
+    tracemalloc.start()
+    try:
+        tables = _order_residuals(series.mult_pairs, series.bracket_pairs, n, range(1, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables == ({}, {}, {})
+    assert peak < 2**20
+    d = series.algebra.dim
+    zero = (((((0,) * d,) * d,) * d,) * d,) * 3
+    assert obstruction_tables(series, 10**9) == zero
 
 
 def test_a_lift_converts_each_appended_term_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact sparse elimination against a dense Fraction oracle."""
 
+import operator
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import poiscoh
 from poiscoh import linalg
 from poiscoh.algebra import builtin, regular_module
-from poiscoh.complexes import delta_H, differential
+from poiscoh.complexes import delta_H, delta_V, delta_v, differential
 from poiscoh.linalg import (
     Echelon,
     RowReducer,
@@ -104,6 +105,48 @@ def test_cached_blocks_reject_item_assignment():
     assert differential(alg, mod, "poisson", 1).dump_text() == before
 
 
+def test_cached_blocks_hand_out_no_live_rows_and_no_writable_shape():
+    """No accessor of a cached (i, 0) block or corner map returns its live
+    rows or lets its shape be written: editing what ``entries`` and
+    ``numerator_rows()`` return leaves every later differential as it was,
+    while the same edit on the stored rows would show."""
+    alg = builtin("ut2")
+    mod = regular_module(alg)
+
+    def cached():
+        return [delta_H(alg, mod, 0, 0), delta_V(alg, mod, 2, 0), delta_H(alg, mod, 2, 0),
+                delta_v(alg, mod, 1)]
+
+    blocks = cached()
+    before = [differential(alg, mod, "poisson", n).dump_text() for n in range(3)]
+    assert all(map(operator.is_, cached(), blocks))
+    for block in blocks:
+        assert not block.is_zero
+        with pytest.raises(AttributeError):
+            block.numerators
+        for name in ("nrows", "ncols"):
+            with pytest.raises(AttributeError):
+                setattr(block, name, 1)
+        entries = block.entries
+        for key in entries:
+            entries[key] += 7
+        rows = block.numerator_rows()
+        for row in rows.values():
+            for c in row:
+                row[c] += 7
+        rows.clear()
+    assert [differential(alg, mod, "poisson", n).dump_text() for n in range(3)] == before
+    try:
+        for block in blocks:
+            for row in block._rows.values():
+                for c in row:
+                    row[c] += 7
+        assert [differential(alg, mod, "poisson", n).dump_text() for n in range(3)] != before
+    finally:
+        for cache in (delta_H, delta_V, delta_v):
+            cache.cache_clear()
+
+
 def test_matvec_matches_dense():
     mat = SparseMatrix.from_dense([[1, 2], [Fraction(1, 2), -1], [0, 3]])
     assert mat.matvec((2, Fraction(1, 3))) == (
@@ -154,7 +197,7 @@ def test_matmul_rows_start_from_the_first_row_they_reach():
     prod = a.matmul(b)
     assert prod == SparseMatrix.from_dense(
         [[3, Fraction(17, 2), 6], [0, 0, 0], [22, -11, 0], [0, 0, 0], [0, -5, -3]])
-    assert sorted(prod.numerators) == [0, 2, 4]
+    assert sorted(prod.numerator_rows()) == [0, 2, 4]
 
 
 def test_dump_text_format():
@@ -184,7 +227,7 @@ def built(nrows, ncols, ops):
 
 
 def flat_numerators(mat):
-    return {(r, c): v for r, row in mat.numerators.items() for c, v in row.items()}
+    return {(r, c): v for r, row in mat.numerator_rows().items() for c, v in row.items()}
 
 
 def assert_canonical(mat, ref):
@@ -196,7 +239,7 @@ def assert_canonical(mat, ref):
     assert mat.denominator == den
     assert flat_numerators(mat) == {key: int(v * den) for key, v in ref.items()}
     assert all(type(v) is int and v for v in flat_numerators(mat).values())
-    assert all(mat.numerators.values())  # no empty rows
+    assert all(mat.numerator_rows().values())  # no empty rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,9 +286,9 @@ def test_storage_is_canonical_in_any_insertion_order(data):
 def test_cancelling_the_only_half_restores_denominator_one():
     entries = [((0, 0), 3), ((1, 2), Fraction(1, 2))]
     mat = SparseMatrix(2, 3, entries)
-    assert (mat.denominator, dict(mat.numerators)) == (2, {0: {0: 6}, 1: {2: 1}})
+    assert (mat.denominator, mat.numerator_rows()) == (2, {0: {0: 6}, 1: {2: 1}})
     mat = SparseMatrix(2, 3, entries + [((1, 2), Fraction(-1, 2))])
-    assert (mat.denominator, dict(mat.numerators)) == (1, {0: {0: 3}})
+    assert (mat.denominator, mat.numerator_rows()) == (1, {0: {0: 3}})
     assert mat == SparseMatrix.from_dense([[3, 0, 0], [0, 0, 0]])
     # thirds that add up to an integer also leave denominator one
     mat = SparseMatrix(2, 3, [((1, 1), Fraction(2, 3)), ((1, 1), Fraction(13, 3))])
@@ -549,11 +592,11 @@ def test_solve_copies_only_the_components_it_eliminates(monkeypatch):
                         or real(rows, skip))
     sol = solve(mat, (0, Fraction(1, 2), 0))
     assert mat.matvec(sol) == (0, Fraction(1, 2), 0)
-    assert mat.numerators == before
+    assert mat._rows == before
     assert seen == [{0: {0: 2, 1: 3}, 1: {1: 2, 4: -1}}]
     seen.clear()
     assert solve(mat, (0, 0, 0)) == (0, 0, 0, 0)
-    assert seen == [] and mat.numerators == before
+    assert seen == [] and mat._rows == before
 
 
 def test_zero_right_hand_side_eliminates_nothing(monkeypatch):

@@ -48,6 +48,17 @@ def test_block_offsets_are_read_only_by_the_codec_and_the_assembly():
     assert readers == ["cochain.py", "complexes.py"]
 
 
+def test_live_rows_are_read_only_by_linalg_the_assembly_and_cohomology():
+    """No accessor of a ``SparseMatrix`` returns its live row dicts, so the
+    modules that read ``_rows`` are the ones that may share them: the
+    matrix itself, the writers that paste cached blocks, and the
+    weight-zero restriction and representative selection."""
+    readers = sorted({path.name for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr == "_rows"})
+    assert readers == ["cohomology.py", "complexes.py", "linalg.py"]
+
+
 def _called(node) -> str | None:
     """The name a call node calls, or None when ``node`` is not a call."""
     if not isinstance(node, ast.Call):
